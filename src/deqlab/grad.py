@@ -145,7 +145,12 @@ def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: sensitivity fixed point may not exist")
     source = mask * rhs
-    s = np.zeros_like(mask) if s0 is None else np.asarray(s0, dtype=np.float64)
+    if s0 is None:
+        s = np.zeros_like(mask)
+    else:
+        s = np.asarray(s0, dtype=np.float64)
+        if s.shape != mask.shape or not np.all(np.isfinite(s)):
+            raise InputError("s0 has wrong shape or non-finite entries")
     history = []
     for k in range(1, cfg.max_iter + 1):
         s_next = source + mask * (p.w @ s)

@@ -125,7 +125,9 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     Power iteration using only fixed-point solves: for a direction v,
     H v = G v + S^T a where S is the equilibrium's first-order response
     to the parameter direction (M(v) Z^T, M(v) X^T, Z v) produced by the
-    adjoint solve. No mn x mn object is ever formed.
+    adjoint solve. No mn x mn object is ever formed. Raises
+    ConvergenceError if the estimate is not stable to a relative change
+    of `tol` within `max_sweeps` sweeps.
     """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -154,7 +156,9 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
         if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
             return lam_new
         lam = lam_new
-    return lam
+    raise ConvergenceError(
+        f"tangent-kernel power iteration did not reach tol={tol:.1e} in "
+        f"{max_sweeps} sweeps", residual=None, iterations=max_sweeps)
 
 
 def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,

@@ -3,7 +3,8 @@
 Each test prints a single `[criterion N] PASS/FAIL` line (visible under
 `pytest -s` or in the captured output of a failure). Criteria 5-7 run
 Monte Carlo / training workloads sized for a desktop; the full module
-takes about 10 minutes on 2 cores, 9 of them in criterion 7's width sweep.
+takes about 7 minutes on 2 cores, nearly all of it in criterion 7's width
+sweep.
 """
 
 import json

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deqlab.data import gen_sphere_data
-from deqlab.errors import WellPosednessError
+from deqlab.errors import InputError, WellPosednessError
 from deqlab.grad import (
     GradientTriple,
     activation_mask,
@@ -11,6 +11,7 @@ from deqlab.grad import (
     grad_norm_sq,
     gradients,
     solve_adjoint,
+    solve_sensitivity,
 )
 from deqlab.linalg import gram, min_eig_sym, spectral_norm
 from deqlab.model import (
@@ -102,6 +103,22 @@ class TestSolveAdjoint:
         w = spectral_norm(p.w)
         bound = int(np.ceil(np.log(cfg.tol * (1 - w)) / np.log(w))) + 10
         assert adj.iterations <= bound
+
+
+class TestSolveSensitivity:
+    def test_nonfinite_s0_rejected(self):
+        p, ds, sol = instance(10, 4, 5, seed=8)
+        mask = activation_mask(p, sol.z, ds.x)
+        s0 = np.zeros((10, 4))
+        s0[3, 1] = np.nan
+        with pytest.raises(InputError, match="s0"):
+            solve_sensitivity(p, mask, np.ones((10, 4)), s0=s0)
+
+    def test_wrong_shape_s0_rejected(self):
+        p, ds, sol = instance(10, 4, 5, seed=8)
+        mask = activation_mask(p, sol.z, ds.x)
+        with pytest.raises(InputError, match="s0"):
+            solve_sensitivity(p, mask, np.ones((10, 4)), s0=np.zeros((10, 1)))
 
 
 class TestGradients:

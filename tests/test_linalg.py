@@ -11,6 +11,7 @@ from deqlab.linalg import (
     spectral_norm,
     sym_eig,
 )
+from deqlab.model import init_params
 
 
 class TestSpectralNorm:
@@ -22,6 +23,27 @@ class TestSpectralNorm:
 
     def test_diagonal(self):
         assert spectral_norm(np.diag([3.0, 1.0, 0.5])) == pytest.approx(3.0, rel=1e-10)
+
+    def test_start_vector_blind_to_top_direction(self):
+        # The all-ones start and its Krylov space miss the top right
+        # singular vector (1, -1, 0)/sqrt(2); ||A||_2 = 2 sqrt(2), not 1.
+        a = np.array([[2.0, -2.0, 0.0], [0.0, 0.0, 1.0]])
+        assert spectral_norm(a) == pytest.approx(2 * np.sqrt(2), rel=1e-12)
+
+    def test_matches_lapack_on_initial_w(self):
+        for seed in range(5):
+            w = init_params(600, 8, 0.08, seed=seed).w
+            expected = np.linalg.norm(w, 2)
+            assert abs(spectral_norm(w) - expected) <= 1e-10 * expected
+
+    def test_warm_call_returns_ritz_pair(self):
+        w = init_params(300, 8, 0.08, seed=4).w
+        _, v = spectral_norm(w, return_vector=True)
+        w2 = w + 1e-4 * np.random.default_rng(4).standard_normal(w.shape) / 300
+        sigma, v2 = spectral_norm(w2, v0=v, return_vector=True)
+        assert np.linalg.norm(v2) == pytest.approx(1.0, abs=1e-12)
+        resid = np.linalg.norm(w2.T @ (w2 @ v2) - sigma**2 * v2)
+        assert resid <= 1e-4 * sigma**2
 
     def test_matches_svd_oracle(self):
         rng = np.random.default_rng(0)
@@ -53,8 +75,9 @@ class TestSpectralNorm:
     def test_max_iter_exhaustion(self):
         rng = np.random.default_rng(1)
         a = rng.standard_normal((30, 30))
-        with pytest.raises(ConvergenceError):
+        with pytest.raises(ConvergenceError, match="in 2 products") as exc:
             spectral_norm(a, tol=1e-14, max_iter=2)
+        assert exc.value.iterations == 2
 
     def test_warm_start_vector(self):
         rng = np.random.default_rng(2)
@@ -67,6 +90,13 @@ class TestSpectralNorm:
         rng = np.random.default_rng(7)
         a = rng.standard_normal((12, 9))
         assert spectral_norm(a) == spectral_norm(a.copy())
+        w = init_params(400, 8, 0.08, seed=7).w
+        s1, v1 = spectral_norm(w, return_vector=True)
+        s2, v2 = spectral_norm(w.copy(), return_vector=True)
+        assert s1 == s2 and np.array_equal(v1, v2)
+        t1, u1 = spectral_norm(w, v0=v1, return_vector=True)
+        t2, u2 = spectral_norm(w, v0=v2, return_vector=True)
+        assert t1 == t2 and np.array_equal(u1, u2)
 
 
 class TestMinEigSym:

@@ -16,6 +16,7 @@ from deqlab.train import (
     TrainConfig,
     auto_eta,
     monitors,
+    ntk_max_eig,
     train,
     write_metrics_csv,
 )
@@ -205,6 +206,13 @@ class TestAutoEta:
         _, trace = train(p, ds, TrainConfig(eta=eta, steps=30))
         losses = trace.column("loss")
         assert np.all(losses[1:] <= losses[:-1] * (1 + 1e-10))
+
+    def test_unconverged_curvature_raises(self):
+        p, ds = setup(seed=17)
+        sol = solve_equilibrium(p, ds.x)
+        with pytest.raises(ConvergenceError) as exc:
+            ntk_max_eig(p, sol.z, ds.x, max_sweeps=1)
+        assert exc.value.iterations == 1
 
     def test_safety_scales_linearly(self):
         p, ds = setup(seed=18)
