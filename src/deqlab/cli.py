@@ -136,6 +136,14 @@ def build_dataset(cfg) -> Dataset:
     return Dataset(x=x, y=y, provenance="file", y_cap=d.y_cap)
 
 
+def _write_depth_csv(path, series) -> None:
+    """A depth-decay series as `l,error` rows, l counted from 1."""
+    with open(path, "w") as f:
+        f.write("l,error\n")
+        for level, err in enumerate(series, start=1):
+            f.write(f"{level},{err:.17g}\n")
+
+
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -173,10 +181,7 @@ def cmd_kernel(cfg, doc):
                             width_c=cfg.kernel.width_constant,
                             depth_c=cfg.kernel.depth_constant)
     series = kernel_depth_decay(ds.x, cfg.model.sigma_w2, cfg.kernel.l_max)
-    with open(out / "kernel_depth_decay.csv", "w") as f:
-        f.write("l,error\n")
-        for level, err in enumerate(series, start=1):
-            f.write(f"{level},{err:.17g}\n")
+    _write_depth_csv(out / "kernel_depth_decay.csv", series)
     line_plot_svg(out / "kernel_depth_decay.svg",
                   {"||K - K^(l)||_F": (list(range(1, len(series) + 1)), series)},
                   "Population kernel depth decay", "depth l", "Frobenius error",
@@ -357,20 +362,14 @@ def cmd_concentration(cfg, doc):
                            f"fraction(lambda0 >= m*lambda*/2) = {fr[m]:.3g}")
         elif name == "kernel_depth_decay":
             series = kernel_depth_decay(ds.x, sigma_w2, c.l)
-            with open(out / "kernel_depth_decay.csv", "w") as f:
-                f.write("l,error\n")
-                for level, err in enumerate(series, start=1):
-                    f.write(f"{level},{err:.17g}\n")
+            _write_depth_csv(out / "kernel_depth_decay.csv", series)
             outputs.append("kernel_depth_decay.csv")
             click.echo(f"kernel_depth_decay: first {series[0]:.4g} "
                        f"last {series[-1]:.4g}")
         elif name == "equilibrium_depth_decay":
             p = init_params(c.reconstruct_m, ds.d, sigma_w2, c.base_seed)
             series = equilibrium_depth_decay(p, ds.x, c.l, solver)
-            with open(out / "equilibrium_depth_decay.csv", "w") as f:
-                f.write("l,error\n")
-                for level, err in enumerate(series, start=1):
-                    f.write(f"{level},{err:.17g}\n")
+            _write_depth_csv(out / "equilibrium_depth_decay.csv", series)
             outputs.append("equilibrium_depth_decay.csv")
             click.echo(f"equilibrium_depth_decay: first {series[0]:.4g} "
                        f"last {series[-1]:.4g}")

@@ -20,9 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, WellPosednessError
+from .errors import InputError, WellPosednessError
 from .linalg import as_matrix, spectral_norm
-from .model import DeqParams, SolverConfig, loss, predict, solve_equilibrium
+from .model import (
+    DeqParams,
+    SolverConfig,
+    _iterate,
+    loss,
+    predict,
+    solve_equilibrium,
+)
 
 __all__ = [
     "GradientTriple",
@@ -63,6 +70,11 @@ def activation_mask(p: DeqParams, z, x) -> np.ndarray:
     return (pre >= 0.0).astype(np.float64)
 
 
+def _masked_step(x, op, mask, source):
+    """One application of the linear map x -> source + mask .* (op x)."""
+    return source + mask * (op @ x)
+
+
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
                   m0=None, w_norm: float | None = None) -> AdjointSolution:
     """Picard iteration for M = mask .* (a e^T + W^T M), from M = 0.
@@ -87,20 +99,9 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
         if m.shape != mask.shape or not np.all(np.isfinite(m)):
             raise InputError("m0 has wrong shape or non-finite entries")
 
-    wt = p.w.T
-    history = []
-    for k in range(1, cfg.max_iter + 1):
-        m_next = source + mask * (wt @ m)
-        res = float(np.linalg.norm(m_next - m) / max(1.0, np.linalg.norm(m)))
-        history.append(res)
-        if res <= cfg.tol:
-            return AdjointSolution(m=m, residual=res, iterations=k,
-                                   residuals=tuple(history))
-        m = m_next
-    raise ConvergenceError(
-        f"adjoint solve did not reach tol={cfg.tol:.1e} in "
-        f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
-        residual=history[-1], iterations=cfg.max_iter)
+    m, res, k, history = _iterate(_masked_step, (p.w.T, mask, source), m,
+                                  cfg, "adjoint")
+    return AdjointSolution(m=m, residual=res, iterations=k, residuals=history)
 
 
 def gradients(p: DeqParams, z, x, y, cfg: SolverConfig = SolverConfig(),
@@ -151,19 +152,9 @@ def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(
         s = np.asarray(s0, dtype=np.float64)
         if s.shape != mask.shape or not np.all(np.isfinite(s)):
             raise InputError("s0 has wrong shape or non-finite entries")
-    history = []
-    for k in range(1, cfg.max_iter + 1):
-        s_next = source + mask * (p.w @ s)
-        res = float(np.linalg.norm(s_next - s) / max(1.0, np.linalg.norm(s)))
-        history.append(res)
-        if res <= cfg.tol:
-            return AdjointSolution(m=s, residual=res, iterations=k,
-                                   residuals=tuple(history))
-        s = s_next
-    raise ConvergenceError(
-        f"sensitivity solve did not reach tol={cfg.tol:.1e} in "
-        f"{cfg.max_iter} iterations", residual=history[-1],
-        iterations=cfg.max_iter)
+    s, res, k, history = _iterate(_masked_step, (p.w, mask, source), s, cfg,
+                                  "sensitivity")
+    return AdjointSolution(m=s, residual=res, iterations=k, residuals=history)
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:

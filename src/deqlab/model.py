@@ -32,6 +32,12 @@ __all__ = [
 
 SIGMA_W2_MAX = 0.125  # the theory's standing assumption: sigma_w^2 < 1/8
 
+# Picard solves whose layer map costs at least this many multiply-adds
+# (m^2 n) run their bulk iterations in float32; see _iterate.
+F32_MIN_MADDS = 2**27
+_F32_ENTER = 1e-5
+_F32_EXIT = 1e-6
+
 CHECKPOINT_VERSION = 1
 
 
@@ -128,6 +134,47 @@ def forward_layer(p: DeqParams, z, x) -> np.ndarray:
     return np.maximum(p.w @ z + p.u @ x, 0.0)
 
 
+def _iterate(step, operands, x, cfg: SolverConfig, what: str):
+    """Picard iteration x <- step(x, *operands) from x until
+    ||x+ - x||_F / max(1, ||x||_F) <= cfg.tol; returns (x, residual,
+    iterations, residuals) for the first x that meets the rule.
+
+    `step` must map an (m, n) iterate through an m x m operator, so one
+    application costs m^2 n multiply-adds. From F32_MIN_MADDS on, the
+    bulk of the iterations runs on float32 copies of the operands: after
+    a first float64 application whose residual exceeds _F32_ENTER, until
+    the residual falls to max(_F32_EXIT, tol) or stops halving (float32
+    rounding bottoms out near 6e-8); then float64 until the rule holds.
+    Only a float64 residual can stop the loop, and the contraction brings
+    the float64 phase back to the float64 fixed point. Below the cut the
+    loop is plain float64: small solves gain nothing from float32, and
+    its rounding would make the solution non-smooth in the parameters at
+    the tolerance level, which the finite-difference references resolve.
+    Every application counts in `iterations` and adds one residual.
+    """
+    m, n = x.shape
+    ops, f32 = operands, False
+    history = []
+    for k in range(1, cfg.max_iter + 1):
+        x_next = step(x, *ops)
+        res = float(np.linalg.norm(x_next - x) / max(1.0, np.linalg.norm(x)))
+        history.append(res)
+        if f32:
+            if res <= max(_F32_EXIT, cfg.tol) or res > 0.5 * history[-2]:
+                ops, f32 = operands, False
+                x_next = x_next.astype(np.float64)
+        elif res <= cfg.tol:
+            return x, res, k, tuple(history)
+        elif k == 1 and res > _F32_ENTER and m * m * n >= F32_MIN_MADDS:
+            ops, f32 = tuple(op.astype(np.float32) for op in operands), True
+            x_next = x_next.astype(np.float32)
+        x = x_next
+    raise ConvergenceError(
+        f"{what} solve did not reach tol={cfg.tol:.1e} in "
+        f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
+        residual=history[-1], iterations=cfg.max_iter)
+
+
 def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
                       z0=None, w_norm: float | None = None) -> EquilibriumSolution:
     """Picard iteration Z <- relu(W Z + U X) until the residual meets tol.
@@ -155,21 +202,11 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
         if not np.all(np.isfinite(z)) or np.any(z < 0.0):
             raise InputError("z0 must be finite and nonnegative (a ReLU image)")
 
-    ux = p.u @ x
-    history = []
-    for k in range(1, cfg.max_iter + 1):
-        z_next = np.maximum(p.w @ z + ux, 0.0)
-        res = float(np.linalg.norm(z_next - z)
-                    / max(1.0, np.linalg.norm(z)))
-        history.append(res)
-        if res <= cfg.tol:
-            return EquilibriumSolution(z=z, residual=res, iterations=k,
-                                       residuals=tuple(history))
-        z = z_next
-    raise ConvergenceError(
-        f"equilibrium solve did not reach tol={cfg.tol:.1e} in "
-        f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
-        residual=history[-1], iterations=cfg.max_iter)
+    z, res, k, history = _iterate(
+        lambda z, w, ux: np.maximum(w @ z + ux, 0.0), (p.w, p.u @ x), z, cfg,
+        "equilibrium")
+    return EquilibriumSolution(z=z, residual=res, iterations=k,
+                               residuals=history)
 
 
 def predict(p: DeqParams, z) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from deqlab.data import gen_sphere_data
-from deqlab.errors import InputError, WellPosednessError
+from deqlab.errors import ConvergenceError, InputError, WellPosednessError
 from deqlab.grad import (
     GradientTriple,
     activation_mask,
@@ -15,6 +15,7 @@ from deqlab.grad import (
 )
 from deqlab.linalg import gram, min_eig_sym, spectral_norm
 from deqlab.model import (
+    F32_MIN_MADDS,
     DeqParams,
     SolverConfig,
     init_params,
@@ -197,3 +198,124 @@ class TestGradNormSq:
                            ga=rng.standard_normal(3))
         expected = np.sum(g.gw**2) + np.sum(g.gu**2) + np.sum(g.ga**2)
         assert grad_norm_sq(g) == pytest.approx(float(expected), rel=1e-14)
+
+
+def plain_picard(step, x, tol, max_iter=10000):
+    """Reference float64 Picard loop: (x, residuals) for the first x with
+    ||step(x) - x|| / max(1, ||x||) <= tol, or (None, residuals)."""
+    history = []
+    for _ in range(max_iter):
+        x_next = step(x)
+        res = float(np.linalg.norm(x_next - x) / max(1.0, np.linalg.norm(x)))
+        history.append(res)
+        if res <= tol:
+            return x, history
+        x = x_next
+    return None, history
+
+
+class Problem:
+    """The forward, adjoint and sensitivity fixed points of one instance:
+    `solve(kind, cfg, x0)` runs the library's solver and `apply(kind, x)`
+    applies the layer map independently, in float64."""
+
+    def __init__(self, m, n, d, seed):
+        self.p = init_params(m, d, 0.08, seed=seed)
+        self.ds = gen_sphere_data(n, d, seed=seed + 1000)
+        self.w = spectral_norm(self.p.w)
+        self.z = solve_equilibrium(self.p, self.ds.x, w_norm=self.w).z
+        self.mask = activation_mask(self.p, self.z, self.ds.x)
+        self.e = predict(self.p, self.z) - self.ds.y
+        self.rhs = np.random.default_rng(seed).standard_normal((m, n))
+
+    def solve(self, kind, cfg=SolverConfig(), x0=None):
+        p, w = self.p, self.w
+        if kind == "forward":
+            sol = solve_equilibrium(p, self.ds.x, cfg, z0=x0, w_norm=w)
+            return sol.z, sol
+        if kind == "adjoint":
+            sol = solve_adjoint(p, self.mask, self.e, cfg, m0=x0, w_norm=w)
+        else:
+            sol = solve_sensitivity(p, self.mask, self.rhs, cfg, s0=x0,
+                                    w_norm=w)
+        return sol.m, sol
+
+    def apply(self, kind, x):
+        p = self.p
+        if kind == "forward":
+            return np.maximum(p.w @ x + p.u @ self.ds.x, 0.0)
+        if kind == "adjoint":
+            return self.mask * (np.outer(p.a, self.e) + p.w.T @ x)
+        return self.mask * (p.w @ x + self.rhs)
+
+
+KINDS = ("forward", "adjoint", "sensitivity")
+
+
+@pytest.fixture(scope="module")
+def at_cut():
+    """An instance whose layer map costs exactly the float32 cut."""
+    assert 1024 * 1024 * 128 == F32_MIN_MADDS
+    return Problem(1024, 128, 32, seed=41)
+
+
+class TestPicardEngineAtCut:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])  # float32 reaches 1e-6
+    def test_returned_residual_is_float64(self, at_cut, kind, tol):
+        x, sol = at_cut.solve(kind, SolverConfig(tol=tol))
+        assert x.dtype == np.float64
+        res = (np.linalg.norm(at_cut.apply(kind, x) - x)
+               / max(1.0, np.linalg.norm(x)))
+        assert res <= tol
+        assert sol.residual == pytest.approx(res, rel=1e-9)
+        assert len(sol.residuals) == sol.iterations
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_bulk_iterations_leave_float64(self, at_cut, kind):
+        # The second application runs in float32, so its residual differs
+        # from the float64 loop's; the first is the same float64 one.
+        _, sol = at_cut.solve(kind, SolverConfig(tol=1e-10))
+        _, ref = plain_picard(lambda x: at_cut.apply(kind, x),
+                              np.zeros_like(at_cut.z), 0.0, max_iter=2)
+        assert sol.residuals[0] == pytest.approx(ref[0], rel=1e-12)
+        assert sol.residuals[1] != ref[1]
+        assert sol.residuals[1] == pytest.approx(ref[1], rel=1e-4)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_start_from_solution_one_iteration(self, at_cut, kind):
+        x, _ = at_cut.solve(kind)
+        _, warm = at_cut.solve(kind, x0=x)
+        assert warm.iterations == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_max_iter_exhaustion(self, at_cut, kind, start):
+        # Cold, iterations 2 and 3 run in float32; warm from a solution at
+        # tol 1e-8, all three run in float64.
+        x0 = None
+        if start == "warm":
+            x0, _ = at_cut.solve(kind, SolverConfig(tol=1e-8))
+        with pytest.raises(ConvergenceError) as exc:
+            at_cut.solve(kind, SolverConfig(tol=1e-12, max_iter=3), x0=x0)
+        assert exc.value.iterations == 3 and exc.value.residual is not None
+        assert "in 3 iterations" in str(exc.value)
+
+
+class TestPicardEngineBelowCut:
+    @pytest.mark.parametrize("kind", ["forward", "adjoint"])
+    def test_bitwise_plain_float64_loop(self, kind):
+        prob = Problem(60, 12, 10, seed=9)
+        cfg = SolverConfig(tol=1e-12)
+        x, sol = prob.solve(kind, cfg)
+        p = prob.p
+        if kind == "forward":
+            ux = p.u @ prob.ds.x
+            step = lambda z: np.maximum(p.w @ z + ux, 0.0)  # noqa: E731
+        else:
+            source = prob.mask * np.outer(p.a, prob.e)
+            step = lambda m: source + prob.mask * (p.w.T @ m)  # noqa: E731
+        ref, history = plain_picard(step, np.zeros_like(prob.z), cfg.tol)
+        assert np.array_equal(x, ref)
+        assert sol.residuals == tuple(history)
+        assert sol.residual == history[-1]
