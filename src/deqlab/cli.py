@@ -67,7 +67,14 @@ from .model import (
     solve_equilibrium,
 )
 from .reporting import config_hash, line_plot_svg, write_run_manifest
-from .train import TrainConfig, auto_eta, gram_min_eig, train, write_metrics_csv
+from .train import (
+    TrainConfig,
+    auto_eta,
+    gram_min_eig,
+    train,
+    write_metrics_csv,
+    write_solver_trace_csv,
+)
 
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
@@ -142,6 +149,23 @@ def _write_depth_csv(path, series) -> None:
         f.write("l,error\n")
         for level, err in enumerate(series, start=1):
             f.write(f"{level},{err:.17g}\n")
+
+
+def _write_records_csv(path, write, trace, resume: bool) -> None:
+    """Write `trace` with `write(path, trace)`. When resuming onto an
+    existing `path`, append only the rows after its last step, so the
+    file continues contiguously."""
+    if not (resume and path.exists()):
+        write(path, trace)
+        return
+    existing = path.read_text().splitlines()
+    last_step = int(existing[-1].split(",")[0])
+    tmp = path.with_name(f"{path.stem}.part.csv")
+    write(tmp, trace)
+    fresh = [row for row in tmp.read_text().splitlines()[1:]
+             if int(row.split(",")[0]) > last_step]
+    tmp.unlink()
+    path.write_text("\n".join(existing + fresh) + "\n")
 
 
 def _timestamp() -> str:
@@ -284,20 +308,10 @@ def cmd_train(cfg, doc):
                 "artifact_version": __version__}, sort_keys=True) + "\n")
             outputs.append(ck.name)
 
-        metrics = out / f"metrics_{tag}.csv"
-        if t.resume is not None and metrics.exists():
-            # contiguous continuation: drop the overlapping first record
-            existing = metrics.read_text().splitlines()
-            last_step = int(existing[-1].split(",")[0])
-            tmp = out / f"metrics_{tag}.part.csv"
-            write_metrics_csv(tmp, trace)
-            fresh = [row for row in tmp.read_text().splitlines()[1:]
-                     if int(row.split(",")[0]) > last_step]
-            tmp.unlink()
-            metrics.write_text("\n".join(existing + fresh) + "\n")
-        else:
-            write_metrics_csv(metrics, trace)
-        outputs.append(metrics.name)
+        for name, write in ((f"metrics_{tag}.csv", write_metrics_csv),
+                            (f"trace_{tag}.csv", write_solver_trace_csv)):
+            _write_records_csv(out / name, write, trace, t.resume is not None)
+            outputs.append(name)
 
         steps_axis = [r.step for r in trace.records]
         loss_series[tag] = (steps_axis, [r.loss for r in trace.records])

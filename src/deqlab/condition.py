@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InputError
 from .linalg import as_matrix, spectral_norm
-from .model import DeqParams
+from .model import DeqParams, well_posedness
 
 __all__ = [
     "InitBounds",
@@ -75,8 +75,8 @@ class BoundCheck:
 
 def init_bounds(p: DeqParams, delta: float | None = None) -> InitBounds:
     """Compute the delta-inflated bounds; delta=None takes half the gap to 1."""
-    w_norm = spectral_norm(p.w)
-    if w_norm >= 1.0:
+    w_norm, ok = well_posedness(p, spectral_norm(p.w))
+    if not ok:
         raise InputError(f"||W(0)||_2 = {w_norm:.6f} >= 1; no valid delta exists")
     if delta is None:
         delta = 0.5 * (1.0 - w_norm)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError, WellPosednessError
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix
 from .model import (
     DeqParams,
     SolverConfig,
@@ -29,6 +29,7 @@ from .model import (
     loss,
     predict,
     solve_equilibrium,
+    well_posedness,
 )
 
 __all__ = [
@@ -70,9 +71,30 @@ def activation_mask(p: DeqParams, z, x) -> np.ndarray:
     return (pre >= 0.0).astype(np.float64)
 
 
-def _masked_step(x, op, mask, source):
-    """One application of the linear map x -> source + mask .* (op x)."""
-    return source + mask * (op @ x)
+class _MaskedLinearMap:
+    """The linear map x -> source + mask .* (op x) for model._iterate; its
+    increment at any point is d -> mask .* (op d)."""
+
+    clip = False
+
+    def __init__(self, op, mask, source):
+        self.op, self.mask, self.source = op, mask, source
+        self.apply32 = None
+
+    def __call__(self, x):
+        return self.source + self.mask * (self.op @ x)
+
+    def increment(self):
+        """Float32 increment map, as (d, out) -> None."""
+        if self.apply32 is None:
+            op32 = self.op.astype(np.float32)
+            mask32 = self.mask.astype(np.float32)
+
+            def apply32(d, out):
+                np.matmul(op32, d, out=out)
+                out *= mask32
+            self.apply32 = apply32
+        return self.apply32
 
 
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
@@ -86,9 +108,8 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
     e = np.asarray(e, dtype=np.float64).ravel()
     if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
         raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
-    if w_norm is None:
-        w_norm = spectral_norm(p.w)
-    if w_norm >= 1.0:
+    w_norm, ok = well_posedness(p, w_norm)
+    if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: adjoint fixed point may not exist")
     source = mask * np.outer(p.a, e)
@@ -99,7 +120,7 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
         if m.shape != mask.shape or not np.all(np.isfinite(m)):
             raise InputError("m0 has wrong shape or non-finite entries")
 
-    m, res, k, history = _iterate(_masked_step, (p.w.T, mask, source), m,
+    m, res, k, history = _iterate(_MaskedLinearMap(p.w.T, mask, source), m,
                                   cfg, "adjoint")
     return AdjointSolution(m=m, residual=res, iterations=k, residuals=history)
 
@@ -140,9 +161,8 @@ def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape != mask.shape:
         raise InputError(f"rhs shape {rhs.shape} != mask shape {mask.shape}")
-    if w_norm is None:
-        w_norm = spectral_norm(p.w)
-    if w_norm >= 1.0:
+    w_norm, ok = well_posedness(p, w_norm)
+    if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: sensitivity fixed point may not exist")
     source = mask * rhs
@@ -152,8 +172,8 @@ def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(
         s = np.asarray(s0, dtype=np.float64)
         if s.shape != mask.shape or not np.all(np.isfinite(s)):
             raise InputError("s0 has wrong shape or non-finite entries")
-    s, res, k, history = _iterate(_masked_step, (p.w, mask, source), s, cfg,
-                                  "sensitivity")
+    s, res, k, history = _iterate(_MaskedLinearMap(p.w, mask, source), s,
+                                  cfg, "sensitivity")
     return AdjointSolution(m=s, residual=res, iterations=k, residuals=history)
 
 

@@ -32,11 +32,16 @@ __all__ = [
 
 SIGMA_W2_MAX = 0.125  # the theory's standing assumption: sigma_w^2 < 1/8
 
+# Relative gap below 1 that a spectral_norm estimate needs to certify
+# ||W||_2 < 1 on its own; see well_posedness.
+CERT_MARGIN = 1e-5
+
 # Picard solves whose layer map costs at least this many multiply-adds
-# (m^2 n) run their bulk iterations in float32; see _iterate.
+# (m^2 n) run in defect-correction rounds with float32 iterations on the
+# correction; see _iterate.
 F32_MIN_MADDS = 2**27
-_F32_ENTER = 1e-5
-_F32_EXIT = 1e-6
+# The float32 rounding floor of a correction round, relative to ||r||.
+_ROUND_FLOOR = 2.0 * float(np.finfo(np.float32).eps)
 
 CHECKPOINT_VERSION = 1
 
@@ -134,41 +139,108 @@ def forward_layer(p: DeqParams, z, x) -> np.ndarray:
     return np.maximum(p.w @ z + p.u @ x, 0.0)
 
 
-def _iterate(step, operands, x, cfg: SolverConfig, what: str):
-    """Picard iteration x <- step(x, *operands) from x until
+class _ReluMap:
+    """The equilibrium map z -> relu(W z + b) for _iterate.
+
+    Its increment at a point z_b, L(d) = relu(W (z_b + d) + b) - relu(pre)
+    with pre = W z_b + b, is evaluated as max(W d, -pre) + min(pre, 0),
+    which has no cancellation: its float32 rounding is relative to ||d||,
+    not to ||z_b||. Images of the map are nonnegative, so a corrected
+    iterate is clipped at 0.
+    """
+
+    clip = True
+
+    def __init__(self, w, b):
+        self.w, self.b, self.w32 = w, b, None
+        self.pre = np.empty(b.shape)
+
+    def __call__(self, z):
+        np.matmul(self.w, z, out=self.pre)
+        self.pre += self.b
+        return np.maximum(self.pre, 0.0)
+
+    def increment(self):
+        """Float32 L at the point of the last call, as (d, out) -> None."""
+        if self.w32 is None:
+            self.w32 = self.w.astype(np.float32)
+            self.neg = np.empty(self.pre.shape, np.float32)
+            self.pos = np.empty_like(self.neg)
+        w32, neg, pos = self.w32, self.neg, self.pos
+        np.negative(self.pre, out=neg, casting="same_kind")
+        np.maximum(neg, 0.0, out=pos)  # -min(pre, 0)
+
+        def apply(d, out):
+            np.matmul(w32, d, out=out)
+            np.maximum(out, neg, out=out)
+            out -= pos
+        return apply
+
+
+def _iterate(step, x, cfg: SolverConfig, what: str):
+    """Picard iteration x <- step(x) from x until
     ||x+ - x||_F / max(1, ||x||_F) <= cfg.tol; returns (x, residual,
     iterations, residuals) for the first x that meets the rule.
 
-    `step` must map an (m, n) iterate through an m x m operator, so one
+    `step` maps an (m, n) iterate through an m x m operator, so one
     application costs m^2 n multiply-adds. From F32_MIN_MADDS on, the
-    bulk of the iterations runs on float32 copies of the operands: after
-    a first float64 application whose residual exceeds _F32_ENTER, until
-    the residual falls to max(_F32_EXIT, tol) or stops halving (float32
-    rounding bottoms out near 6e-8); then float64 until the rule holds.
-    Only a float64 residual can stop the loop, and the contraction brings
-    the float64 phase back to the float64 fixed point. Below the cut the
-    loop is plain float64: small solves gain nothing from float32, and
-    its rounding would make the solution non-smooth in the parameters at
-    the tolerance level, which the finite-difference references resolve.
-    Every application counts in `iterations` and adds one residual.
+    solve runs in defect-correction rounds. A round applies `step` once in
+    float64 at its base x_b, which gives r = step(x_b) - x_b and the stop
+    test, and then iterates d <- r + L(d) from d = r in float32, where
+    L = step.increment() is the map's increment at x_b. Every float32
+    application is an exact Picard step on x_b + d, so its float32
+    rounding is relative to ||r||, not ||x||. A round ends when the
+    predicted next increment (inc^2 / previous inc) falls to
+    max(tol, _ROUND_FLOOR * ||r||_F / max(1, ||x_b + d||_F)),
+    where the next float64 residual should meet the stop rule or reach
+    the float32 rounding floor of the round, or when the increments stop
+    contracting; then x_b <- x_b + d, clipped at 0 for a map with `clip`.
+    Only a float64 residual can stop the loop. Below the cut the loop is
+    plain float64: small solves gain nothing from float32, and its
+    rounding would make the solution non-smooth in the parameters at the
+    tolerance level, which the finite-difference references resolve.
+    Every application counts in `iterations` and adds one residual; a
+    float32 one is ||d+ - d||_F / max(1, ||x_b + d||_F).
     """
     m, n = x.shape
-    ops, f32 = operands, False
+    rounds = m * m * n >= F32_MIN_MADDS
+    if rounds:  # float32 r, x_b, d and d+, reused by every round
+        r32, x32, d, buf = (np.empty((m, n), np.float32) for _ in range(4))
     history = []
-    for k in range(1, cfg.max_iter + 1):
-        x_next = step(x, *ops)
-        res = float(np.linalg.norm(x_next - x) / max(1.0, np.linalg.norm(x)))
+    k = 0
+    while k < cfg.max_iter:
+        x_next = step(x)
+        k += 1
+        r_norm = np.linalg.norm(x_next - x)
+        res = float(r_norm / max(1.0, np.linalg.norm(x)))
         history.append(res)
-        if f32:
-            if res <= max(_F32_EXIT, cfg.tol) or res > 0.5 * history[-2]:
-                ops, f32 = operands, False
-                x_next = x_next.astype(np.float64)
-        elif res <= cfg.tol:
+        if res <= cfg.tol:
             return x, res, k, tuple(history)
-        elif k == 1 and res > _F32_ENTER and m * m * n >= F32_MIN_MADDS:
-            ops, f32 = tuple(op.astype(np.float32) for op in operands), True
-            x_next = x_next.astype(np.float32)
-        x = x_next
+        if not rounds:
+            x = x_next
+            continue
+        increment = step.increment()
+        np.subtract(x_next, x, out=r32, casting="same_kind")
+        np.copyto(x32, x, casting="same_kind")
+        np.copyto(d, r32)
+        del x_next  # no float64 m x n temporary lives through a round
+        prev = res
+        while k < cfg.max_iter:
+            scale = max(1.0, float(np.linalg.norm(np.add(x32, d, out=buf))))
+            increment(d, buf)
+            buf += r32
+            k += 1
+            d -= buf
+            inc = float(np.linalg.norm(d) / scale)
+            d, buf = buf, d
+            history.append(inc)
+            floor = max(cfg.tol, _ROUND_FLOOR * r_norm / scale)
+            if inc * inc <= floor * prev or inc >= prev:
+                break
+            prev = inc
+        x = x + d
+        if step.clip:
+            np.maximum(x, 0.0, out=x)
     raise ConvergenceError(
         f"{what} solve did not reach tol={cfg.tol:.1e} in "
         f"{cfg.max_iter} iterations (last residual {history[-1]:.3e})",
@@ -187,9 +259,8 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
     x = as_matrix(x, "X")
     if x.shape[0] != p.d:
         raise InputError(f"X has {x.shape[0]} rows, expected d={p.d}")
-    if w_norm is None:
-        w_norm = spectral_norm(p.w)
-    if w_norm >= 1.0:
+    w_norm, ok = well_posedness(p, w_norm)
+    if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: the layer map is not a contraction")
     n = x.shape[1]
@@ -202,9 +273,8 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
         if not np.all(np.isfinite(z)) or np.any(z < 0.0):
             raise InputError("z0 must be finite and nonnegative (a ReLU image)")
 
-    z, res, k, history = _iterate(
-        lambda z, w, ux: np.maximum(w @ z + ux, 0.0), (p.w, p.u @ x), z, cfg,
-        "equilibrium")
+    z, res, k, history = _iterate(_ReluMap(p.w, p.u @ x), z, cfg,
+                                  "equilibrium")
     return EquilibriumSolution(z=z, residual=res, iterations=k,
                                residuals=history)
 
@@ -227,10 +297,20 @@ def loss(yhat, y) -> float:
     return 0.5 * float(diff @ diff)
 
 
-def well_posedness(p: DeqParams, margin: float = 0.0):
-    """(||W||_2, ok) where ok means ||W||_2 < 1 - margin."""
-    s = spectral_norm(p.w)
-    return s, s < 1.0 - margin
+def well_posedness(p: DeqParams, w_norm: float | None = None):
+    """(||W||_2, ok) where ok means ||W||_2 < 1: the certificate that every
+    solver and the trainer check before relying on a contraction.
+
+    `w_norm` is a spectral_norm estimate of ||W||_2, computed here when
+    omitted. Lanczos converges to ||W||_2 from below, so the estimate
+    decides alone only when w_norm * (1 + CERT_MARGIN) < 1; otherwise the
+    exact np.linalg.norm(W, 2) decides and is the norm returned.
+    """
+    if w_norm is None:
+        w_norm = spectral_norm(p.w)
+    if w_norm * (1.0 + CERT_MARGIN) >= 1.0:
+        w_norm = float(np.linalg.norm(p.w, 2))
+    return w_norm, w_norm < 1.0
 
 
 def save_params(path, p: DeqParams) -> None:

@@ -30,23 +30,35 @@ from .grad import (
     solve_sensitivity,
 )
 from .linalg import gram, min_eig_sym, spectral_norm
-from .model import DeqParams, SolverConfig, forward_layer, loss, predict, solve_equilibrium
+from .model import (
+    DeqParams,
+    SolverConfig,
+    forward_layer,
+    loss,
+    predict,
+    solve_equilibrium,
+    well_posedness,
+)
 
 __all__ = [
     "TrainConfig",
     "TrainRecord",
     "TrainTrace",
     "METRICS_HEADER",
+    "SOLVER_TRACE_HEADER",
     "auto_eta",
     "gram_min_eig",
     "ntk_max_eig",
     "monitors",
     "train",
     "write_metrics_csv",
+    "write_solver_trace_csv",
 ]
 
 METRICS_HEADER = ("step,loss,w_spec_norm,lambda_tau,grad_norm_sq,"
                   "pl_ratio,rate_envelope,solver_iters,residual")
+SOLVER_TRACE_HEADER = ("step,forward_iters,adjoint_iters,forward_residual,"
+                       "adjoint_residual")
 
 
 @dataclass(frozen=True)
@@ -88,6 +100,8 @@ class TrainRecord:
     rate_envelope: float
     solver_iters: int
     residual: float
+    adjoint_iters: int = 0
+    adjoint_residual: float = float("nan")
     lambda_half_ok: bool = True
     pl_ok: bool = True
 
@@ -172,8 +186,8 @@ def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,
     checker; at desk scale it is orders of magnitude too small to move
     the loss, so the trainer uses this measured-curvature rule instead.)
     """
-    w_norm = spectral_norm(p.w)
-    if w_norm >= 1.0:
+    w_norm, ok = well_posedness(p, spectral_norm(p.w))
+    if not ok:
         raise WellPosednessError(f"||W||_2 = {w_norm:.6f} >= 1")
     lam = ntk_max_eig(p, z0, x, solver, w_norm=w_norm)
     if lam <= 0:
@@ -187,17 +201,22 @@ def monitors(p: DeqParams, z, data: Dataset, lambda_0: float, eta: float,
              grads: GradientTriple | None = None,
              w_norm: float | None = None,
              solver_iters: int | None = None,
-             residual: float | None = None) -> TrainRecord:
+             residual: float | None = None,
+             adjoint_iters: int = 0,
+             adjoint_residual: float = float("nan")) -> TrainRecord:
     """Assemble one monitored record at the current state.
 
     Pass precomputed pieces (gradients, ||W||, solver diagnostics) to
     avoid recomputation inside the training loop; anything missing is
-    computed here from scratch.
+    computed here from scratch, the adjoint diagnostics with the
+    gradients.
     """
     if w_norm is None:
         w_norm = spectral_norm(p.w)
     if grads is None:
-        grads = gradients(p, z, data.x, data.y, solver, w_norm=w_norm)
+        grads, adj = gradients(p, z, data.x, data.y, solver, w_norm=w_norm,
+                               return_adjoint=True)
+        adjoint_iters, adjoint_residual = adj.iterations, adj.residual
     if residual is None:
         residual = float(np.linalg.norm(z - forward_layer(p, z, data.x))
                          / max(1.0, np.linalg.norm(z)))
@@ -215,6 +234,8 @@ def monitors(p: DeqParams, z, data: Dataset, lambda_0: float, eta: float,
         rate_envelope=(1.0 - eta * lambda_0 / 2.0) ** tau * phi0,
         solver_iters=0 if solver_iters is None else solver_iters,
         residual=residual,
+        adjoint_iters=adjoint_iters,
+        adjoint_residual=adjoint_residual,
         lambda_half_ok=lambda_tau > 0.5 * lambda_0,
         pl_ok=pl_ratio >= lambda_0 if phi > 0 else True,
     )
@@ -248,7 +269,8 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
         raise InputError("train expects a Dataset (its constructor enforces "
                          "the data assumptions)")
     w_norm, w_vec = spectral_norm(p0.w, return_vector=True)
-    if w_norm >= 1.0:
+    w_norm, ok = well_posedness(p0, w_norm)
+    if not ok:
         raise WellPosednessError(
             f"initial ||W||_2 = {w_norm:.6f} >= 1; training would be ill-posed")
 
@@ -290,7 +312,9 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                 records.append(monitors(
                     p, sol.z, data, lambda_0, eta, start_step + tau, phi0,
                     solver=cfg.solver, grads=grads, w_norm=w_norm,
-                    solver_iters=sol.iterations, residual=sol.residual))
+                    solver_iters=sol.iterations, residual=sol.residual,
+                    adjoint_iters=adj.iterations,
+                    adjoint_residual=adj.residual))
             if on_checkpoint is not None and tau == cfg.steps:
                 on_checkpoint(start_step + tau, p)
             if tau == cfg.steps:
@@ -302,7 +326,8 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                     and (tau + 1) % checkpoint_every == 0 and tau + 1 < cfg.steps):
                 on_checkpoint(start_step + tau + 1, p)
             w_norm, w_vec = spectral_norm(p.w, v0=w_vec, return_vector=True)
-            if w_norm >= 1.0:
+            w_norm, ok = well_posedness(p, w_norm)
+            if not ok:
                 message = (f"step {start_step + tau + 1}: ||W||_2 = "
                            f"{w_norm:.6f} >= 1, equilibrium existence lost")
                 if cfg.assert_mode == "fail-fast":
@@ -346,4 +371,20 @@ def write_metrics_csv(path, trace: TrainTrace) -> None:
                 f"{r.rate_envelope:.17g}",
                 r.solver_iters,
                 f"{r.residual:.17g}",
+            ])
+
+
+def write_solver_trace_csv(path, trace: TrainTrace) -> None:
+    """Solver-effort sidecar: forward and adjoint iterations and final
+    residuals per recorded step, under SOLVER_TRACE_HEADER."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(SOLVER_TRACE_HEADER.split(","))
+        for r in trace.records:
+            writer.writerow([
+                r.step,
+                r.solver_iters,
+                r.adjoint_iters,
+                f"{r.residual:.17g}",
+                f"{r.adjoint_residual:.17g}",
             ])

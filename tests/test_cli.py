@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from deqlab.cli import main
 from deqlab.data import load_labels_csv, load_matrix_csv
-from deqlab.train import METRICS_HEADER
+from deqlab.train import METRICS_HEADER, SOLVER_TRACE_HEADER
 
 
 @pytest.fixture
@@ -180,6 +180,19 @@ class TestTrainCommand:
         for name in ("loss.svg", "w_spec_norm.svg", "lambda_tau.svg", "run.json"):
             assert (out / name).exists()
 
+    def test_solver_trace_sidecar(self, runner, tmp_path):
+        out = tmp_path / "o"
+        run_ok(runner, tiny_train_args(out))
+        metrics = (out / "metrics_m20.csv").read_text().splitlines()
+        lines = (out / "trace_m20.csv").read_text().splitlines()
+        assert lines[0] == SOLVER_TRACE_HEADER
+        assert len(lines) == len(metrics)
+        rows = [line.split(",") for line in lines[1:]]
+        assert [r[0] for r in rows] == [m.split(",")[0] for m in metrics[1:]]
+        assert all(int(r[2]) >= 1 for r in rows)
+        manifest = json.loads((out / "run.json").read_text())
+        assert "trace_m20.csv" in json.dumps(manifest)
+
     def test_sweep_shares_eta(self, runner, tmp_path):
         out = tmp_path / "o"
         result = run_ok(runner, ["train", "--set", "data.n=12",
@@ -202,6 +215,17 @@ class TestTrainCommand:
                  (out / "metrics_m20.csv").read_text().splitlines()[1:]]
         assert steps == sorted(set(steps))
         assert steps[-1] == 5
+
+    def test_resume_continues_solver_trace(self, runner, tmp_path):
+        out = tmp_path / "o"
+        run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
+        ckpt = out / "ckpt_m20_000002.npz"
+        run_ok(runner, tiny_train_args(out, ["--set", "train.steps=3",
+                                             "--set", f"train.resume={ckpt}"]))
+        steps = [int(line.split(",")[0]) for line in
+                 (out / "trace_m20.csv").read_text().splitlines()[1:]]
+        assert steps == [0, 1, 2, 3, 4, 5]
+        assert not list(out.glob("*.part.csv"))
 
 
 class TestConcentrationCommand:

@@ -5,6 +5,7 @@ from deqlab.data import gen_sphere_data
 from deqlab.errors import ConvergenceError, InputError, WellPosednessError
 from deqlab.grad import (
     GradientTriple,
+    _MaskedLinearMap,
     activation_mask,
     dense_gradients_reference,
     finite_difference_gradients,
@@ -18,6 +19,8 @@ from deqlab.model import (
     F32_MIN_MADDS,
     DeqParams,
     SolverConfig,
+    _iterate,
+    _ReluMap,
     init_params,
     loss,
     predict,
@@ -219,8 +222,14 @@ class Problem:
     `solve(kind, cfg, x0)` runs the library's solver and `apply(kind, x)`
     applies the layer map independently, in float64."""
 
-    def __init__(self, m, n, d, seed):
-        self.p = init_params(m, d, 0.08, seed=seed)
+    def __init__(self, m, n, d, seed, w_shift=0.0):
+        p = init_params(m, d, 0.08, seed=seed)
+        if w_shift:
+            # W moved by about w_shift relative, as by one small GD step
+            noise = np.random.default_rng(seed + 1).standard_normal((m, m))
+            p = DeqParams(w=p.w + w_shift * np.sqrt(0.16 / m) * noise,
+                          u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        self.p = p
         self.ds = gen_sphere_data(n, d, seed=seed + 1000)
         self.w = spectral_norm(self.p.w)
         self.z = solve_equilibrium(self.p, self.ds.x, w_norm=self.w).z
@@ -248,6 +257,36 @@ class Problem:
             return self.mask * (np.outer(p.a, self.e) + p.w.T @ x)
         return self.mask * (p.w @ x + self.rhs)
 
+    def layer_map(self, kind):
+        """The library's own map object for `kind`, as _iterate takes it."""
+        p = self.p
+        if kind == "forward":
+            return _ReluMap(p.w, p.u @ self.ds.x)
+        if kind == "adjoint":
+            return _MaskedLinearMap(p.w.T, self.mask,
+                                    self.mask * np.outer(p.a, self.e))
+        return _MaskedLinearMap(p.w, self.mask, self.mask * self.rhs)
+
+
+class Recorded:
+    """A layer map for _iterate that records the dtype of the iterate or
+    correction each application acts on."""
+
+    def __init__(self, step):
+        self.step, self.clip, self.dtypes = step, step.clip, []
+
+    def __call__(self, x):
+        self.dtypes.append(x.dtype)
+        return self.step(x)
+
+    def increment(self):
+        apply = self.step.increment()
+
+        def recorded(d, out):
+            self.dtypes.append(d.dtype)
+            apply(d, out)
+        return recorded
+
 
 KINDS = ("forward", "adjoint", "sensitivity")
 
@@ -257,6 +296,14 @@ def at_cut():
     """An instance whose layer map costs exactly the float32 cut."""
     assert 1024 * 1024 * 128 == F32_MIN_MADDS
     return Problem(1024, 128, 32, seed=41)
+
+
+@pytest.fixture(scope="module")
+def moved(at_cut):
+    """The at-cut instance after W moved by 1e-2 relative, with the
+    at-cut solutions as warm starts, as in a training step."""
+    prob = Problem(1024, 128, 32, seed=41, w_shift=1e-2)
+    return prob, {kind: at_cut.solve(kind)[0] for kind in KINDS}
 
 
 class TestPicardEngineAtCut:
@@ -292,7 +339,8 @@ class TestPicardEngineAtCut:
     @pytest.mark.parametrize("start", ["cold", "warm"])
     def test_max_iter_exhaustion(self, at_cut, kind, start):
         # Cold, iterations 2 and 3 run in float32; warm from a solution at
-        # tol 1e-8, all three run in float64.
+        # tol 1e-8, the first runs in float64 and the next two are a float32
+        # correction round.
         x0 = None
         if start == "warm":
             x0, _ = at_cut.solve(kind, SolverConfig(tol=1e-8))
@@ -300,6 +348,42 @@ class TestPicardEngineAtCut:
             at_cut.solve(kind, SolverConfig(tol=1e-12, max_iter=3), x0=x0)
         assert exc.value.iterations == 3 and exc.value.residual is not None
         assert "in 3 iterations" in str(exc.value)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_solve_at_most_three_float64_applications(self, moved, kind):
+        prob, warm = moved
+        step = Recorded(prob.layer_map(kind))
+        x, res, k, history = _iterate(step, warm[kind], SolverConfig(), kind)
+        assert res <= SolverConfig().tol and len(history) == k
+        # the returned residual is x's own float64 one
+        assert res == pytest.approx(
+            np.linalg.norm(prob.apply(kind, x) - x)
+            / max(1.0, np.linalg.norm(x)), rel=1e-9)
+        assert len(step.dtypes) == k
+        assert step.dtypes.count(np.float64) <= 3
+        assert step.dtypes.count(np.float32) >= 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("start", ["cold", "warm"])
+    def test_iterations_match_plain_picard(self, moved, kind, start):
+        prob, warm = moved
+        x0 = warm[kind] if start == "warm" else np.zeros_like(prob.z)
+        x, sol = prob.solve(kind, x0=x0)
+        ref, history = plain_picard(lambda x: prob.apply(kind, x), x0,
+                                    SolverConfig().tol)
+        assert abs(sol.iterations - len(history)) <= 1
+        assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_warm_forward_solution_is_a_warm_start(self, moved):
+        # Corrections in float32 leave rounding-sized negative entries where
+        # units switch off; the clip keeps every iterate a ReLU image.
+        # At tol 1e-8, as in training, one round then the stop test.
+        prob, warm = moved
+        cfg = SolverConfig(tol=1e-8)
+        z, _ = prob.solve("forward", cfg, x0=warm["forward"])
+        assert np.all(z >= 0.0)
+        _, again = prob.solve("forward", cfg, x0=z)
+        assert again.iterations == 1
 
 
 class TestPicardEngineBelowCut:

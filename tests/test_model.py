@@ -222,6 +222,30 @@ class TestWellPosedness:
         s, ok = well_posedness(bad)
         assert s == pytest.approx(1.5, rel=1e-8) and not ok
 
+    def test_clear_estimate_is_used_as_is(self):
+        p = small_params()
+        assert well_posedness(p, 0.5) == (0.5, True)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_cluster_the_estimate_misses_is_rejected(self, seed):
+        # 20 eigenvalues in [1 - 1.9e-6, 1], the rest in [0.5, 0.9], scaled
+        # to ||W||_2 = 1 + 1e-7: Lanczos stops inside the top cluster and
+        # reports 1 - 7.7e-7 (seed 0) or 1 - 1.1e-6 (seed 1).
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((1000, 1000)))
+        lam = np.concatenate([1 - 1.9e-6 * np.linspace(0, 1, 20),
+                              rng.uniform(0.5, 0.9, 980)])
+        w = (q * lam) @ q.T
+        w = (w + w.T) / 2 * (1 + 1e-7)
+        assert spectral_norm(w) < 1.0
+        p = DeqParams(w=w, u=np.ones((1000, 4)), a=np.ones(1000),
+                      sigma_w2=0.08)
+        s, ok = well_posedness(p)
+        assert s == float(np.linalg.norm(w, 2)) and not ok
+        x = gen_sphere_data(3, 4, seed=0).x
+        with pytest.raises(WellPosednessError):
+            solve_equilibrium(p, x, SolverConfig(max_iter=5))
+
     def test_assumption_init_is_well_posed(self):
         hits = sum(well_posedness(init_params(500, 10, 0.08, seed=s))[1]
                    for s in range(20))

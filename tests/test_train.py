@@ -11,14 +11,17 @@ from deqlab.errors import (
 from deqlab.grad import gradients
 from deqlab.linalg import gram, min_eig_sym
 from deqlab.model import DeqParams, SolverConfig, init_params, predict, solve_equilibrium
+from deqlab import train as train_module
 from deqlab.train import (
     METRICS_HEADER,
+    SOLVER_TRACE_HEADER,
     TrainConfig,
     auto_eta,
     monitors,
     ntk_max_eig,
     train,
     write_metrics_csv,
+    write_solver_trace_csv,
 )
 
 TIGHT = SolverConfig(tol=1e-12)
@@ -116,6 +119,34 @@ class TestTrain:
         _, trace = train(p, ds, cfg)
         assert np.all(trace.column("w_spec_norm") < 1.0)
 
+    def test_adjoint_effort_recorded(self):
+        p, ds = setup(seed=7)
+        cfg = TrainConfig(eta="auto", steps=3)
+        _, trace = train(p, ds, cfg)
+        assert np.all(trace.column("adjoint_iters") >= 1)
+        assert np.all(trace.column("adjoint_residual") <= cfg.solver.tol)
+
+    def test_records_exact_norm_when_estimate_is_near_one(self, monkeypatch):
+        # ||W||_2 = 1 - 1e-7 sits in an isolated block, so the equilibrium
+        # and adjoint stay trivial there; the estimate is made to read low.
+        p, ds = setup(m=6, n=4, d=3, seed=3)
+        w = np.zeros((6, 6))
+        w[0, 0] = 1 - 1e-7
+        a = p.a.copy()
+        a[0] = 0.0
+        u = p.u.copy()
+        u[0] = 0.0
+        p = DeqParams(w=w, u=u, a=a, sigma_w2=p.sigma_w2)
+        estimate = train_module.spectral_norm
+
+        def low(*args, **kwargs):
+            s, v = estimate(*args, **kwargs)
+            return s * (1 - 1e-9), v
+        monkeypatch.setattr(train_module, "spectral_norm", low)
+        params, trace = train(p, ds, TrainConfig(eta=1e-3, steps=1))
+        exact = [float(np.linalg.norm(q.w, 2)) for q in (p, params)]
+        assert list(trace.column("w_spec_norm")) == exact
+
     def test_fail_fast_on_blowup(self):
         p, ds = setup(seed=9)
         cfg = TrainConfig(eta=50.0, steps=200, assert_mode="fail-fast")
@@ -190,6 +221,12 @@ class TestMonitors:
         smin = np.linalg.svd(sol.z, compute_uv=False)[-1]
         assert rec.lambda_tau == pytest.approx(smin**2, abs=1e-8)
 
+    def test_adjoint_recomputed_when_missing(self):
+        p, ds = setup(seed=16)
+        sol = solve_equilibrium(p, ds.x, TIGHT)
+        rec = monitors(p, sol.z, ds, 1.0, eta=1e-3, tau=0, phi0=1.0, solver=TIGHT)
+        assert rec.adjoint_iters >= 1 and rec.adjoint_residual <= TIGHT.tol
+
     def test_residual_recomputed_when_missing(self):
         p, ds = setup(seed=16)
         sol = solve_equilibrium(p, ds.x, TIGHT)
@@ -243,3 +280,20 @@ class TestMetricsCsv:
         write_metrics_csv(p1, t1)
         write_metrics_csv(p2, t2)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+class TestSolverTraceCsv:
+    def test_header_and_rows(self, tmp_path):
+        p, ds = setup(seed=22)
+        _, trace = train(p, ds, TrainConfig(eta="auto", steps=4, monitor_every=2))
+        path = tmp_path / "trace.csv"
+        write_solver_trace_csv(path, trace)
+        lines = path.read_text().splitlines()
+        assert lines[0] == SOLVER_TRACE_HEADER
+        rows = [line.split(",") for line in lines[1:]]
+        assert [int(r[0]) for r in rows] == [0, 2, 4]
+        for row, rec in zip(rows, trace.records):
+            assert (int(row[1]), int(row[2])) == (rec.solver_iters,
+                                                  rec.adjoint_iters)
+            assert (float(row[3]), float(row[4])) == (rec.residual,
+                                                      rec.adjoint_residual)
