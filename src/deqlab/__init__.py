@@ -2,7 +2,7 @@
 
 Library layout:
 
-- linalg: dense matrix kernels (spectral norm, symmetric eigensolves,
+- linalg: dense matrix kernels (spectral norm, least symmetric eigenvalue,
   Gram products, Gram-Schmidt)
 - data: dataset generation, normalization, and MNIST/CIFAR binary parsing
 - model: DEQ parameters, initialization, fixed-point forward solver

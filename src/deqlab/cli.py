@@ -16,6 +16,7 @@ import datetime
 import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -59,7 +60,6 @@ from .grad import (
 )
 from .kernel import export_kernel, kernel_fixed_point
 from .model import (
-    SolverConfig,
     init_params,
     load_params,
     predict,
@@ -68,7 +68,6 @@ from .model import (
 )
 from .reporting import config_hash, line_plot_svg, write_run_manifest
 from .train import (
-    TrainConfig,
     auto_eta,
     gram_min_eig,
     train,
@@ -151,23 +150,6 @@ def _write_depth_csv(path, series) -> None:
             f.write(f"{level},{err:.17g}\n")
 
 
-def _write_records_csv(path, write, trace, resume: bool) -> None:
-    """Write `trace` with `write(path, trace)`. When resuming onto an
-    existing `path`, append only the rows after its last step, so the
-    file continues contiguously."""
-    if not (resume and path.exists()):
-        write(path, trace)
-        return
-    existing = path.read_text().splitlines()
-    last_step = int(existing[-1].split(",")[0])
-    tmp = path.with_name(f"{path.stem}.part.csv")
-    write(tmp, trace)
-    fresh = [row for row in tmp.read_text().splitlines()[1:]
-             if int(row.split(",")[0]) > last_step]
-    tmp.unlink()
-    path.write_text("\n".join(existing + fresh) + "\n")
-
-
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -227,8 +209,7 @@ def cmd_check(cfg, doc):
     widths = cfg.model.widths()
     m = widths[-1]
     p = init_params(m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
-    solver = SolverConfig(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
-    sol = solve_equilibrium(p, ds.x, solver)
+    sol = solve_equilibrium(p, ds.x, cfg.solver)
     lam0 = gram_min_eig(sol.z)
     r0 = float(np.linalg.norm(predict(p, sol.z) - ds.y))
     bounds = init_bounds(p)
@@ -250,31 +231,25 @@ def cmd_train(cfg, doc):
     """Train by full-batch GD; a width list runs the sweep at one step size."""
     ds = build_dataset(cfg)
     out = _out_dir(cfg)
-    solver = SolverConfig(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
     widths = cfg.model.widths()
     t = cfg.train
 
-    eta = t.eta
-    if len(widths) > 1 and eta == "auto":
+    if len(widths) > 1 and t.eta == "auto":
         # One step size for the whole sweep: the stability bound binds at
         # the largest width and is safe for all smaller ones.
         p_big = init_params(widths[-1], ds.d, cfg.model.sigma_w2, cfg.model.seed)
-        sol_big = solve_equilibrium(p_big, ds.x, solver)
-        eta = auto_eta(p_big, sol_big.z, ds.x, t.auto_eta_safety, solver)
-        click.echo(f"shared eta (auto at m={widths[-1]}): {eta:.6g}")
+        sol_big = solve_equilibrium(p_big, ds.x, t.solver)
+        t = replace(t, eta=auto_eta(p_big, sol_big.z, ds.x, t.auto_eta_safety,
+                                    t.solver))
+        click.echo(f"shared eta (auto at m={widths[-1]}): {t.eta:.6g}")
 
     anchor = None
     start_step = 0
-    if t.resume is not None:
-        sidecar = Path(t.resume).with_suffix(".json")
-        if not sidecar.exists():
-            raise ConfigError(f"checkpoint sidecar not found: {sidecar}")
-        state = json.loads(sidecar.read_text())
+    if t.resume is not None:  # one width and a sidecar, checked at load
+        state = json.loads(Path(t.resume).with_suffix(".json").read_text())
         anchor = {"eta": state["eta"], "lambda_0": state["lambda_0"],
                   "phi_0": state["phi_0"]}
         start_step = int(state["step"])
-        if len(widths) > 1:
-            raise ConfigError("resume only supports a single model.m")
 
     outputs = []
     loss_series = {}
@@ -286,15 +261,10 @@ def cmd_train(cfg, doc):
             p0 = load_params(t.resume)
         else:
             p0 = init_params(m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
-        run_cfg = TrainConfig(eta=eta, steps=t.steps,
-                              monitor_every=t.monitor_every, solver=solver,
-                              assert_mode=t.assert_mode,
-                              auto_eta_safety=t.auto_eta_safety,
-                              warm_start=t.warm_start)
 
         checkpoints = []
         _, trace = train(
-            p0, ds, run_cfg, start_step=start_step, anchor=anchor,
+            p0, ds, t, start_step=start_step, anchor=anchor,
             on_checkpoint=(lambda step, params: checkpoints.append((step, params)))
             if t.checkpoint_every else None,
             checkpoint_every=t.checkpoint_every)
@@ -310,7 +280,7 @@ def cmd_train(cfg, doc):
 
         for name, write in ((f"metrics_{tag}.csv", write_metrics_csv),
                             (f"trace_{tag}.csv", write_solver_trace_csv)):
-            _write_records_csv(out / name, write, trace, t.resume is not None)
+            write(out / name, trace, append=t.resume is not None)
             outputs.append(name)
 
         steps_axis = [r.step for r in trace.records]
@@ -340,7 +310,6 @@ def cmd_concentration(cfg, doc):
     ds = build_dataset(cfg)
     out = _out_dir(cfg)
     c = cfg.concentration
-    solver = SolverConfig(tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
     sigma_w2 = cfg.model.sigma_w2
     outputs = []
 
@@ -361,7 +330,7 @@ def cmd_concentration(cfg, doc):
                 click.echo(f"tied_vs_population m={m}: median error {med:.4g}")
         elif name == "lambda0_vs_width":
             rep = lambda0_vs_width(ds.x, sigma_w2, c.m_list, c.trials,
-                                   c.base_seed, solver)
+                                   c.base_seed, cfg.solver)
             write_report_csv(out / "lambda0_vs_width.csv", rep)
             write_summary_csv(out / "lambda0_vs_width_summary.csv", rep)
             fr = rep.extra["fraction_ge_half"]
@@ -382,7 +351,7 @@ def cmd_concentration(cfg, doc):
                        f"last {series[-1]:.4g}")
         elif name == "equilibrium_depth_decay":
             p = init_params(c.reconstruct_m, ds.d, sigma_w2, c.base_seed)
-            series = equilibrium_depth_decay(p, ds.x, c.l, solver)
+            series = equilibrium_depth_decay(p, ds.x, c.l, cfg.solver)
             _write_depth_csv(out / "equilibrium_depth_decay.csv", series)
             outputs.append("equilibrium_depth_decay.csv")
             click.echo(f"equilibrium_depth_decay: first {series[0]:.4g} "
@@ -414,7 +383,7 @@ def cmd_grad_check(cfg, doc, corrupt):
     """Verify implicit gradients against both reference constructions."""
     d = min(cfg.data.d, 8)
     ds = gen_sphere_data(5, d, cfg.data.seed)
-    solver = SolverConfig(tol=1e-12, max_iter=cfg.solver.max_iter)
+    solver = replace(cfg.solver, tol=1e-12)
     p = init_params(30, d, cfg.model.sigma_w2, cfg.model.seed)
     sol = solve_equilibrium(p, ds.x, solver)
     g = gradients(p, sol.z, ds.x, ds.y, solver)

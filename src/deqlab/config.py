@@ -1,23 +1,27 @@
 """Experiment configuration: YAML document + dotted-key overrides.
 
 The config file is the interface for experiments; command-line
-`--set section.key=value` overrides individual entries. Section
-dataclasses validate ranges at load so commands can assume sane values.
+`--set section.key=value` overrides individual entries. The solver and
+train sections are the library's own SolverConfig and TrainConfig; every
+section validates itself on construction, so a config that loads is one
+the commands can run.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, InputError
+from .model import SolverConfig, check_sigma_w2
+from .train import TrainConfig
 
 __all__ = [
     "DataConfig",
     "ModelConfig",
-    "SolverSection",
     "TrainSection",
     "KernelSection",
     "ConcentrationSection",
@@ -28,19 +32,48 @@ __all__ = [
 ]
 
 
-def _build(section_cls, payload: dict, section: str):
+class _Loader(yaml.SafeLoader):
+    """YAML 1.1 safe loader that also reads `1e-8` (no dot, as YAML 1.2
+    and Python write it) as a float rather than a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+# The YAML values a field annotation admits: an int is a float, a bool is
+# not an int.
+_ADMITS = {"int": (int,), "float": (int, float), "str": (str,),
+           "bool": (bool,), "list": (list,), "None": (type(None),)}
+
+
+def _build(section_cls, payload: dict, section: str, **fixed):
+    """Construct (and so validate) one section from its mapping, after
+    checking each value against its field's annotation; `fixed` fields
+    are supplied by other sections, not by the mapping."""
     if payload is None:
         payload = {}
     if not isinstance(payload, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    known = {f.name for f in fields(section_cls)}
-    unknown = set(payload) - known
+    annotations = {f.name: f.type for f in fields(section_cls)
+                   if f.name not in fixed}
+    unknown = set(payload) - set(annotations)
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-    return section_cls(**payload)
+    for key, value in payload.items():
+        admitted = sum((_ADMITS[k] for k in annotations[key].split(" | ")), ())
+        if not isinstance(value, admitted) or (isinstance(value, bool)
+                                               and bool not in admitted):
+            raise ConfigError(f"section {section!r}: {key} must be "
+                              f"{annotations[key]}, got {value!r}")
+    try:
+        return section_cls(**payload, **fixed)
+    except (InputError, TypeError) as exc:
+        raise ConfigError(f"section {section!r}: {exc}") from exc
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataConfig:
     kind: str = "synthetic"  # synthetic | mnist | cifar10 | file
     n: int = 1000            # defaults match the reference synthetic setup
@@ -56,7 +89,7 @@ class DataConfig:
     class_b: int = 1
     per_class: int = 500
 
-    def validate(self):
+    def __post_init__(self):
         if self.kind not in ("synthetic", "mnist", "cifar10", "file"):
             raise ConfigError(f"data.kind {self.kind!r} is not one of "
                               f"synthetic|mnist|cifar10|file")
@@ -76,64 +109,43 @@ class DataConfig:
             raise ConfigError("data.per_class must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelConfig:
     m: int | list = 500  # a list runs a width sweep sharing one step size
     sigma_w2: float = 0.08
     seed: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         widths = self.widths()
         if not widths or any(w < 1 for w in widths):
             raise ConfigError(f"model.m must be a positive int or list, got {self.m}")
         if sorted(widths) != widths:
             raise ConfigError("model.m list must be ascending")
-        if not (0.0 < self.sigma_w2 < 0.125):
-            raise ConfigError(f"model.sigma_w2 must lie in (0, 1/8), got "
-                              f"{self.sigma_w2}")
+        check_sigma_w2(self.sigma_w2)
 
     def widths(self) -> list:
         return [self.m] if isinstance(self.m, int) else list(self.m)
 
 
-@dataclass
-class SolverSection:
-    tol: float = 1e-10
-    max_iter: int = 10000
+@dataclass(frozen=True)
+class TrainSection(TrainConfig):
+    """The library's TrainConfig plus the two keys only `deqlab train`
+    reads: checkpoint cadence and the checkpoint to resume from."""
 
-    def validate(self):
-        if self.tol <= 0 or self.max_iter < 1:
-            raise ConfigError("solver.tol must be > 0 and solver.max_iter >= 1")
-
-
-@dataclass
-class TrainSection:
-    eta: float | str = "auto"
-    steps: int = 500
-    monitor_every: int = 1
-    assert_mode: str = "record"
-    auto_eta_safety: float = 0.5
-    warm_start: bool = True
     checkpoint_every: int = 0  # 0 disables checkpoints
     resume: str | None = None
 
-    def validate(self):
-        if isinstance(self.eta, str) and self.eta != "auto":
-            raise ConfigError(f"train.eta must be a number or 'auto', got "
-                              f"{self.eta!r}")
-        if not isinstance(self.eta, str) and self.eta <= 0:
-            raise ConfigError("train.eta must be positive")
-        if self.steps < 1 or self.monitor_every < 1:
-            raise ConfigError("train.steps and train.monitor_every must be >= 1")
-        if self.assert_mode not in ("record", "fail-fast"):
-            raise ConfigError(f"train.assert_mode {self.assert_mode!r} invalid")
+    def __post_init__(self):
+        super().__post_init__()
         if self.checkpoint_every < 0:
             raise ConfigError("train.checkpoint_every must be >= 0")
-        if self.resume is not None and not Path(self.resume).exists():
-            raise ConfigError(f"train.resume path does not exist: {self.resume}")
+        if self.resume is not None:
+            for path in (Path(self.resume), Path(self.resume).with_suffix(".json")):
+                if not path.exists():
+                    raise ConfigError(f"train.resume: {path} does not exist")
 
 
-@dataclass
+@dataclass(frozen=True)
 class KernelSection:
     l_max: int = 60
     tol: float = 1e-14
@@ -141,7 +153,7 @@ class KernelSection:
     depth_constant: float = 1.0
     failure_prob: float = 0.01
 
-    def validate(self):
+    def __post_init__(self):
         if self.l_max < 1:
             raise ConfigError("kernel.l_max must be >= 1")
         if self.tol <= 0:
@@ -152,7 +164,7 @@ class KernelSection:
             raise ConfigError("kernel constants must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConcentrationSection:
     experiments: list = field(default_factory=lambda: [
         "tied_vs_population", "lambda0_vs_width"])
@@ -168,7 +180,7 @@ class ConcentrationSection:
     KNOWN = ("tied_vs_population", "lambda0_vs_width", "kernel_depth_decay",
              "equilibrium_depth_decay", "reconstruct")
 
-    def validate(self):
+    def __post_init__(self):
         if not self.experiments:
             raise ConfigError("concentration.experiments is empty")
         for name in self.experiments:
@@ -181,20 +193,26 @@ class ConcentrationSection:
             raise ConfigError("concentration.trials and .l must be >= 1")
 
 
-@dataclass
+@dataclass(frozen=True)
 class OutputSection:
     directory: str = "out"
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """All sections of an experiment; `train.solver` is `solver`."""
+
     data: DataConfig = field(default_factory=DataConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    solver: SolverSection = field(default_factory=SolverSection)
+    solver: SolverConfig = field(default_factory=SolverConfig)
     train: TrainSection = field(default_factory=TrainSection)
     kernel: KernelSection = field(default_factory=KernelSection)
     concentration: ConcentrationSection = field(default_factory=ConcentrationSection)
     output: OutputSection = field(default_factory=OutputSection)
+
+    def __post_init__(self):
+        if self.train.resume is not None and len(self.model.widths()) > 1:
+            raise ConfigError("train.resume only supports a single model.m")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
@@ -203,25 +221,25 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a mapping")
         sections = {
-            "data": DataConfig, "model": ModelConfig, "solver": SolverSection,
+            "data": DataConfig, "model": ModelConfig, "solver": SolverConfig,
             "train": TrainSection, "kernel": KernelSection,
             "concentration": ConcentrationSection, "output": OutputSection,
         }
         unknown = set(doc) - set(sections)
         if unknown:
             raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        built = {name: _build(section_cls, doc.get(name), name)
-                 for name, section_cls in sections.items()}
+        built = {}
+        for name, section_cls in sections.items():
+            # the train section runs on the config the solver section built
+            fixed = {"solver": built["solver"]} if name == "train" else {}
+            built[name] = _build(section_cls, doc.get(name), name, **fixed)
         return cls(**built)
 
-    def validate(self) -> "ExperimentConfig":
-        for name in ("data", "model", "solver", "train", "kernel",
-                     "concentration"):
-            getattr(self, name).validate()
-        return self
-
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config echo; `train` leaves out the solver it shares."""
+        doc = asdict(self)
+        del doc["train"]["solver"]
+        return doc
 
 
 def apply_overrides(doc: dict, overrides) -> dict:
@@ -235,7 +253,7 @@ def apply_overrides(doc: dict, overrides) -> dict:
             raise ConfigError(f"--set key must be section.key, got {dotted!r}")
         section, key = parts
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse value in {item!r}: {exc}") from exc
         doc.setdefault(section, {})
@@ -246,7 +264,8 @@ def apply_overrides(doc: dict, overrides) -> dict:
 
 
 def load_config(path, overrides=()) -> tuple:
-    """Read YAML, apply overrides, validate; returns (config, plain dict)."""
+    """Read YAML, apply overrides, build (and so validate) every section;
+    returns (config, plain dict)."""
     if path is None:
         doc = {}
     else:
@@ -254,11 +273,11 @@ def load_config(path, overrides=()) -> tuple:
         if not p.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            doc = yaml.safe_load(p.read_text())
+            doc = yaml.load(p.read_text(), Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"invalid YAML in {path}: {exc}") from exc
         if doc is None:
             doc = {}
     doc = apply_overrides(doc, overrides)
-    cfg = ExperimentConfig.from_dict(doc).validate()
+    cfg = ExperimentConfig.from_dict(doc)
     return cfg, cfg.to_dict()

@@ -97,6 +97,26 @@ class _MaskedLinearMap:
         return self.apply32
 
 
+def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
+                  w_norm, what: str, x0_name: str) -> AdjointSolution:
+    """Picard iteration X = source + mask .* (op X) from `x0` (X = 0 if
+    None): the one body of the adjoint (op = W^T) and sensitivity (op = W)
+    solves, after each has checked its own operand shapes."""
+    w_norm, ok = well_posedness(p, w_norm)
+    if not ok:
+        raise WellPosednessError(
+            f"||W||_2 = {w_norm:.6f} >= 1: {what} fixed point may not exist")
+    if x0 is None:
+        x = np.zeros_like(mask)
+    else:
+        x = np.asarray(x0, dtype=np.float64)
+        if x.shape != mask.shape or not np.all(np.isfinite(x)):
+            raise InputError(f"{x0_name} has wrong shape or non-finite entries")
+    x, res, k, history = _iterate(_MaskedLinearMap(op, mask, source), x, cfg,
+                                  what)
+    return AdjointSolution(m=x, residual=res, iterations=k, residuals=history)
+
+
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
                   m0=None, w_norm: float | None = None) -> AdjointSolution:
     """Picard iteration for M = mask .* (a e^T + W^T M), from M = 0.
@@ -108,21 +128,8 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
     e = np.asarray(e, dtype=np.float64).ravel()
     if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
         raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
-    w_norm, ok = well_posedness(p, w_norm)
-    if not ok:
-        raise WellPosednessError(
-            f"||W||_2 = {w_norm:.6f} >= 1: adjoint fixed point may not exist")
-    source = mask * np.outer(p.a, e)
-    if m0 is None:
-        m = np.zeros_like(mask)
-    else:
-        m = np.asarray(m0, dtype=np.float64)
-        if m.shape != mask.shape or not np.all(np.isfinite(m)):
-            raise InputError("m0 has wrong shape or non-finite entries")
-
-    m, res, k, history = _iterate(_MaskedLinearMap(p.w.T, mask, source), m,
-                                  cfg, "adjoint")
-    return AdjointSolution(m=m, residual=res, iterations=k, residuals=history)
+    return _solve_masked(p, p.w.T, mask, mask * np.outer(p.a, e), m0, cfg,
+                         w_norm, "adjoint", "m0")
 
 
 def gradients(p: DeqParams, z, x, y, cfg: SolverConfig = SolverConfig(),
@@ -161,20 +168,8 @@ def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape != mask.shape:
         raise InputError(f"rhs shape {rhs.shape} != mask shape {mask.shape}")
-    w_norm, ok = well_posedness(p, w_norm)
-    if not ok:
-        raise WellPosednessError(
-            f"||W||_2 = {w_norm:.6f} >= 1: sensitivity fixed point may not exist")
-    source = mask * rhs
-    if s0 is None:
-        s = np.zeros_like(mask)
-    else:
-        s = np.asarray(s0, dtype=np.float64)
-        if s.shape != mask.shape or not np.all(np.isfinite(s)):
-            raise InputError("s0 has wrong shape or non-finite entries")
-    s, res, k, history = _iterate(_MaskedLinearMap(p.w, mask, source), s,
-                                  cfg, "sensitivity")
-    return AdjointSolution(m=s, residual=res, iterations=k, residuals=history)
+    return _solve_masked(p, p.w, mask, mask * rhs, s0, cfg, w_norm,
+                         "sensitivity", "s0")
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .linalg import as_matrix, min_eig_sym
+from .model import check_sigma_w2
 
 __all__ = [
     "PopulationKernel",
@@ -81,8 +82,7 @@ def _check_inputs(x: np.ndarray, sigma_w2: float) -> np.ndarray:
     norms = np.linalg.norm(x, axis=0)
     if np.any(np.abs(norms - np.sqrt(d)) > 1e-8 * np.sqrt(d)):
         raise InputError("X columns must be normalized to norm sqrt(d)")
-    if not (0.0 < sigma_w2 < 0.125):
-        raise InputError(f"sigma_w2 must lie in (0, 1/8), got {sigma_w2}")
+    check_sigma_w2(sigma_w2)
     c1 = (x.T @ x) / d
     np.fill_diagonal(c1, 1.0)  # exact on the diagonal
     return np.clip(c1, -1.0, 1.0)
@@ -177,8 +177,7 @@ def suggested_depth(n: int, lambda_star: float, sigma_w2: float,
     """
     if lambda_star <= 0:
         raise InputError(f"lambda_star must be positive, got {lambda_star}")
-    if not (0.0 < sigma_w2 < 0.125):
-        raise InputError(f"sigma_w2 must lie in (0, 1/8), got {sigma_w2}")
+    check_sigma_w2(sigma_w2)
     if c <= 0:
         raise InputError(f"constant c must be positive, got {c}")
     if n < 1:

@@ -6,21 +6,16 @@ numpy arrays in C order; all public operations validate finiteness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConvergenceError, DegenerateInputError, InputError
 
 __all__ = [
-    "SymEig",
     "as_matrix",
     "spectral_norm",
-    "sym_eig",
     "min_eig_sym",
     "gram",
     "gram_schmidt",
-    "frobenius_norm",
 ]
 
 
@@ -132,40 +127,19 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
     return sigma_new, v / np.linalg.norm(v)
 
 
-@dataclass(frozen=True)
-class SymEig:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray | None = None
-
-
-def _check_symmetric(s: np.ndarray, tol: float) -> np.ndarray:
+def min_eig_sym(s, tol: float = 1e-8) -> float:
+    """Least eigenvalue of a symmetric matrix (LAPACK eigvalsh) after
+    symmetrizing; raises InputError if max|S - S^T| exceeds tol * ||S||_F."""
+    s = as_matrix(s, "S")
+    if s.shape[0] != s.shape[1]:
+        raise InputError(f"S must be square, got {s.shape}")
     asym = np.abs(s - s.T).max()
     scale = float(np.linalg.norm(s))
     if asym > tol * max(scale, 1e-300):
         raise InputError(
             f"matrix is not symmetric: max|S - S^T| = {asym:.3e} "
             f"exceeds {tol:.1e} * ||S||")
-    return 0.5 * (s + s.T)
-
-
-def sym_eig(s, tol: float = 1e-8, vectors: bool = False) -> SymEig:
-    """Full symmetric eigendecomposition (LAPACK), eigenvalues ascending."""
-    s = as_matrix(s, "S")
-    if s.shape[0] != s.shape[1]:
-        raise InputError(f"S must be square, got {s.shape}")
-    s = _check_symmetric(s, tol)
-    if vectors:
-        vals, vecs = np.linalg.eigh(s)
-        return SymEig(eigenvalues=vals, eigenvectors=vecs)
-    vals = np.linalg.eigvalsh(s)
-    return SymEig(eigenvalues=vals)
-
-
-def min_eig_sym(s, tol: float = 1e-8) -> float:
-    """Least eigenvalue of a symmetric matrix via full eigendecomposition."""
-    return float(sym_eig(s, tol=tol).eigenvalues[0])
+    return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
 
 
 def gram(z) -> np.ndarray:
@@ -206,8 +180,3 @@ def gram_schmidt(vectors, drop_tol: float = 1e-12) -> np.ndarray:
                 f"(residual norm {norm:.3e} < drop_tol {drop_tol:.1e})")
         cols.append(w / norm)
     return np.column_stack(cols)
-
-
-def frobenius_norm(a) -> float:
-    a = as_matrix(a, "A")
-    return float(np.linalg.norm(a))

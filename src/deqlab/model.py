@@ -20,6 +20,7 @@ __all__ = [
     "SolverConfig",
     "EquilibriumSolution",
     "SIGMA_W2_MAX",
+    "check_sigma_w2",
     "init_params",
     "forward_layer",
     "solve_equilibrium",
@@ -46,6 +47,12 @@ _ROUND_FLOOR = 2.0 * float(np.finfo(np.float32).eps)
 CHECKPOINT_VERSION = 1
 
 
+def check_sigma_w2(sigma_w2: float) -> None:
+    """Raise InputError unless 0 < sigma_w2 < SIGMA_W2_MAX."""
+    if not (0.0 < sigma_w2 < SIGMA_W2_MAX):
+        raise InputError(f"sigma_w2 must lie in (0, 1/8), got {sigma_w2}")
+
+
 @dataclass(frozen=True)
 class DeqParams:
     """Trainable triple (W, U, a) plus the variance scale sigma_w^2."""
@@ -69,9 +76,7 @@ class DeqParams:
             raise InputError(f"U must be ({m}, d), got {u.shape}")
         if a.shape != (m,):
             raise InputError(f"a must have shape ({m},), got {a.shape}")
-        if not (0.0 < self.sigma_w2 < SIGMA_W2_MAX):
-            raise InputError(
-                f"sigma_w2 must lie in (0, 1/8), got {self.sigma_w2}")
+        check_sigma_w2(self.sigma_w2)
         for name, arr in (("W", w), ("U", u), ("a", a)):
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"{name} contains non-finite entries")
@@ -119,8 +124,7 @@ def init_params(m: int, d: int, sigma_w2: float, seed: int) -> DeqParams:
     """
     if m < 1 or d < 1:
         raise InputError(f"m and d must be >= 1, got m={m}, d={d}")
-    if not (0.0 < sigma_w2 < SIGMA_W2_MAX):
-        raise InputError(f"sigma_w2 must lie in (0, 1/8), got {sigma_w2}")
+    check_sigma_w2(sigma_w2)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((m, m)) * np.sqrt(2.0 * sigma_w2 / m)
     u = rng.standard_normal((m, d)) * np.sqrt(2.0 / d)

@@ -3,15 +3,17 @@
 Each monitored step records the loss, the spectral norm of W (the
 well-posedness certificate), the least Gram eigenvalue lambda_tau, the
 squared gradient norm, the PL ratio ||grad||^2 / (2 Phi), and the linear
-rate envelope (1 - eta lambda_0 / 2)^tau Phi(0). The envelope and the
-lambda_tau > lambda_0/2 flags are recorded, not enforced: the
-initialization condition they assume rarely holds at desk scale.
+rate envelope (1 - eta lambda_0 / 2)^tau Phi(0). The envelope, like
+lambda_tau and the PL ratio, is recorded for comparison with the theorem,
+not enforced: the initialization condition the theorem assumes rarely
+holds at desk scale.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -66,7 +68,7 @@ class TrainConfig:
     """eta may be an explicit float or "auto" (curvature-scaled, see auto_eta)."""
 
     eta: float | str = "auto"
-    steps: int = 100
+    steps: int = 500
     monitor_every: int = 1
     solver: SolverConfig = field(default_factory=SolverConfig)
     assert_mode: str = "record"  # "record" or "fail-fast"
@@ -102,8 +104,6 @@ class TrainRecord:
     residual: float
     adjoint_iters: int = 0
     adjoint_residual: float = float("nan")
-    lambda_half_ok: bool = True
-    pl_ok: bool = True
 
 
 @dataclass
@@ -113,7 +113,6 @@ class TrainTrace:
     eta_mode: str
     lambda_0: float
     phi_0: float
-    warm_start: bool
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -236,8 +235,6 @@ def monitors(p: DeqParams, z, data: Dataset, lambda_0: float, eta: float,
         residual=residual,
         adjoint_iters=adjoint_iters,
         adjoint_residual=adjoint_residual,
-        lambda_half_ok=lambda_tau > 0.5 * lambda_0,
-        pl_ok=pl_ratio >= lambda_0 if phi > 0 else True,
     )
 
 
@@ -256,8 +253,7 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     final step. In fail-fast mode the run aborts if ||W(tau)||_2 >= 1 or,
     under auto eta, if the loss increases by more than 1e-8 relative.
     Warm starts (secant extrapolation of Z, previous adjoint M) change
-    iteration counts, never results beyond the solver tolerance; the
-    choice is recorded on the trace.
+    iteration counts, never results beyond the solver tolerance.
 
     Resuming: `start_step` offsets the recorded step indices, and
     `anchor` = {"eta", "lambda_0", "phi_0"} pins the step size and the
@@ -351,40 +347,48 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                                iterations=exc.iterations) from exc
 
     trace = TrainTrace(records=records, eta=eta, eta_mode=eta_mode,
-                       lambda_0=lambda_0, phi_0=phi0, warm_start=cfg.warm_start)
+                       lambda_0=lambda_0, phi_0=phi0)
     return p, trace
 
 
-def write_metrics_csv(path, trace: TrainTrace) -> None:
-    """Metrics CSV with the exact header the experiment tooling expects."""
-    with open(path, "w", newline="") as f:
+def _write_rows(path, header: str, rows, append: bool) -> None:
+    """CSV of `header` and `rows`, each row led by its step. With `append`
+    onto an existing file, only the rows after its last step are added, so
+    a resumed run continues the file contiguously."""
+    after = -1
+    if append and Path(path).exists():
+        # the last row's step; a header-only or empty file is rewritten
+        last = "".join(Path(path).read_text().splitlines()[-1:]).split(",")[0]
+        after = int(last) if last.isdigit() else -1
+    with open(path, "a" if after >= 0 else "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(METRICS_HEADER.split(","))
-        for r in trace.records:
-            writer.writerow([
-                r.step,
-                f"{r.loss:.17g}",
-                f"{r.w_spec_norm:.17g}",
-                f"{r.lambda_tau:.17g}",
-                f"{r.grad_norm_sq:.17g}",
-                f"{r.pl_ratio:.17g}",
-                f"{r.rate_envelope:.17g}",
-                r.solver_iters,
-                f"{r.residual:.17g}",
-            ])
+        if after < 0:
+            writer.writerow(header.split(","))
+        writer.writerows(row for row in rows if row[0] > after)
 
 
-def write_solver_trace_csv(path, trace: TrainTrace) -> None:
+def write_metrics_csv(path, trace: TrainTrace, append: bool = False) -> None:
+    """Metrics CSV with the exact header the experiment tooling expects."""
+    _write_rows(path, METRICS_HEADER, ([
+        r.step,
+        f"{r.loss:.17g}",
+        f"{r.w_spec_norm:.17g}",
+        f"{r.lambda_tau:.17g}",
+        f"{r.grad_norm_sq:.17g}",
+        f"{r.pl_ratio:.17g}",
+        f"{r.rate_envelope:.17g}",
+        r.solver_iters,
+        f"{r.residual:.17g}",
+    ] for r in trace.records), append)
+
+
+def write_solver_trace_csv(path, trace: TrainTrace, append: bool = False) -> None:
     """Solver-effort sidecar: forward and adjoint iterations and final
     residuals per recorded step, under SOLVER_TRACE_HEADER."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SOLVER_TRACE_HEADER.split(","))
-        for r in trace.records:
-            writer.writerow([
-                r.step,
-                r.solver_iters,
-                r.adjoint_iters,
-                f"{r.residual:.17g}",
-                f"{r.adjoint_residual:.17g}",
-            ])
+    _write_rows(path, SOLVER_TRACE_HEADER, ([
+        r.step,
+        r.solver_iters,
+        r.adjoint_iters,
+        f"{r.residual:.17g}",
+        f"{r.adjoint_residual:.17g}",
+    ] for r in trace.records), append)

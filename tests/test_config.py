@@ -1,0 +1,125 @@
+"""The config file builds the library's own config types at load.
+
+Every value is checked once, by the type that uses it, when the config
+loads; a bad value exits 2 with a ConfigError naming its section before
+any computation starts.
+"""
+
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+from deqlab.cli import main
+from deqlab.config import load_config
+from deqlab.errors import ConfigError
+from deqlab.model import SolverConfig
+from deqlab.reporting import config_hash
+from deqlab.train import TrainConfig
+
+DESK = Path(__file__).resolve().parents[1] / "configs" / "synthetic_desk.yaml"
+
+
+@pytest.fixture
+def runner():
+    return CliRunner()
+
+
+class TestExponentFloats:
+    def test_from_file(self, tmp_path):
+        path = tmp_path / "exp.yaml"
+        path.write_text("solver:\n  tol: 1e-8\ntrain:\n  eta: 2E-3\n")
+        cfg, _ = load_config(path)
+        assert cfg.solver.tol == 1e-8 and isinstance(cfg.solver.tol, float)
+        assert cfg.train.eta == 2e-3
+        # the shipped config's dotted form reads as before
+        assert load_config(DESK)[0].solver.tol == 1e-8
+
+    def test_from_override(self):
+        cfg, doc = load_config(None, ["solver.tol=1e-8", "train.eta=1e-3",
+                                      "kernel.width_constant=1.5e3"])
+        assert cfg.solver.tol == 1e-8 and cfg.train.eta == 1e-3
+        assert cfg.kernel.width_constant == 1500.0
+        assert doc["solver"]["tol"] == 1e-8
+
+    def test_override_reaches_a_run(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "check", "--set", "data.n=6", "--set", "data.d=5",
+            "--set", "model.m=12", "--set", "solver.tol=1e-8",
+            "--set", f"output.directory={tmp_path}"])
+        assert result.exit_code == 0, result.output
+
+
+class TestSections:
+    def test_train_runs_on_the_solver_section(self):
+        cfg, doc = load_config(None, ["solver.tol=1e-6", "train.steps=7"])
+        assert type(cfg.solver) is SolverConfig
+        assert isinstance(cfg.train, TrainConfig)
+        assert cfg.train.solver is cfg.solver
+        assert cfg.train.steps == 7
+        assert "solver" not in doc["train"]
+        # the train section has no solver key of its own
+        with pytest.raises(ConfigError, match=r"unknown keys in section 'train'"):
+            load_config(None, ["train.solver=1"])
+
+    @pytest.mark.parametrize("item, section", [
+        ("model.m=abc", "model"),
+        ("data.n=abc", "data"),
+        ("kernel.l_max=x", "kernel"),
+        ("concentration.trials=x", "concentration"),
+        ("train.steps=x", "train"),
+        ("solver.tol=abc", "solver"),
+        ("data.seed=abc", "data"),
+        ("train.warm_start=maybe", "train"),
+        ("train.monitor_every=true", "train"),
+        ("output.directory=5", "output"),
+        ("model.m=[100, x]", "model"),
+    ])
+    def test_mistyped_value_exits_2(self, runner, tmp_path, item, section):
+        result = runner.invoke(main, ["gen-data",
+                                      "--set", f"output.directory={tmp_path}",
+                                      "--set", item])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error (ConfigError)" in result.output
+        assert f"section {section!r}" in result.output
+
+    def test_range_checked_at_load(self, runner, tmp_path):
+        result = runner.invoke(main, [
+            "train", "--set", "data.n=6", "--set", "data.d=5",
+            "--set", "model.m=[8, 12]", "--set", "train.auto_eta_safety=5",
+            "--set", f"output.directory={tmp_path}"])
+        assert result.exit_code == 2, result.output
+        assert "section 'train'" in result.output
+        assert "shared eta" not in result.output
+
+
+class TestResumeChecks:
+    def test_width_list_fails_at_load(self, runner, tmp_path):
+        ckpt = tmp_path / "ckpt.npz"
+        ckpt.write_bytes(b"")
+        ckpt.with_suffix(".json").write_text("{}\n")
+        result = runner.invoke(main, [
+            "train", "--set", "data.n=6", "--set", "data.d=5",
+            "--set", "model.m=[8, 12]", "--set", f"train.resume={ckpt}",
+            "--set", f"output.directory={tmp_path / 'o'}"])
+        assert result.exit_code == 2, result.output
+        assert "single model.m" in result.output
+        assert "shared eta" not in result.output
+
+    def test_missing_sidecar_fails_at_load(self, tmp_path):
+        ckpt = tmp_path / "ckpt.npz"
+        ckpt.write_bytes(b"")
+        with pytest.raises(ConfigError, match="ckpt.json"):
+            load_config(None, [f"train.resume={ckpt}"])
+
+
+class TestConfigHash:
+    """The echo, and so the hash, did not change when the sections became
+    the library's config types."""
+
+    def test_desk_config(self):
+        assert config_hash(load_config(DESK)[1]) == "873b0a1504a0"
+
+    def test_no_config(self):
+        assert config_hash(load_config(None)[1]) == "744cd7a6ed1f"
