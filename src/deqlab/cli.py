@@ -62,6 +62,7 @@ from .kernel import export_kernel, kernel_fixed_point
 from .model import (
     init_params,
     load_params,
+    loss,
     predict,
     save_params,
     solve_equilibrium,
@@ -79,6 +80,12 @@ EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
 EXIT_ASSUMPTION = 4
 EXIT_ASSERTION = 5
+
+# A finite-difference entry also matches when it lies within this many
+# eps * Phi / step of the implicit one: the rounding floor of a central
+# difference of a loss Phi (an exactly zero gradient entry reads about
+# 0.4 of it on the desk config).
+FD_ROUNDING_MULTIPLE = 2
 
 
 def _exit_code(exc: Exception) -> int:
@@ -230,9 +237,25 @@ def cmd_check(cfg, doc):
 def cmd_train(cfg, doc):
     """Train by full-batch GD; a width list runs the sweep at one step size."""
     ds = build_dataset(cfg)
-    out = _out_dir(cfg)
     widths = cfg.model.widths()
     t = cfg.train
+
+    anchor, start_step = None, 0
+    if t.resume is not None:  # one width and a sidecar, checked at load
+        try:
+            state = json.loads(Path(t.resume).with_suffix(".json").read_text())
+            anchor = {key: float(state[key])
+                      for key in ("eta", "lambda_0", "phi_0")}
+            start_step = int(state["step"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ConfigError(f"train.resume: unreadable sidecar: {exc}") from exc
+        p_resume = load_params(t.resume)
+        have = (p_resume.m, p_resume.d, p_resume.sigma_w2)
+        if have != (widths[0], ds.d, cfg.model.sigma_w2):
+            raise ConfigError(
+                f"train.resume: checkpoint has (m, d, sigma_w2) = {have}, "
+                f"the config asks for {(widths[0], ds.d, cfg.model.sigma_w2)}")
+    out = _out_dir(cfg)
 
     if len(widths) > 1 and t.eta == "auto":
         # One step size for the whole sweep: the stability bound binds at
@@ -243,24 +266,14 @@ def cmd_train(cfg, doc):
                                     t.solver))
         click.echo(f"shared eta (auto at m={widths[-1]}): {t.eta:.6g}")
 
-    anchor = None
-    start_step = 0
-    if t.resume is not None:  # one width and a sidecar, checked at load
-        state = json.loads(Path(t.resume).with_suffix(".json").read_text())
-        anchor = {"eta": state["eta"], "lambda_0": state["lambda_0"],
-                  "phi_0": state["phi_0"]}
-        start_step = int(state["step"])
-
     outputs = []
     loss_series = {}
     wnorm_series = {}
     lambda_series = {}
     for m in widths:
         tag = f"m{m}"
-        if t.resume is not None:
-            p0 = load_params(t.resume)
-        else:
-            p0 = init_params(m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
+        p0 = p_resume if t.resume is not None else init_params(
+            m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
 
         checkpoints = []
         _, trace = train(
@@ -387,6 +400,9 @@ def cmd_grad_check(cfg, doc, corrupt):
     p = init_params(30, d, cfg.model.sigma_w2, cfg.model.seed)
     sol = solve_equilibrium(p, ds.x, solver)
     g = gradients(p, sol.z, ds.x, ds.y, solver)
+    step = 1e-5
+    floor = (FD_ROUNDING_MULTIPLE * np.finfo(np.float64).eps
+             * loss(predict(p, sol.z), ds.y) / step)
     if corrupt:
         bad = g.gw.copy()
         bad[0, 0] += 1e-2 * (1 + abs(bad[0, 0]))
@@ -403,13 +419,17 @@ def cmd_grad_check(cfg, doc, corrupt):
             failures.append(f"dense:{name}")
         click.echo(f"dense-construction {name}: rel error {rel:.3e} [{status}]")
 
-    fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=1e-5,
+    fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=step,
                                             cfg=solver)
+    click.echo(f"finite-difference rounding floor: {floor:.3e} "
+               f"({FD_ROUNDING_MULTIPLE} eps Phi / step); smaller differences "
+               f"match")
     for name, a, b, v in (("W", g.gw, fd.gw, valid.gw),
                           ("U", g.gu, fd.gu, valid.gu),
                           ("a", g.ga, fd.ga, valid.ga)):
+        err = np.abs(a - b)
         denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)
-        rel = float((np.abs(a - b) / denom)[v].max())
+        rel = float(np.where(err <= floor, 0.0, err / denom)[v].max())
         status = "pass" if rel <= 1e-4 else "FAIL"
         if rel > 1e-4:
             failures.append(f"fd:{name}")

@@ -20,10 +20,8 @@ from .model import DeqParams, well_posedness
 __all__ = [
     "InitBounds",
     "ConditionReport",
-    "BoundCheck",
     "init_bounds",
     "check_condition",
-    "appendix_bounds_check",
     "write_condition_csv",
 ]
 
@@ -64,18 +62,9 @@ class ConditionReport:
     phi_0: float
 
 
-@dataclass(frozen=True)
-class BoundCheck:
-    name: str
-    lhs: float
-    rhs: float
-    ok: bool
-    precondition_ok: bool = True
-
-
 def init_bounds(p: DeqParams, delta: float | None = None) -> InitBounds:
     """Compute the delta-inflated bounds; delta=None takes half the gap to 1."""
-    w_norm, ok = well_posedness(p, spectral_norm(p.w))
+    w_norm, ok = well_posedness(p)
     if not ok:
         raise InputError(f"||W(0)||_2 = {w_norm:.6f} >= 1; no valid delta exists")
     if delta is None:
@@ -126,58 +115,6 @@ def check_condition(b: InitBounds, lambda_0: float, x,
     return ConditionReport(lambda_0=lambda_0, margins=margins,
                            satisfied=satisfied, eta_max=eta_max,
                            phi_0=0.5 * residual_norm_0**2)
-
-
-def appendix_bounds_check(p_k: DeqParams, p_s: DeqParams, z_k, z_s, x,
-                          b: InitBounds) -> list[BoundCheck]:
-    """Check the trajectory norm inequalities between two parameter states.
-
-    Verifies, with 1e-8 slack,
-        ||Z(s)||_F  <= c_a ||X||_F,
-        ||Z(k)-Z(s)||_F <= rho_a^{-1} (c_w ||dW|| + c_u ||dU||) ||X||_F,
-        ||yhat(k)-yhat(s)||_2 <= (c_w ||dW|| + c_u ||dU|| + c_a ||da||) ||X||_F.
-    States violating the norm preconditions (||W|| <= rho_w etc.) yield
-    rows flagged precondition_ok=False instead of raising.
-    """
-    z_k = as_matrix(z_k, "Z_k")
-    z_s = as_matrix(z_s, "Z_s")
-    x = as_matrix(x, "X")
-    xf = float(np.linalg.norm(x))
-    slack = 1e-8
-
-    pre_ok = True
-    for q in (p_k, p_s):
-        if (spectral_norm(q.w) > b.rho_w * (1 + 1e-12)
-                or spectral_norm(q.u) > b.rho_u * (1 + 1e-12)
-                or np.linalg.norm(q.a) > b.rho_a * (1 + 1e-12)):
-            pre_ok = False
-
-    dw = spectral_norm(p_k.w - p_s.w) if not np.array_equal(p_k.w, p_s.w) else 0.0
-    du = spectral_norm(p_k.u - p_s.u) if not np.array_equal(p_k.u, p_s.u) else 0.0
-    da = float(np.linalg.norm(p_k.a - p_s.a))
-
-    checks = []
-
-    lhs = float(np.linalg.norm(z_s))
-    rhs = b.c_a * xf
-    checks.append(BoundCheck("equilibrium_norm", lhs, rhs,
-                             ok=lhs <= rhs * (1 + slack) + slack,
-                             precondition_ok=pre_ok))
-
-    lhs = float(np.linalg.norm(z_k - z_s))
-    rhs = (b.c_w * dw + b.c_u * du) * xf / b.rho_a
-    checks.append(BoundCheck("equilibrium_shift", lhs, rhs,
-                             ok=lhs <= rhs * (1 + slack) + slack,
-                             precondition_ok=pre_ok))
-
-    yhat_k = p_k.a @ z_k
-    yhat_s = p_s.a @ z_s
-    lhs = float(np.linalg.norm(yhat_k - yhat_s))
-    rhs = (b.c_w * dw + b.c_u * du + b.c_a * da) * xf
-    checks.append(BoundCheck("prediction_shift", lhs, rhs,
-                             ok=lhs <= rhs * (1 + slack) + slack,
-                             precondition_ok=pre_ok))
-    return checks
 
 
 def write_condition_csv(path, b: InitBounds, report: ConditionReport) -> None:

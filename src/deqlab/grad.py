@@ -98,11 +98,11 @@ class _MaskedLinearMap:
 
 
 def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
-                  w_norm, what: str, x0_name: str) -> AdjointSolution:
+                  what: str, x0_name: str) -> AdjointSolution:
     """Picard iteration X = source + mask .* (op X) from `x0` (X = 0 if
     None): the one body of the adjoint (op = W^T) and sensitivity (op = W)
     solves, after each has checked its own operand shapes."""
-    w_norm, ok = well_posedness(p, w_norm)
+    w_norm, ok = well_posedness(p)
     if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: {what} fixed point may not exist")
@@ -118,7 +118,7 @@ def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
 
 
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
-                  m0=None, w_norm: float | None = None) -> AdjointSolution:
+                  m0=None) -> AdjointSolution:
     """Picard iteration for M = mask .* (a e^T + W^T M), from M = 0.
 
     Contraction at rate <= ||W||_2 since mask entries are at most 1.
@@ -129,12 +129,11 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
     if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
         raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
     return _solve_masked(p, p.w.T, mask, mask * np.outer(p.a, e), m0, cfg,
-                         w_norm, "adjoint", "m0")
+                         "adjoint", "m0")
 
 
 def gradients(p: DeqParams, z, x, y, cfg: SolverConfig = SolverConfig(),
-              m0=None, w_norm: float | None = None,
-              return_adjoint: bool = False):
+              m0=None, return_adjoint: bool = False):
     """Gradients of the quadratic loss w.r.t. (W, U, a) at equilibrium Z.
 
     `z` must be an equilibrium for (p, x). Returns a GradientTriple, or
@@ -146,7 +145,7 @@ def gradients(p: DeqParams, z, x, y, cfg: SolverConfig = SolverConfig(),
     y = np.asarray(y, dtype=np.float64).ravel()
     e = predict(p, z) - y
     mask = activation_mask(p, z, x)
-    adj = solve_adjoint(p, mask, e, cfg, m0=m0, w_norm=w_norm)
+    adj = solve_adjoint(p, mask, e, cfg, m0=m0)
     triple = GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e)
     return (triple, adj) if return_adjoint else triple
 
@@ -157,7 +156,7 @@ def grad_norm_sq(g: GradientTriple) -> float:
 
 
 def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(),
-                      s0=None, w_norm: float | None = None) -> AdjointSolution:
+                      s0=None) -> AdjointSolution:
     """Directional derivative of the equilibrium: S = mask .* (W S + rhs).
 
     `rhs` is dW Z + dU X for a parameter direction (dW, dU); the solution
@@ -168,8 +167,8 @@ def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape != mask.shape:
         raise InputError(f"rhs shape {rhs.shape} != mask shape {mask.shape}")
-    return _solve_masked(p, p.w, mask, mask * rhs, s0, cfg, w_norm,
-                         "sensitivity", "s0")
+    return _solve_masked(p, p.w, mask, mask * rhs, s0, cfg, "sensitivity",
+                         "s0")
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:

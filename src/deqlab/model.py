@@ -8,7 +8,8 @@ map a contraction with high probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import zipfile
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,17 +56,26 @@ def check_sigma_w2(sigma_w2: float) -> None:
 
 @dataclass(frozen=True)
 class DeqParams:
-    """Trainable triple (W, U, a) plus the variance scale sigma_w^2."""
+    """Trainable triple (W, U, a) plus the variance scale sigma_w^2.
+
+    The arrays are read-only, so the well-posedness certificate that
+    well_posedness stores on the object cannot go stale: an array passed
+    in is marked read-only itself, and a view is copied first, since its
+    base could still be written.
+    """
 
     w: np.ndarray  # (m, m)
     u: np.ndarray  # (m, d)
     a: np.ndarray  # (m,)
     sigma_w2: float
+    _certificate: tuple | None = field(default=None, init=False, repr=False,
+                                       compare=False)
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.float64)
-        u = np.asarray(self.u, dtype=np.float64)
-        a = np.asarray(self.a, dtype=np.float64)
+        w, u, a = (np.asarray(arr, dtype=np.float64)
+                   for arr in (self.w, self.u, self.a))
+        w, u, a = (arr if arr.base is None else arr.copy()
+                   for arr in (w, u, a))
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "a", a)
@@ -80,6 +90,7 @@ class DeqParams:
         for name, arr in (("W", w), ("U", u), ("a", a)):
             if not np.all(np.isfinite(arr)):
                 raise InputError(f"{name} contains non-finite entries")
+            arr.flags.writeable = False
 
     @property
     def m(self) -> int:
@@ -252,18 +263,17 @@ def _iterate(step, x, cfg: SolverConfig, what: str):
 
 
 def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
-                      z0=None, w_norm: float | None = None) -> EquilibriumSolution:
+                      z0=None) -> EquilibriumSolution:
     """Picard iteration Z <- relu(W Z + U X) until the residual meets tol.
 
     Starts from Z = 0 unless `z0` (a nonnegative warm start, typically a
     previous solution for nearby parameters) is given. Geometric
-    convergence at rate <= ||W||_2 under well-posedness. `w_norm` skips
-    the spectral-norm precondition check when the caller already knows it.
+    convergence at rate <= ||W||_2 under well-posedness.
     """
     x = as_matrix(x, "X")
     if x.shape[0] != p.d:
         raise InputError(f"X has {x.shape[0]} rows, expected d={p.d}")
-    w_norm, ok = well_posedness(p, w_norm)
+    w_norm, ok = well_posedness(p)
     if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: the layer map is not a contraction")
@@ -305,16 +315,20 @@ def well_posedness(p: DeqParams, w_norm: float | None = None):
     """(||W||_2, ok) where ok means ||W||_2 < 1: the certificate that every
     solver and the trainer check before relying on a contraction.
 
-    `w_norm` is a spectral_norm estimate of ||W||_2, computed here when
-    omitted. Lanczos converges to ||W||_2 from below, so the estimate
-    decides alone only when w_norm * (1 + CERT_MARGIN) < 1; otherwise the
-    exact np.linalg.norm(W, 2) decides and is the norm returned.
+    Decided once per parameter set: the first call stores its result on
+    `p`, and later calls return it and ignore `w_norm`. `w_norm` is a
+    spectral_norm estimate of ||W||_2, computed here when omitted.
+    Lanczos converges to ||W||_2 from below, so the estimate decides alone
+    only when w_norm * (1 + CERT_MARGIN) < 1; otherwise the exact
+    np.linalg.norm(W, 2) decides and is the norm returned.
     """
-    if w_norm is None:
-        w_norm = spectral_norm(p.w)
-    if w_norm * (1.0 + CERT_MARGIN) >= 1.0:
-        w_norm = float(np.linalg.norm(p.w, 2))
-    return w_norm, w_norm < 1.0
+    if p._certificate is None:
+        if w_norm is None:
+            w_norm = spectral_norm(p.w)
+        if w_norm * (1.0 + CERT_MARGIN) >= 1.0:
+            w_norm = float(np.linalg.norm(p.w, 2))
+        object.__setattr__(p, "_certificate", (w_norm, w_norm < 1.0))
+    return p._certificate
 
 
 def save_params(path, p: DeqParams) -> None:
@@ -325,12 +339,19 @@ def save_params(path, p: DeqParams) -> None:
 
 
 def load_params(path) -> DeqParams:
-    with np.load(path) as ckpt:
-        version = int(ckpt["format_version"])
-        if version != CHECKPOINT_VERSION:
-            raise InputError(f"unsupported checkpoint version {version}")
-        p = DeqParams(w=ckpt["w"], u=ckpt["u"], a=ckpt["a"],
-                      sigma_w2=float(ckpt["sigma_w2"]))
-        if p.m != int(ckpt["m"]) or p.d != int(ckpt["d"]):
-            raise InputError("checkpoint dimensions are inconsistent")
+    """Read a save_params checkpoint; InputError if `path` is not one."""
+    try:
+        with np.load(path) as npz:
+            ckpt = {key: npz[key] for key in ("format_version", "m", "d",
+                                              "sigma_w2", "w", "u", "a")}
+    except (OSError, EOFError, KeyError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        raise InputError(f"{path} is not a deqlab checkpoint: {exc}") from exc
+    version = int(ckpt["format_version"])
+    if version != CHECKPOINT_VERSION:
+        raise InputError(f"unsupported checkpoint version {version}")
+    p = DeqParams(w=ckpt["w"], u=ckpt["u"], a=ckpt["a"],
+                  sigma_w2=float(ckpt["sigma_w2"]))
+    if p.m != int(ckpt["m"]) or p.d != int(ckpt["d"]):
+        raise InputError("checkpoint dimensions are inconsistent")
     return p

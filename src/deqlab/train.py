@@ -25,6 +25,7 @@ from .errors import (
     WellPosednessError,
 )
 from .grad import (
+    AdjointSolution,
     GradientTriple,
     grad_norm_sq,
     gradients,
@@ -34,8 +35,8 @@ from .grad import (
 from .linalg import gram, min_eig_sym, spectral_norm
 from .model import (
     DeqParams,
+    EquilibriumSolution,
     SolverConfig,
-    forward_layer,
     loss,
     predict,
     solve_equilibrium,
@@ -102,8 +103,8 @@ class TrainRecord:
     rate_envelope: float
     solver_iters: int
     residual: float
-    adjoint_iters: int = 0
-    adjoint_residual: float = float("nan")
+    adjoint_iters: int
+    adjoint_residual: float
 
 
 @dataclass
@@ -131,8 +132,7 @@ def gram_min_eig(z) -> float:
 
 
 def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
-                w_norm: float | None = None, tol: float = 1e-3,
-                max_sweeps: int = 30) -> float:
+                tol: float = 1e-3, max_sweeps: int = 30) -> float:
     """Top eigenvalue of the n x n tangent kernel H = (dyhat/dtheta)(..)^T.
 
     Power iteration using only fixed-point solves: for a direction v,
@@ -144,8 +144,6 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    if w_norm is None:
-        w_norm = spectral_norm(p.w)
     mask = (p.w @ z + p.u @ x >= 0.0).astype(np.float64)
     g = z.T @ z
     xtx = x.T @ x
@@ -155,10 +153,10 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     m_warm = None
     s_warm = None
     for _ in range(max_sweeps):
-        adj = solve_adjoint(p, mask, v, solver, m0=m_warm, w_norm=w_norm)
+        adj = solve_adjoint(p, mask, v, solver, m0=m_warm)
         m_warm = adj.m
         rhs = adj.m @ g + adj.m @ xtx  # (M Z^T) Z + (M X^T) X, reassociated
-        sens = solve_sensitivity(p, mask, rhs, solver, s0=s_warm, w_norm=w_norm)
+        sens = solve_sensitivity(p, mask, rhs, solver, s0=s_warm)
         s_warm = sens.m
         hv = g @ v + sens.m.T @ p.a
         norm_hv = float(np.linalg.norm(hv))
@@ -184,57 +182,36 @@ def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,
     convergence theorem's own eta bound is reported by the condition
     checker; at desk scale it is orders of magnitude too small to move
     the loss, so the trainer uses this measured-curvature rule instead.)
+    Raises WellPosednessError, from the first solve, unless ||W||_2 < 1.
     """
-    w_norm, ok = well_posedness(p, spectral_norm(p.w))
-    if not ok:
-        raise WellPosednessError(f"||W||_2 = {w_norm:.6f} >= 1")
-    lam = ntk_max_eig(p, z0, x, solver, w_norm=w_norm)
+    lam = ntk_max_eig(p, z0, x, solver)
     if lam <= 0:
         raise InputError("tangent kernel has no positive curvature; "
                          "supply an explicit eta")
     return safety * 2.0 / lam
 
 
-def monitors(p: DeqParams, z, data: Dataset, lambda_0: float, eta: float,
-             tau: int, phi0: float, solver: SolverConfig = SolverConfig(),
-             grads: GradientTriple | None = None,
-             w_norm: float | None = None,
-             solver_iters: int | None = None,
-             residual: float | None = None,
-             adjoint_iters: int = 0,
-             adjoint_residual: float = float("nan")) -> TrainRecord:
-    """Assemble one monitored record at the current state.
-
-    Pass precomputed pieces (gradients, ||W||, solver diagnostics) to
-    avoid recomputation inside the training loop; anything missing is
-    computed here from scratch, the adjoint diagnostics with the
-    gradients.
-    """
-    if w_norm is None:
-        w_norm = spectral_norm(p.w)
-    if grads is None:
-        grads, adj = gradients(p, z, data.x, data.y, solver, w_norm=w_norm,
-                               return_adjoint=True)
-        adjoint_iters, adjoint_residual = adj.iterations, adj.residual
-    if residual is None:
-        residual = float(np.linalg.norm(z - forward_layer(p, z, data.x))
-                         / max(1.0, np.linalg.norm(z)))
-    phi = loss(predict(p, z), data.y)
-    lambda_tau = gram_min_eig(z)
+def monitors(p: DeqParams, sol: EquilibriumSolution, adj: AdjointSolution,
+             grads: GradientTriple, data: Dataset, lambda_0: float,
+             eta: float, tau: int, phi0: float) -> TrainRecord:
+    """Assemble one monitored record from the step's own results: the
+    equilibrium `sol` at `p`, its adjoint `adj` and the gradients `grads`.
+    ||W||_2 is p's well-posedness certificate."""
+    phi = loss(predict(p, sol.z), data.y)
     gsq = grad_norm_sq(grads)
     pl_ratio = gsq / (2.0 * phi) if phi > 0 else np.inf
     return TrainRecord(
         step=tau,
         loss=phi,
-        w_spec_norm=w_norm,
-        lambda_tau=lambda_tau,
+        w_spec_norm=well_posedness(p)[0],
+        lambda_tau=gram_min_eig(sol.z),
         grad_norm_sq=gsq,
         pl_ratio=pl_ratio,
         rate_envelope=(1.0 - eta * lambda_0 / 2.0) ** tau * phi0,
-        solver_iters=0 if solver_iters is None else solver_iters,
-        residual=residual,
-        adjoint_iters=adjoint_iters,
-        adjoint_residual=adjoint_residual,
+        solver_iters=sol.iterations,
+        residual=sol.residual,
+        adjoint_iters=adj.iterations,
+        adjoint_residual=adj.residual,
     )
 
 
@@ -277,7 +254,7 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     m_prev2 = None
     tau = 0
     try:
-        sol = solve_equilibrium(p, data.x, cfg.solver, w_norm=w_norm)
+        sol = solve_equilibrium(p, data.x, cfg.solver)
         if anchor is not None:
             eta = float(anchor["eta"])
             eta_mode = "resumed"
@@ -300,17 +277,12 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             else:
                 m_guess = None
             grads, adj = gradients(p, sol.z, data.x, data.y, cfg.solver,
-                                   m0=m_guess, w_norm=w_norm,
-                                   return_adjoint=True)
+                                   m0=m_guess, return_adjoint=True)
             m_prev2 = m_prev
             m_prev = adj.m
             if tau % cfg.monitor_every == 0 or tau == cfg.steps:
-                records.append(monitors(
-                    p, sol.z, data, lambda_0, eta, start_step + tau, phi0,
-                    solver=cfg.solver, grads=grads, w_norm=w_norm,
-                    solver_iters=sol.iterations, residual=sol.residual,
-                    adjoint_iters=adj.iterations,
-                    adjoint_residual=adj.residual))
+                records.append(monitors(p, sol, adj, grads, data, lambda_0,
+                                        eta, start_step + tau, phi0))
             if on_checkpoint is not None and tau == cfg.steps:
                 on_checkpoint(start_step + tau, p)
             if tau == cfg.steps:
@@ -332,8 +304,7 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
 
             z_guess = _extrapolate(sol.z, z_prev2) if cfg.warm_start else None
             z_prev2 = sol.z
-            sol = solve_equilibrium(p, data.x, cfg.solver, z0=z_guess,
-                                    w_norm=w_norm)
+            sol = solve_equilibrium(p, data.x, cfg.solver, z0=z_guess)
             phi = loss(predict(p, sol.z), data.y)
             if (cfg.assert_mode == "fail-fast" and eta_mode == "auto"
                     and phi > phi_prev * (1.0 + 1e-8)):

@@ -224,14 +224,14 @@ def test_criterion_8_solver_contracts():
         ds = gen_sphere_data(n, d, seed=seed + 10_000)
         bound = int(np.ceil(np.log(solver.tol * (1 - w)) / np.log(w))) + 10
 
-        sol = solve_equilibrium(p, ds.x, solver, w_norm=w)
+        sol = solve_equilibrium(p, ds.x, solver)
         worst_res = max(worst_res, sol.residual)
         worst_fwd_slack = max(worst_fwd_slack, sol.iterations - bound)
         ok_fwd = sol.residual <= solver.tol and sol.iterations <= bound
 
         e = predict(p, sol.z) - ds.y
         mask = activation_mask(p, sol.z, ds.x)
-        adj = solve_adjoint(p, mask, e, solver, w_norm=w)
+        adj = solve_adjoint(p, mask, e, solver)
         worst_res = max(worst_res, adj.residual)
         worst_fwd_slack = max(worst_fwd_slack, adj.iterations - bound)
         ok_adj = adj.residual <= solver.tol and adj.iterations <= bound

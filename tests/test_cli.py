@@ -1,5 +1,6 @@
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from click.testing import CliRunner
 from deqlab.cli import main
 from deqlab.data import load_labels_csv, load_matrix_csv
 from deqlab.train import METRICS_HEADER, SOLVER_TRACE_HEADER
+
+DESK = str(Path(__file__).resolve().parents[1] / "configs" / "synthetic_desk.yaml")
 
 
 @pytest.fixture
@@ -227,6 +230,37 @@ class TestTrainCommand:
         assert steps == [0, 1, 2, 3, 4, 5]
         assert not list(out.glob("*.part.csv"))
 
+    def test_resume_from_a_non_checkpoint_is_2(self, runner, tmp_path):
+        out = tmp_path / "o"
+        run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
+        sidecar = (out / "ckpt_m20_000002.json").read_text()
+        unversioned = tmp_path / "unversioned.npz"
+        np.savez(unversioned, w=np.zeros((20, 20)))
+        text = tmp_path / "text.npz"
+        text.write_text("not an archive\n")
+        for ckpt in (unversioned, text):
+            ckpt.with_suffix(".json").write_text(sidecar)
+            result = runner.invoke(main, tiny_train_args(
+                tmp_path / "resumed", ["--set", f"train.resume={ckpt}"]))
+            assert result.exit_code == 2, result.output
+            assert "not a deqlab checkpoint" in result.output
+        (out / "ckpt_m20_000002.json").write_text("{}\n")
+        result = runner.invoke(main, tiny_train_args(tmp_path / "resumed", [
+            "--set", f"train.resume={out / 'ckpt_m20_000002.npz'}"]))
+        assert result.exit_code == 2, result.output
+        assert "unreadable sidecar" in result.output
+
+    def test_resume_at_another_width_is_2(self, runner, tmp_path):
+        out = tmp_path / "o"
+        run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
+        resumed = tmp_path / "resumed"
+        result = runner.invoke(main, tiny_train_args(resumed, [
+            "--set", "model.m=9",
+            "--set", f"train.resume={out / 'ckpt_m20_000002.npz'}"]))
+        assert result.exit_code == 2, result.output
+        assert "(m, d, sigma_w2)" in result.output
+        assert not resumed.exists()
+
 
 class TestConcentrationCommand:
     def test_csv_schemas(self, runner, tmp_path):
@@ -260,6 +294,17 @@ class TestGradCheckCommand:
         result = run_ok(runner, ["grad-check"])
         assert "all gradient checks passed" in result.output
         assert result.output.count("[pass]") == 6
+
+    def test_desk_config_passes(self, runner):
+        # its exactly-zero gradient entries (neurons inactive on every
+        # sample) match through the finite differences' rounding floor
+        result = run_ok(runner, ["grad-check", "-c", DESK])
+        assert "rounding floor" in result.output
+        assert result.output.count("[pass]") == 6
+
+    def test_desk_config_corrupt_is_5(self, runner):
+        result = runner.invoke(main, ["grad-check", "--corrupt", "-c", DESK])
+        assert result.exit_code == 5
 
 
 class TestDeterminism:

@@ -6,18 +6,15 @@ from hypothesis import assume, given, settings, strategies as st
 
 from deqlab.condition import (
     InitBounds,
-    appendix_bounds_check,
     check_condition,
     init_bounds,
     write_condition_csv,
 )
 from deqlab.data import gen_sphere_data
 from deqlab.errors import InputError
-from deqlab.grad import gradients
 from deqlab.linalg import gram, min_eig_sym, spectral_norm
 from deqlab.model import (
     DeqParams,
-    SolverConfig,
     init_params,
     predict,
     solve_equilibrium,
@@ -146,52 +143,6 @@ class TestEtaMaxMonotonicity:
         lo = check_condition(bounds_from(c_w, c_u, c_a), 1e12, x, 0.0)
         hi = check_condition(bounds_from(c_w + bump, c_u, c_a), 1e12, x, 0.0)
         assert hi.eta_max <= lo.eta_max * (1 + 1e-12)
-
-
-class TestAppendixBounds:
-    def test_identical_states_all_ok(self):
-        p = init_params(20, 6, 0.08, seed=6)
-        ds = gen_sphere_data(6, 6, seed=6)
-        sol = solve_equilibrium(p, ds.x)
-        b = init_bounds(p)
-        checks = appendix_bounds_check(p, p, sol.z, sol.z, ds.x, b)
-        assert all(c.ok and c.precondition_ok for c in checks)
-        assert checks[1].lhs == 0.0 and checks[2].lhs == 0.0
-
-    def test_one_layer_case(self):
-        # W = 0: ||Z||_F = ||relu(UX)||_F <= rho_u ||X||_F / (1 - rho_w).
-        p = init_params(15, 5, 0.08, seed=7)
-        p0 = DeqParams(w=np.zeros_like(p.w), u=p.u, a=p.a, sigma_w2=p.sigma_w2)
-        ds = gen_sphere_data(5, 5, seed=7)
-        sol = solve_equilibrium(p0, ds.x)
-        b = init_bounds(p0)
-        checks = appendix_bounds_check(p0, p0, sol.z, sol.z, ds.x, b)
-        assert checks[0].ok
-
-    def test_two_gd_states(self):
-        p0 = init_params(25, 8, 0.08, seed=8)
-        ds = gen_sphere_data(8, 8, seed=8)
-        cfg = SolverConfig(tol=1e-12)
-        sol0 = solve_equilibrium(p0, ds.x, cfg)
-        g = gradients(p0, sol0.z, ds.x, ds.y, cfg)
-        eta = 1e-4
-        p1 = DeqParams(w=p0.w - eta * g.gw, u=p0.u - eta * g.gu,
-                       a=p0.a - eta * g.ga, sigma_w2=p0.sigma_w2)
-        sol1 = solve_equilibrium(p1, ds.x, cfg)
-        b = init_bounds(p0)
-        checks = appendix_bounds_check(p1, p0, sol1.z, sol0.z, ds.x, b)
-        assert all(c.ok for c in checks)
-        assert all(c.precondition_ok for c in checks)
-
-    def test_precondition_violation_flagged_not_raised(self):
-        p = init_params(10, 4, 0.08, seed=9)
-        ds = gen_sphere_data(4, 4, seed=9)
-        sol = solve_equilibrium(p, ds.x)
-        b = init_bounds(p)
-        inflated = DeqParams(w=p.w, u=p.u * 100.0, a=p.a, sigma_w2=p.sigma_w2)
-        sol_inflated = solve_equilibrium(inflated, ds.x)
-        checks = appendix_bounds_check(inflated, p, sol_inflated.z, sol.z, ds.x, b)
-        assert not any(c.precondition_ok for c in checks)
 
 
 def test_write_condition_csv(tmp_path):

@@ -231,22 +231,20 @@ class Problem:
                           u=p.u, a=p.a, sigma_w2=p.sigma_w2)
         self.p = p
         self.ds = gen_sphere_data(n, d, seed=seed + 1000)
-        self.w = spectral_norm(self.p.w)
-        self.z = solve_equilibrium(self.p, self.ds.x, w_norm=self.w).z
+        self.z = solve_equilibrium(self.p, self.ds.x).z
         self.mask = activation_mask(self.p, self.z, self.ds.x)
         self.e = predict(self.p, self.z) - self.ds.y
         self.rhs = np.random.default_rng(seed).standard_normal((m, n))
 
     def solve(self, kind, cfg=SolverConfig(), x0=None):
-        p, w = self.p, self.w
+        p = self.p
         if kind == "forward":
-            sol = solve_equilibrium(p, self.ds.x, cfg, z0=x0, w_norm=w)
+            sol = solve_equilibrium(p, self.ds.x, cfg, z0=x0)
             return sol.z, sol
         if kind == "adjoint":
-            sol = solve_adjoint(p, self.mask, self.e, cfg, m0=x0, w_norm=w)
+            sol = solve_adjoint(p, self.mask, self.e, cfg, m0=x0)
         else:
-            sol = solve_sensitivity(p, self.mask, self.rhs, cfg, s0=x0,
-                                    w_norm=w)
+            sol = solve_sensitivity(p, self.mask, self.rhs, cfg, s0=x0)
         return sol.m, sol
 
     def apply(self, kind, x):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from deqlab import model
 from deqlab.data import gen_sphere_data
 from deqlab.errors import ConvergenceError, InputError, WellPosednessError
+from deqlab.grad import activation_mask, solve_adjoint, solve_sensitivity
 from deqlab.linalg import spectral_norm
 from deqlab.model import (
     DeqParams,
@@ -55,6 +57,22 @@ class TestInitParams:
         assert np.all(norms <= 0.8 * 1.02)
         assert np.all(norms < 1.0)
         assert np.median(norms) == pytest.approx(0.8, rel=0.01)
+
+    def test_parameters_are_read_only(self):
+        # an in-place edit would leave the stored certificate stale
+        p = small_params()
+        with pytest.raises(ValueError):
+            p.w[0, 0] = 0.0
+        for arr in (p.u, p.a):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_a_view_is_copied(self):
+        big = np.zeros((4, 4))
+        p = DeqParams(w=big[:3, :3], u=np.ones((3, 2)), a=np.ones(3),
+                      sigma_w2=0.08)
+        big[0, 0] = 2.0
+        assert p.w[0, 0] == 0.0
 
 
 class TestForwardLayer:
@@ -246,6 +264,25 @@ class TestWellPosedness:
         with pytest.raises(WellPosednessError):
             solve_equilibrium(p, x, SolverConfig(max_iter=5))
 
+    def test_decided_once_per_parameter_set(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return spectral_norm(a)
+
+        monkeypatch.setattr(model, "spectral_norm", counted)
+        p = small_params(seed=4)
+        x = gen_sphere_data(3, p.d, seed=4).x
+        z = solve_equilibrium(p, x).z
+        mask = activation_mask(p, z, x)
+        solve_adjoint(p, mask, np.ones(3))
+        solve_sensitivity(p, mask, np.ones((p.m, 3)))
+        assert calls == [(p.m, p.m)]
+        # later calls return the stored result and ignore an estimate
+        assert well_posedness(p, 2.0) == well_posedness(p)
+        assert well_posedness(p)[1]
+
     def test_assumption_init_is_well_posed(self):
         hits = sum(well_posedness(init_params(500, 10, 0.08, seed=s))[1]
                    for s in range(20))
@@ -262,3 +299,13 @@ class TestCheckpoint:
         assert np.array_equal(p.u, q.u)
         assert np.array_equal(p.a, q.a)
         assert p.sigma_w2 == q.sigma_w2
+
+    def test_not_a_checkpoint_is_input_error(self, tmp_path):
+        p = small_params()
+        unversioned = tmp_path / "unversioned.npz"
+        np.savez(unversioned, w=p.w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        text = tmp_path / "text.npz"
+        text.write_text("not an archive\n")
+        for path in (unversioned, text, tmp_path / "missing.npz"):
+            with pytest.raises(InputError, match="not a deqlab checkpoint"):
+                load_params(path)

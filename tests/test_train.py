@@ -8,9 +8,16 @@ from deqlab.errors import (
     TrainingAssertionError,
     WellPosednessError,
 )
-from deqlab.grad import gradients
+from deqlab.grad import grad_norm_sq, gradients
 from deqlab.linalg import gram, min_eig_sym
-from deqlab.model import DeqParams, SolverConfig, init_params, predict, solve_equilibrium
+from deqlab.model import (
+    DeqParams,
+    SolverConfig,
+    init_params,
+    predict,
+    solve_equilibrium,
+    well_posedness,
+)
 from deqlab import train as train_module
 from deqlab.train import (
     METRICS_HEADER,
@@ -147,6 +154,24 @@ class TestTrain:
         exact = [float(np.linalg.norm(q.w, 2)) for q in (p, params)]
         assert list(trace.column("w_spec_norm")) == exact
 
+    def test_one_exact_norm_per_parameter_set(self, monkeypatch):
+        # ||W||_2 = 1 - 5e-6 lies inside the estimate's margin, so each
+        # certificate takes LAPACK's exact norm; 4 steps see 5 parameter sets.
+        p, ds = setup(m=200, n=6, d=8, seed=11)
+        w = p.w * ((1 - 5e-6) / np.linalg.norm(p.w, 2))
+        p = DeqParams(w=w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        exact = []
+        norm = np.linalg.norm
+
+        def counted(x, ord=None, *args, **kwargs):
+            if ord == 2 and np.ndim(x) == 2:
+                exact.append(x.shape)
+            return norm(x, ord, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, "norm", counted)
+        _, trace = train(p, ds, TrainConfig(eta=1e-9, steps=4))
+        assert exact == [(200, 200)] * 5
+        assert np.all(1 - trace.column("w_spec_norm") < 1e-5)
+
     def test_fail_fast_on_blowup(self):
         p, ds = setup(seed=9)
         cfg = TrainConfig(eta=50.0, steps=200, assert_mode="fail-fast")
@@ -204,34 +229,38 @@ class TestWidthEffect:
         assert report.lambda_0 == 0.0
 
 
+def solved_step(seed):
+    """(p, data, equilibrium, adjoint, gradients) at a fresh init."""
+    p, ds = setup(seed=seed)
+    sol = solve_equilibrium(p, ds.x, TIGHT)
+    grads, adj = gradients(p, sol.z, ds.x, ds.y, TIGHT, return_adjoint=True)
+    return p, ds, sol, adj, grads
+
+
 class TestMonitors:
     def test_step_zero_envelope_and_lambda(self):
-        p, ds = setup(seed=14)
-        sol = solve_equilibrium(p, ds.x, TIGHT)
+        p, ds, sol, adj, grads = solved_step(seed=14)
         lam0 = min_eig_sym(gram(sol.z))
         phi0 = 3.14
-        rec = monitors(p, sol.z, ds, lam0, eta=1e-3, tau=0, phi0=phi0, solver=TIGHT)
+        rec = monitors(p, sol, adj, grads, ds, lam0, eta=1e-3, tau=0, phi0=phi0)
         assert rec.rate_envelope == phi0
         assert rec.lambda_tau == pytest.approx(lam0, abs=1e-12)
 
     def test_lambda_via_singular_value_route(self):
-        p, ds = setup(seed=15)
-        sol = solve_equilibrium(p, ds.x, TIGHT)
-        rec = monitors(p, sol.z, ds, 1.0, eta=1e-3, tau=2, phi0=1.0, solver=TIGHT)
+        p, ds, sol, adj, grads = solved_step(seed=15)
+        rec = monitors(p, sol, adj, grads, ds, 1.0, eta=1e-3, tau=2, phi0=1.0)
         smin = np.linalg.svd(sol.z, compute_uv=False)[-1]
         assert rec.lambda_tau == pytest.approx(smin**2, abs=1e-8)
 
-    def test_adjoint_recomputed_when_missing(self):
-        p, ds = setup(seed=16)
-        sol = solve_equilibrium(p, ds.x, TIGHT)
-        rec = monitors(p, sol.z, ds, 1.0, eta=1e-3, tau=0, phi0=1.0, solver=TIGHT)
-        assert rec.adjoint_iters >= 1 and rec.adjoint_residual <= TIGHT.tol
-
-    def test_residual_recomputed_when_missing(self):
-        p, ds = setup(seed=16)
-        sol = solve_equilibrium(p, ds.x, TIGHT)
-        rec = monitors(p, sol.z, ds, 1.0, eta=1e-3, tau=0, phi0=1.0, solver=TIGHT)
-        assert rec.residual <= 1e-11
+    def test_record_copies_the_steps_diagnostics(self):
+        p, ds, sol, adj, grads = solved_step(seed=16)
+        rec = monitors(p, sol, adj, grads, ds, 1.0, eta=1e-3, tau=0, phi0=1.0)
+        assert (rec.solver_iters, rec.residual) == (sol.iterations,
+                                                    sol.residual)
+        assert (rec.adjoint_iters, rec.adjoint_residual) == (adj.iterations,
+                                                             adj.residual)
+        assert rec.w_spec_norm == well_posedness(p)[0]
+        assert rec.grad_norm_sq == grad_norm_sq(grads)
 
 
 class TestAutoEta:
