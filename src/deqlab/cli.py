@@ -399,7 +399,7 @@ def cmd_grad_check(cfg, doc, corrupt):
     solver = replace(cfg.solver, tol=1e-12)
     p = init_params(30, d, cfg.model.sigma_w2, cfg.model.seed)
     sol = solve_equilibrium(p, ds.x, solver)
-    g = gradients(p, sol.z, ds.x, ds.y, solver)
+    g = gradients(p, sol, ds.x, ds.y, solver)
     step = 1e-5
     floor = (FD_ROUNDING_MULTIPLE * np.finfo(np.float64).eps
              * loss(predict(p, sol.z), ds.y) / step)

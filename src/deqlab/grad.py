@@ -24,6 +24,7 @@ from .errors import InputError, WellPosednessError
 from .linalg import as_matrix
 from .model import (
     DeqParams,
+    EquilibriumSolution,
     SolverConfig,
     _iterate,
     loss,
@@ -60,15 +61,15 @@ class AdjointSolution:
     residuals: tuple = ()
 
 
-def activation_mask(p: DeqParams, z, x) -> np.ndarray:
-    """0/1 indicator of W z + U x >= 0 (the ReLU sub-gradient; ties at
-    exactly zero map to 1)."""
-    z = as_matrix(z, "Z")
-    x = as_matrix(x, "X")
+def _check_shapes(p: DeqParams, z, x) -> None:
     if z.shape[0] != p.m or x.shape[0] != p.d or z.shape[1] != x.shape[1]:
         raise InputError(f"shape mismatch: Z {z.shape}, X {x.shape}")
-    pre = p.w @ z + p.u @ x
-    return (pre >= 0.0).astype(np.float64)
+
+
+def activation_mask(pre) -> np.ndarray:
+    """0/1 indicator of pre >= 0 for the pre-activation pre = W z + U x
+    (the ReLU sub-gradient; ties at exactly zero map to 1)."""
+    return (as_matrix(pre, "pre") >= 0.0).astype(np.float64)
 
 
 class _MaskedLinearMap:
@@ -132,19 +133,21 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
                          "adjoint", "m0")
 
 
-def gradients(p: DeqParams, z, x, y, cfg: SolverConfig = SolverConfig(),
-              m0=None, return_adjoint: bool = False):
-    """Gradients of the quadratic loss w.r.t. (W, U, a) at equilibrium Z.
+def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
+              cfg: SolverConfig = SolverConfig(), m0=None,
+              return_adjoint: bool = False):
+    """Gradients of the quadratic loss w.r.t. (W, U, a) at the equilibrium
+    `sol` of (p, x), whose pre-activation gives the ReLU mask.
 
-    `z` must be an equilibrium for (p, x). Returns a GradientTriple, or
-    (GradientTriple, AdjointSolution) with `return_adjoint` so callers
-    can chain warm starts.
+    Returns a GradientTriple, or (GradientTriple, AdjointSolution) with
+    `return_adjoint` so callers can chain warm starts.
     """
-    z = as_matrix(z, "Z")
+    z = sol.z
     x = as_matrix(x, "X")
+    _check_shapes(p, z, x)
     y = np.asarray(y, dtype=np.float64).ravel()
     e = predict(p, z) - y
-    mask = activation_mask(p, z, x)
+    mask = activation_mask(sol.pre)
     adj = solve_adjoint(p, mask, e, cfg, m0=m0)
     triple = GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e)
     return (triple, adj) if return_adjoint else triple
@@ -183,11 +186,12 @@ def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:
     z = as_matrix(z, "Z")
     x = as_matrix(x, "X")
     y = np.asarray(y, dtype=np.float64).ravel()
+    _check_shapes(p, z, x)
     m, n = z.shape
     if m * n > 2500:
         raise InputError(f"dense reference limited to small instances, mn={m * n}")
     e = predict(p, z) - y
-    mask = activation_mask(p, z, x)
+    mask = activation_mask(p.w @ z + p.u @ x)
     d_diag = np.diag(mask.flatten(order="F"))
     j = np.eye(m * n) - d_diag @ np.kron(np.eye(n), p.w)
     r = np.kron(np.eye(n), p.a) @ np.linalg.solve(j, d_diag)
@@ -200,8 +204,7 @@ def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:
 
 def _loss_at(p: DeqParams, x, y, cfg: SolverConfig):
     sol = solve_equilibrium(p, x, cfg)
-    pre = p.w @ sol.z + p.u @ x
-    return loss(predict(p, sol.z), y), pre
+    return loss(predict(p, sol.z), y), sol.pre
 
 
 def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
@@ -210,7 +213,9 @@ def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
     """Central finite differences of the loss, probe by probe.
 
     Re-solves the equilibrium for every W and U probe (the equilibrium
-    does not depend on a, so a-probes reuse it). Returns
+    does not depend on a, so a-probes reuse it). A probe's well-posedness
+    bound comes from p's by Weyl's inequality, ||W + delta E_ij||_2 <=
+    ||W||_2 + |delta|, so no probe runs a norm estimate of its own. Returns
     (GradientTriple, valid) where valid is a matching triple of boolean
     arrays; a probe is invalid when either perturbed point has a
     pre-activation within `kink_tol` of zero or the activation pattern
@@ -219,16 +224,17 @@ def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
     x = as_matrix(x, "X")
     y = np.asarray(y, dtype=np.float64).ravel()
     m, d = p.m, p.d
+    w_norm = well_posedness(p)[0]
 
     def probe(param, i, j):
         def shifted(delta):
             arrs = {"w": p.w.copy(), "u": p.u.copy(), "a": p.a.copy()}
-            if param == "a":
-                arrs["a"][i] += delta
-            else:
-                arrs[param][i, j] += delta
-            return DeqParams(w=arrs["w"], u=arrs["u"], a=arrs["a"],
-                             sigma_w2=p.sigma_w2)
+            arrs[param][i, j] += delta
+            shifted_p = DeqParams(w=arrs["w"], u=arrs["u"], a=arrs["a"],
+                                  sigma_w2=p.sigma_w2)
+            well_posedness(shifted_p,
+                           w_norm + abs(delta) if param == "w" else w_norm)
+            return shifted_p
 
         lo, pre_lo = _loss_at(shifted(-step), x, y, cfg)
         hi, pre_hi = _loss_at(shifted(+step), x, y, cfg)

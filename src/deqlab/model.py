@@ -117,12 +117,17 @@ class SolverConfig:
 class EquilibriumSolution:
     """Equilibrium features Z (m x n) with convergence diagnostics.
 
-    `residual` is ||Z - relu(W Z + U X)||_F / max(1, ||Z||_F) for the
-    returned Z. `iterations` counts layer-map applications. `residuals`
-    is the per-iterate residual history (one entry per application).
+    `pre` is the pre-activation W Z + U X at the returned Z, so the ReLU
+    mask of the equilibrium is pre >= 0. It is the solve's last float64
+    application, made at the returned Z itself, and bitwise equal to
+    p.w @ z + p.u @ x. `residual` is ||Z - relu(W Z + U X)||_F /
+    max(1, ||Z||_F) for the returned Z. `iterations` counts layer-map
+    applications. `residuals` is the per-iterate residual history (one
+    entry per application).
     """
 
     z: np.ndarray
+    pre: np.ndarray
     residual: float
     iterations: int
     residuals: tuple = ()
@@ -195,7 +200,8 @@ class _ReluMap:
 def _iterate(step, x, cfg: SolverConfig, what: str):
     """Picard iteration x <- step(x) from x until
     ||x+ - x||_F / max(1, ||x||_F) <= cfg.tol; returns (x, residual,
-    iterations, residuals) for the first x that meets the rule.
+    iterations, residuals) for the first x that meets the rule. The last
+    application of `step` is the float64 one made at that x.
 
     `step` maps an (m, n) iterate through an m x m operator, so one
     application costs m^2 n multiply-adds. From F32_MIN_MADDS on, the
@@ -287,10 +293,10 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
         if not np.all(np.isfinite(z)) or np.any(z < 0.0):
             raise InputError("z0 must be finite and nonnegative (a ReLU image)")
 
-    z, res, k, history = _iterate(_ReluMap(p.w, p.u @ x), z, cfg,
-                                  "equilibrium")
-    return EquilibriumSolution(z=z, residual=res, iterations=k,
-                               residuals=history)
+    relu_map = _ReluMap(p.w, p.u @ x)
+    z, res, k, history = _iterate(relu_map, z, cfg, "equilibrium")
+    return EquilibriumSolution(z=z, pre=relu_map.pre, residual=res,
+                               iterations=k, residuals=history)
 
 
 def predict(p: DeqParams, z) -> np.ndarray:

@@ -10,12 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .errors import InputError
 
-__all__ = ["line_plot_svg", "config_hash", "write_run_manifest"]
+__all__ = ["line_plot_svg", "config_hash", "environment", "write_run_manifest"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -127,17 +130,37 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+def environment() -> dict:
+    """What produced a run: the numpy version, the BLAS numpy was built
+    against (name and version), the *_NUM_THREADS settings and the CPU
+    count. The BLAS fields are None on a numpy without show_config's
+    "dicts" mode (before 1.25)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads": {key: value for key, value in sorted(os.environ.items())
+                    if key.endswith("_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+    }
+
+
 def write_run_manifest(out_dir, config: dict, seeds: dict,
                        outputs: list, timestamp: str | None = None) -> Path:
-    """run.json: config hash + echo, seeds, artifact version, output files.
+    """run.json: config hash + echo, seeds, artifact version, output files
+    and the environment block.
 
     The optional timestamp is the only non-deterministic field; repeat
-    runs with identical config differ in nothing else.
+    runs with identical config in one environment differ in nothing else.
     """
     manifest = {
         "artifact_version": __version__,
         "config_hash": config_hash(config),
         "config": config,
+        "environment": environment(),
         "seeds": seeds,
         "outputs": sorted(str(o) for o in outputs),
     }

@@ -276,7 +276,7 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                 m_guess = m_prev if m_prev2 is None else 2.0 * m_prev - m_prev2
             else:
                 m_guess = None
-            grads, adj = gradients(p, sol.z, data.x, data.y, cfg.solver,
+            grads, adj = gradients(p, sol, data.x, data.y, cfg.solver,
                                    m0=m_guess, return_adjoint=True)
             m_prev2 = m_prev
             m_prev = adj.m
@@ -288,7 +288,11 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             if tau == cfg.steps:
                 break
 
-            p = DeqParams(w=p.w - eta * grads.gw, u=p.u - eta * grads.gu,
+            # W - eta G_W without a W-sized temporary: negation is exact,
+            # so this is bitwise the same sum
+            w = np.multiply(grads.gw, -eta)
+            w += p.w
+            p = DeqParams(w=w, u=p.u - eta * grads.gu,
                           a=p.a - eta * grads.ga, sigma_w2=p.sigma_w2)
             if (on_checkpoint is not None and checkpoint_every > 0
                     and (tau + 1) % checkpoint_every == 0 and tau + 1 < cfg.steps):

@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -43,6 +44,19 @@ class TestGenData:
         assert meta["provenance"] == "synthetic"
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["artifact_version"]
+
+    def test_manifest_environment_block(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        out = tmp_path / "o"
+        run_ok(runner, ["gen-data", "--set", "data.n=6", "--set", "data.d=5",
+                        "--set", f"output.directory={out}"])
+        env = json.loads((out / "run.json").read_text())["environment"]
+        assert set(env) == {"numpy", "blas", "threads", "cpu_count"}
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version"}
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "2"
+        assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
+        assert env["cpu_count"] == os.cpu_count()
 
     def test_seed_repeat_identical_bytes(self, runner, tmp_path):
         outs = []

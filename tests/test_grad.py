@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from deqlab import model
 from deqlab.data import gen_sphere_data
 from deqlab.errors import ConvergenceError, InputError, WellPosednessError
 from deqlab.grad import (
@@ -44,7 +45,7 @@ class TestActivationMask:
                         a=p.a, sigma_w2=p.sigma_w2)
         x = np.abs(ds.x) + 0.1
         x = x * (np.sqrt(4) / np.linalg.norm(x, axis=0))
-        mask = activation_mask(neg, np.zeros((8, 3)), x)
+        mask = activation_mask(neg.w @ np.zeros((8, 3)) + neg.u @ x)
         assert np.all(mask == 0.0)
 
     def test_exact_zero_maps_to_one(self):
@@ -52,12 +53,12 @@ class TestActivationMask:
         u = p.u.copy()
         u[2, :] = 0.0  # row 2 pre-activation is exactly zero with W = 0
         pz = DeqParams(w=np.zeros_like(p.w), u=u, a=p.a, sigma_w2=p.sigma_w2)
-        mask = activation_mask(pz, np.zeros((6, 2)), ds.x)
+        mask = activation_mask(pz.w @ np.zeros((6, 2)) + pz.u @ ds.x)
         assert np.all(mask[2, :] == 1.0)
 
     def test_matches_elementwise_oracle(self):
         p, ds, sol = instance(15, 6, 5, seed=2)
-        mask = activation_mask(p, sol.z, ds.x)
+        mask = activation_mask(sol.pre)
         pre = p.w @ sol.z + p.u @ ds.x
         np.testing.assert_array_equal(mask, (pre >= 0).astype(float))
 
@@ -65,7 +66,7 @@ class TestActivationMask:
 class TestSolveAdjoint:
     def test_zero_error_vector(self):
         p, ds, sol = instance(10, 4, 5, seed=3)
-        mask = activation_mask(p, sol.z, ds.x)
+        mask = activation_mask(sol.pre)
         adj = solve_adjoint(p, mask, np.zeros(4))
         np.testing.assert_array_equal(adj.m, np.zeros((10, 4)))
         assert adj.iterations == 1
@@ -74,7 +75,7 @@ class TestSolveAdjoint:
         p, ds, sol = instance(10, 4, 5, seed=4)
         p0 = DeqParams(w=np.zeros_like(p.w), u=p.u, a=p.a, sigma_w2=p.sigma_w2)
         sol0 = solve_equilibrium(p0, ds.x, TIGHT)
-        mask = activation_mask(p0, sol0.z, ds.x)
+        mask = activation_mask(sol0.pre)
         e = np.arange(1.0, 5.0)
         adj = solve_adjoint(p0, mask, e)
         np.testing.assert_allclose(adj.m, mask * np.outer(p.a, e), atol=1e-15)
@@ -83,7 +84,7 @@ class TestSolveAdjoint:
         # (I - D (I_n kron W^T)) vec(M) = vec(D .* a e^T), column-major vec.
         p, ds, sol = instance(6, 3, 4, seed=5)
         e = predict(p, sol.z) - ds.y
-        mask = activation_mask(p, sol.z, ds.x)
+        mask = activation_mask(sol.pre)
         adj = solve_adjoint(p, mask, e, TIGHT)
         mn = 6 * 3
         d_diag = np.diag(mask.flatten(order="F"))
@@ -101,7 +102,7 @@ class TestSolveAdjoint:
     def test_iteration_bound(self):
         p, ds, sol = instance(25, 8, 6, seed=7)
         e = predict(p, sol.z) - ds.y
-        mask = activation_mask(p, sol.z, ds.x)
+        mask = activation_mask(sol.pre)
         cfg = SolverConfig(tol=1e-10)
         adj = solve_adjoint(p, mask, e, cfg)
         w = spectral_norm(p.w)
@@ -112,7 +113,7 @@ class TestSolveAdjoint:
 class TestSolveSensitivity:
     def test_nonfinite_s0_rejected(self):
         p, ds, sol = instance(10, 4, 5, seed=8)
-        mask = activation_mask(p, sol.z, ds.x)
+        mask = activation_mask(sol.pre)
         s0 = np.zeros((10, 4))
         s0[3, 1] = np.nan
         with pytest.raises(InputError, match="s0"):
@@ -120,7 +121,7 @@ class TestSolveSensitivity:
 
     def test_wrong_shape_s0_rejected(self):
         p, ds, sol = instance(10, 4, 5, seed=8)
-        mask = activation_mask(p, sol.z, ds.x)
+        mask = activation_mask(sol.pre)
         with pytest.raises(InputError, match="s0"):
             solve_sensitivity(p, mask, np.ones((10, 4)), s0=np.zeros((10, 1)))
 
@@ -129,19 +130,19 @@ class TestGradients:
     def test_interpolation_point_zero_gradients(self):
         p, ds, sol = instance(12, 5, 6, seed=8)
         y = predict(p, sol.z)  # labels equal to predictions: e = 0
-        g = gradients(p, sol.z, ds.x, y, TIGHT)
+        g = gradients(p, sol, ds.x, y, TIGHT)
         assert grad_norm_sq(g) == 0.0
 
     def test_ga_is_z_times_error(self):
         p, ds, sol = instance(12, 5, 6, seed=9)
-        g = gradients(p, sol.z, ds.x, ds.y, TIGHT)
+        g = gradients(p, sol, ds.x, ds.y, TIGHT)
         e = predict(p, sol.z) - ds.y
         np.testing.assert_allclose(g.ga, sol.z @ e, atol=1e-14)
 
     @pytest.mark.parametrize("m,n,d,seed", [(20, 10, 6, 0), (40, 5, 8, 1), (8, 4, 3, 2)])
     def test_kronecker_equivalence(self, m, n, d, seed):
         p, ds, sol = instance(m, n, d, seed=seed)
-        g = gradients(p, sol.z, ds.x, ds.y, TIGHT)
+        g = gradients(p, sol, ds.x, ds.y, TIGHT)
         ref = dense_gradients_reference(p, sol.z, ds.x, ds.y)
         for a, b in ((g.gw, ref.gw), (g.gu, ref.gu), (g.ga, ref.ga)):
             assert (np.linalg.norm(a - b)
@@ -149,7 +150,7 @@ class TestGradients:
 
     def test_finite_difference_agreement(self):
         p, ds, sol = instance(30, 5, 8, seed=0)
-        g = gradients(p, sol.z, ds.x, ds.y, SolverConfig(tol=1e-12))
+        g = gradients(p, sol, ds.x, ds.y, SolverConfig(tol=1e-12))
         fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=1e-5)
         for a, b, v in ((g.gw, fd.gw, valid.gw), (g.gu, fd.gu, valid.gu),
                         (g.ga, fd.ga, valid.ga)):
@@ -157,11 +158,24 @@ class TestGradients:
             rel = (np.abs(a - b) / denom)[v]
             assert rel.max() <= 1e-4
 
+    def test_finite_difference_probes_run_no_norm_estimate(self, monkeypatch):
+        # each probe's certificate is p's norm plus the probe step (Weyl)
+        calls = []
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return spectral_norm(a, *args, **kwargs)
+
+        p, ds, _ = instance(6, 3, 4, seed=3)
+        monkeypatch.setattr(model, "spectral_norm", counted)
+        finite_difference_gradients(p, ds.x, ds.y)
+        assert calls == []
+
     def test_output_layer_pl_floor(self):
         # ||grad_a||^2 >= 2 lambda_min(Z^T Z) * loss holds unconditionally.
         for seed in range(6):
             p, ds, sol = instance(25, 6, 5, seed=seed)
-            g = gradients(p, sol.z, ds.x, ds.y, TIGHT)
+            g = gradients(p, sol, ds.x, ds.y, TIGHT)
             phi = loss(predict(p, sol.z), ds.y)
             lam = min_eig_sym(gram(sol.z))
             assert np.sum(g.ga**2) >= 2 * lam * phi - 1e-8 * (1 + phi)
@@ -171,7 +185,7 @@ class TestGradients:
         # norm inequalities give c-weighted bounds on each gradient block.
         for seed in range(4):
             p, ds, sol = instance(20, 6, 5, seed=seed + 20)
-            g = gradients(p, sol.z, ds.x, ds.y, TIGHT)
+            g = gradients(p, sol, ds.x, ds.y, TIGHT)
             e = predict(p, sol.z) - ds.y
             rho_w, rho_u, rho_a = (spectral_norm(p.w), spectral_norm(p.u),
                                    float(np.linalg.norm(p.a)))
@@ -231,8 +245,9 @@ class Problem:
                           u=p.u, a=p.a, sigma_w2=p.sigma_w2)
         self.p = p
         self.ds = gen_sphere_data(n, d, seed=seed + 1000)
-        self.z = solve_equilibrium(self.p, self.ds.x).z
-        self.mask = activation_mask(self.p, self.z, self.ds.x)
+        sol = solve_equilibrium(self.p, self.ds.x)
+        self.z = sol.z
+        self.mask = activation_mask(sol.pre)
         self.e = predict(self.p, self.z) - self.ds.y
         self.rhs = np.random.default_rng(seed).standard_normal((m, n))
 
@@ -382,6 +397,40 @@ class TestPicardEngineAtCut:
         assert np.all(z >= 0.0)
         _, again = prob.solve("forward", cfg, x0=z)
         assert again.iterations == 1
+
+
+class TestEquilibriumPreActivation:
+    """sol.pre is W z + U x at the returned z, bitwise, so the mask built
+    from it is the mask of the equilibrium."""
+
+    def test_below_cut(self):
+        p, ds, sol = instance(15, 6, 5, seed=2)
+        assert np.array_equal(sol.pre, p.w @ sol.z + p.u @ ds.x)
+
+    @pytest.mark.parametrize("start", ["cold", "warm", "moved"])
+    def test_at_cut(self, at_cut, moved, start):
+        prob, x0 = at_cut, None
+        if start == "warm":
+            x0 = at_cut.solve("forward")[0]
+        elif start == "moved":
+            prob, warm = moved
+            x0 = warm["forward"]
+        z, sol = prob.solve("forward", x0=x0)
+        p = prob.p
+        assert np.array_equal(sol.pre, p.w @ z + p.u @ prob.ds.x)
+
+    @pytest.mark.parametrize("size", ["below", "at_cut"])
+    def test_gradients_match_recomputed_mask(self, at_cut, size):
+        if size == "below":
+            p, ds, sol = instance(15, 6, 5, seed=2)
+        else:
+            p, ds = at_cut.p, at_cut.ds
+            sol = at_cut.solve("forward")[1]
+        g, adj = gradients(p, sol, ds.x, ds.y, return_adjoint=True)
+        mask = activation_mask(p.w @ sol.z + p.u @ ds.x)
+        ref = solve_adjoint(p, mask, predict(p, sol.z) - ds.y)
+        assert np.array_equal(adj.m, ref.m)
+        assert np.array_equal(g.gw, ref.m @ sol.z.T)
 
 
 class TestPicardEngineBelowCut:

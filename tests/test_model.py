@@ -274,8 +274,7 @@ class TestWellPosedness:
         monkeypatch.setattr(model, "spectral_norm", counted)
         p = small_params(seed=4)
         x = gen_sphere_data(3, p.d, seed=4).x
-        z = solve_equilibrium(p, x).z
-        mask = activation_mask(p, z, x)
+        mask = activation_mask(solve_equilibrium(p, x).pre)
         solve_adjoint(p, mask, np.ones(3))
         solve_sensitivity(p, mask, np.ones((p.m, 3)))
         assert calls == [(p.m, p.m)]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from deqlab.data import Dataset, gen_sphere_data
 from deqlab.errors import (
@@ -72,10 +74,24 @@ class TestTrain:
         cfg = TrainConfig(eta=eta, steps=1, solver=TIGHT, warm_start=False)
         p_out, trace = train(p, ds, cfg)
         sol = solve_equilibrium(p, ds.x, TIGHT)
-        g = gradients(p, sol.z, ds.x, ds.y, TIGHT)
+        g = gradients(p, sol, ds.x, ds.y, TIGHT)
         np.testing.assert_allclose(p_out.w, p.w - eta * g.gw, atol=1e-14)
         np.testing.assert_allclose(p_out.u, p.u - eta * g.gu, atol=1e-14)
         np.testing.assert_allclose(p_out.a, p.a - eta * g.ga, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(),
+           eta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_w_update_without_temporary_is_bitwise(self, data, eta):
+        # train builds W - eta G as (G * -eta) + W; signed zeros included
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        w, g = (data.draw(arrays(np.float64, (3, 4), elements=finite))
+                for _ in range(2))
+        with np.errstate(over="ignore"):  # a huge eta * g is inf on both sides
+            w_new = np.multiply(g, -eta)
+            w_new += w
+            ref = w - eta * g
+        assert np.array_equal(w_new.view(np.uint64), ref.view(np.uint64))
 
     def test_loss_decreases_under_auto_eta(self):
         p, ds = setup(seed=3)
@@ -233,7 +249,7 @@ def solved_step(seed):
     """(p, data, equilibrium, adjoint, gradients) at a fresh init."""
     p, ds = setup(seed=seed)
     sol = solve_equilibrium(p, ds.x, TIGHT)
-    grads, adj = gradients(p, sol.z, ds.x, ds.y, TIGHT, return_adjoint=True)
+    grads, adj = gradients(p, sol, ds.x, ds.y, TIGHT, return_adjoint=True)
     return p, ds, sol, adj, grads
 
 
