@@ -193,7 +193,7 @@ def cmd_kernel(cfg, doc):
     summary = export_kernel(pk, out, t=cfg.kernel.failure_prob,
                             width_c=cfg.kernel.width_constant,
                             depth_c=cfg.kernel.depth_constant)
-    series = kernel_depth_decay(ds.x, cfg.model.sigma_w2, cfg.kernel.l_max)
+    series = kernel_depth_decay(pk, ds.x, cfg.kernel.l_max)
     _write_depth_csv(out / "kernel_depth_decay.csv", series)
     line_plot_svg(out / "kernel_depth_decay.svg",
                   {"||K - K^(l)||_F": (list(range(1, len(series) + 1)), series)},
@@ -267,9 +267,7 @@ def cmd_train(cfg, doc):
         click.echo(f"shared eta (auto at m={widths[-1]}): {t.eta:.6g}")
 
     outputs = []
-    loss_series = {}
-    wnorm_series = {}
-    lambda_series = {}
+    traces = {}
     for m in widths:
         tag = f"m{m}"
         p0 = p_resume if t.resume is not None else init_params(
@@ -296,21 +294,20 @@ def cmd_train(cfg, doc):
             write(out / name, trace, append=t.resume is not None)
             outputs.append(name)
 
-        steps_axis = [r.step for r in trace.records]
-        loss_series[tag] = (steps_axis, [r.loss for r in trace.records])
-        wnorm_series[tag] = (steps_axis, [r.w_spec_norm for r in trace.records])
-        lambda_series[tag] = (steps_axis, [r.lambda_tau for r in trace.records])
+        traces[tag] = trace
         click.echo(f"{tag}: eta={trace.eta:.6g} ({trace.eta_mode}) "
                    f"phi0={trace.phi_0:.6g} final={trace.records[-1].loss:.6g} "
                    f"max||W||={max(r.w_spec_norm for r in trace.records):.4f}")
 
-    line_plot_svg(out / "loss.svg", loss_series, "Training loss", "step",
-                  "loss", logy=True)
-    line_plot_svg(out / "w_spec_norm.svg", wnorm_series,
-                  "Spectral norm of W", "step", "||W||_2")
-    line_plot_svg(out / "lambda_tau.svg", lambda_series,
-                  "Least Gram eigenvalue", "step", "lambda_tau")
-    outputs += ["loss.svg", "w_spec_norm.svg", "lambda_tau.svg"]
+    for name, title, ylabel, logy in (
+            ("loss", "Training loss", "loss", True),
+            ("w_spec_norm", "Spectral norm of W", "||W||_2", False),
+            ("lambda_tau", "Least Gram eigenvalue", "lambda_tau", False)):
+        line_plot_svg(out / f"{name}.svg",
+                      {tag: (trace.column("step"), trace.column(name))
+                       for tag, trace in traces.items()},
+                      title, "step", ylabel, logy=logy)
+        outputs.append(f"{name}.svg")
     write_run_manifest(out, doc,
                        {"data": cfg.data.seed, "model": cfg.model.seed},
                        outputs, timestamp=_timestamp())
@@ -357,7 +354,8 @@ def cmd_concentration(cfg, doc):
                 click.echo(f"lambda0_vs_width m={m}: "
                            f"fraction(lambda0 >= m*lambda*/2) = {fr[m]:.3g}")
         elif name == "kernel_depth_decay":
-            series = kernel_depth_decay(ds.x, sigma_w2, c.l)
+            pk = kernel_fixed_point(ds.x, sigma_w2, tol=cfg.kernel.tol)
+            series = kernel_depth_decay(pk, ds.x, c.l)
             _write_depth_csv(out / "kernel_depth_decay.csv", series)
             outputs.append("kernel_depth_decay.csv")
             click.echo(f"kernel_depth_decay: first {series[0]:.4g} "
@@ -399,7 +397,7 @@ def cmd_grad_check(cfg, doc, corrupt):
     solver = replace(cfg.solver, tol=1e-12)
     p = init_params(30, d, cfg.model.sigma_w2, cfg.model.seed)
     sol = solve_equilibrium(p, ds.x, solver)
-    g = gradients(p, sol, ds.x, ds.y, solver)
+    g, _ = gradients(p, sol, ds.x, ds.y, solver)
     step = 1e-5
     floor = (FD_ROUNDING_MULTIPLE * np.finfo(np.float64).eps
              * loss(predict(p, sol.z), ds.y) / step)

@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, InputError
-from .kernel import kernel_fixed_point, kernel_layer_sequence, kernel_recursion
+from .kernel import (PopulationKernel, kernel_fixed_point,
+                     kernel_layer_sequence, kernel_recursion)
 from .linalg import as_matrix, gram, gram_schmidt, min_eig_sym
 from .model import DeqParams, SolverConfig, forward_layer, init_params, solve_equilibrium
 
@@ -98,13 +99,11 @@ def layer_iterates(p: DeqParams, x, depth: int) -> list:
     return zs
 
 
-def kernel_depth_decay(x, sigma_w2: float, l_max: int) -> list:
-    """||K - K^(l)||_F for l = 1..l_max; deterministic."""
-    if l_max < 1:
-        raise InputError("l_max must be >= 1")
-    k_inf = kernel_fixed_point(x, sigma_w2).k
-    ks, _ = kernel_layer_sequence(x, sigma_w2, l_max)
-    return [float(np.linalg.norm(k_inf - k)) for k in ks]
+def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
+    """||K - K^(l)||_F for l = 1..l_max, where K is `pk`, the caller's
+    kernel_fixed_point of the same x; deterministic."""
+    ks, _ = kernel_layer_sequence(x, pk.sigma_w2, l_max)
+    return [float(np.linalg.norm(pk.k - k)) for k in ks]
 
 
 def equilibrium_depth_decay(p: DeqParams, x, l_max: int,

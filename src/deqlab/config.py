@@ -187,10 +187,16 @@ class ConcentrationSection:
             if name not in self.KNOWN:
                 raise ConfigError(f"unknown concentration experiment {name!r}; "
                                   f"known: {list(self.KNOWN)}")
-        if not self.m_list or any(m < 1 for m in self.m_list):
-            raise ConfigError("concentration.m_list must be non-empty positive")
-        if self.trials < 1 or self.l < 1:
-            raise ConfigError("concentration.trials and .l must be >= 1")
+        if (not self.m_list or any(m < 1 for m in self.m_list)
+                or sorted(self.m_list) != self.m_list):
+            raise ConfigError("concentration.m_list must be non-empty, "
+                              "positive and ascending")
+        if min(self.trials, self.l, self.reconstruct_l, self.reconstruct_m) < 1:
+            raise ConfigError("concentration.trials, .l, .reconstruct_l and "
+                              ".reconstruct_m must be >= 1")
+        if min(self.reconstruct_i, self.reconstruct_j) < 0:
+            raise ConfigError("concentration.reconstruct_i and .reconstruct_j "
+                              "must be >= 0")
 
 
 @dataclass(frozen=True)

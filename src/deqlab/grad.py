@@ -134,13 +134,12 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
 
 
 def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
-              cfg: SolverConfig = SolverConfig(), m0=None,
-              return_adjoint: bool = False):
+              cfg: SolverConfig = SolverConfig(), m0=None):
     """Gradients of the quadratic loss w.r.t. (W, U, a) at the equilibrium
     `sol` of (p, x), whose pre-activation gives the ReLU mask.
 
-    Returns a GradientTriple, or (GradientTriple, AdjointSolution) with
-    `return_adjoint` so callers can chain warm starts.
+    Returns (GradientTriple, AdjointSolution); the adjoint's M warm-starts
+    the next solve (`m0`) for nearby parameters.
     """
     z = sol.z
     x = as_matrix(x, "X")
@@ -149,8 +148,7 @@ def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
     e = predict(p, z) - y
     mask = activation_mask(sol.pre)
     adj = solve_adjoint(p, mask, e, cfg, m0=m0)
-    triple = GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e)
-    return (triple, adj) if return_adjoint else triple
+    return GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e), adj
 
 
 def grad_norm_sq(g: GradientTriple) -> float:

@@ -192,12 +192,11 @@ def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,
 
 
 def monitors(p: DeqParams, sol: EquilibriumSolution, adj: AdjointSolution,
-             grads: GradientTriple, data: Dataset, lambda_0: float,
+             grads: GradientTriple, phi: float, lambda_0: float,
              eta: float, tau: int, phi0: float) -> TrainRecord:
     """Assemble one monitored record from the step's own results: the
-    equilibrium `sol` at `p`, its adjoint `adj` and the gradients `grads`.
-    ||W||_2 is p's well-posedness certificate."""
-    phi = loss(predict(p, sol.z), data.y)
+    equilibrium `sol` at `p`, its loss `phi`, its adjoint `adj` and the
+    gradients `grads`. ||W||_2 is p's well-posedness certificate."""
     gsq = grad_norm_sq(grads)
     pl_ratio = gsq / (2.0 * phi) if phi > 0 else np.inf
     return TrainRecord(
@@ -215,10 +214,10 @@ def monitors(p: DeqParams, sol: EquilibriumSolution, adj: AdjointSolution,
     )
 
 
-def _extrapolate(z_prev, z_prev2):
-    if z_prev2 is None:
-        return z_prev
-    return np.maximum(2.0 * z_prev - z_prev2, 0.0)
+def _secant(cur, prev):
+    """Secant extrapolation 2 cur - prev of a step's solution to the next
+    step; cur itself when there is no previous solution."""
+    return cur if prev is None else 2.0 * cur - prev
 
 
 def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
@@ -226,11 +225,14 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
           on_checkpoint=None, checkpoint_every: int = 0):
     """Run `cfg.steps` full-batch GD updates; returns (params, trace).
 
-    Records are written at step 0, every `monitor_every`-th step, and the
-    final step. In fail-fast mode the run aborts if ||W(tau)||_2 >= 1 or,
-    under auto eta, if the loss increases by more than 1e-8 relative.
-    Warm starts (secant extrapolation of Z, previous adjoint M) change
-    iteration counts, never results beyond the solver tolerance.
+    Every step, step 0 included, certifies ||W||_2 < 1, solves the
+    equilibrium, evaluates the loss once and takes the gradients; step 0
+    also fixes eta, lambda_0 and phi_0. Records are written at step 0,
+    every `monitor_every`-th step, and the final step. In fail-fast mode
+    a step after 0 aborts if ||W||_2 >= 1 or, under auto eta, if the loss
+    increases by more than 1e-8 relative. Warm starts (secant
+    extrapolation of Z and M) change iteration counts, never results
+    beyond the solver tolerance.
 
     Resuming: `start_step` offsets the recorded step indices, and
     `anchor` = {"eta", "lambda_0", "phi_0"} pins the step size and the
@@ -241,53 +243,52 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     if not isinstance(data, Dataset):
         raise InputError("train expects a Dataset (its constructor enforces "
                          "the data assumptions)")
-    w_norm, w_vec = spectral_norm(p0.w, return_vector=True)
-    w_norm, ok = well_posedness(p0, w_norm)
-    if not ok:
-        raise WellPosednessError(
-            f"initial ||W||_2 = {w_norm:.6f} >= 1; training would be ill-posed")
-
     p = p0
     records = []
-    z_prev2 = None
-    m_prev = None
-    m_prev2 = None
-    tau = 0
+    w_vec = z0 = m0 = z_prev = m_prev = None
     try:
-        sol = solve_equilibrium(p, data.x, cfg.solver)
-        if anchor is not None:
-            eta = float(anchor["eta"])
-            eta_mode = "resumed"
-            lambda_0 = float(anchor["lambda_0"])
-            phi0 = float(anchor["phi_0"])
-        else:
-            lambda_0 = gram_min_eig(sol.z)
-            phi0 = loss(predict(p, sol.z), data.y)
-            if cfg.eta == "auto":
-                eta = auto_eta(p, sol.z, data.x, cfg.auto_eta_safety, cfg.solver)
-                eta_mode = "auto"
-            else:
-                eta = float(cfg.eta)
-                eta_mode = "explicit"
-        phi_prev = loss(predict(p, sol.z), data.y)
-
         for tau in range(cfg.steps + 1):
-            if cfg.warm_start and m_prev is not None:
-                m_guess = m_prev if m_prev2 is None else 2.0 * m_prev - m_prev2
-            else:
-                m_guess = None
-            grads, adj = gradients(p, sol, data.x, data.y, cfg.solver,
-                                   m0=m_guess, return_adjoint=True)
-            m_prev2 = m_prev
-            m_prev = adj.m
+            step = start_step + tau
+            w_norm, w_vec = spectral_norm(p.w, v0=w_vec, return_vector=True)
+            w_norm, ok = well_posedness(p, w_norm)
+            if not ok:
+                message = (f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
+                           f"equilibrium existence lost")
+                if cfg.assert_mode == "fail-fast" and tau > 0:
+                    raise TrainingAssertionError(message)
+                raise WellPosednessError(message)
+            sol = solve_equilibrium(p, data.x, cfg.solver, z0=z0)
+            phi = loss(predict(p, sol.z), data.y)
+            if tau == 0 and anchor is not None:
+                eta = float(anchor["eta"])
+                eta_mode = "resumed"
+                lambda_0 = float(anchor["lambda_0"])
+                phi0 = float(anchor["phi_0"])
+            elif tau == 0:
+                lambda_0, phi0 = gram_min_eig(sol.z), phi
+                if cfg.eta == "auto":
+                    eta = auto_eta(p, sol.z, data.x, cfg.auto_eta_safety, cfg.solver)
+                    eta_mode = "auto"
+                else:
+                    eta = float(cfg.eta)
+                    eta_mode = "explicit"
+            elif (cfg.assert_mode == "fail-fast" and eta_mode == "auto"
+                    and phi > phi_prev * (1.0 + 1e-8)):
+                raise TrainingAssertionError(
+                    f"step {step}: loss increased from {phi_prev:.6e} to "
+                    f"{phi:.6e} under auto eta")
+            phi_prev = phi
+            grads, adj = gradients(p, sol, data.x, data.y, cfg.solver, m0=m0)
             if tau % cfg.monitor_every == 0 or tau == cfg.steps:
-                records.append(monitors(p, sol, adj, grads, data, lambda_0,
-                                        eta, start_step + tau, phi0))
-            if on_checkpoint is not None and tau == cfg.steps:
-                on_checkpoint(start_step + tau, p)
+                records.append(monitors(p, sol, adj, grads, phi, lambda_0,
+                                        eta, step, phi0))
             if tau == cfg.steps:
                 break
 
+            if cfg.warm_start:  # next step's starts; a Z start must be >= 0
+                z0 = np.maximum(_secant(sol.z, z_prev), 0.0)
+                m0 = _secant(adj.m, m_prev)
+                z_prev, m_prev = sol.z, adj.m
             # W - eta G_W without a W-sized temporary: negation is exact,
             # so this is bitwise the same sum
             w = np.multiply(grads.gw, -eta)
@@ -296,34 +297,16 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                           a=p.a - eta * grads.ga, sigma_w2=p.sigma_w2)
             if (on_checkpoint is not None and checkpoint_every > 0
                     and (tau + 1) % checkpoint_every == 0 and tau + 1 < cfg.steps):
-                on_checkpoint(start_step + tau + 1, p)
-            w_norm, w_vec = spectral_norm(p.w, v0=w_vec, return_vector=True)
-            w_norm, ok = well_posedness(p, w_norm)
-            if not ok:
-                message = (f"step {start_step + tau + 1}: ||W||_2 = "
-                           f"{w_norm:.6f} >= 1, equilibrium existence lost")
-                if cfg.assert_mode == "fail-fast":
-                    raise TrainingAssertionError(message)
-                raise WellPosednessError(message)
-
-            z_guess = _extrapolate(sol.z, z_prev2) if cfg.warm_start else None
-            z_prev2 = sol.z
-            sol = solve_equilibrium(p, data.x, cfg.solver, z0=z_guess)
-            phi = loss(predict(p, sol.z), data.y)
-            if (cfg.assert_mode == "fail-fast" and eta_mode == "auto"
-                    and phi > phi_prev * (1.0 + 1e-8)):
-                raise TrainingAssertionError(
-                    f"step {start_step + tau + 1}: loss increased from "
-                    f"{phi_prev:.6e} to {phi:.6e} under auto eta")
-            phi_prev = phi
+                on_checkpoint(step + 1, p)
     except ConvergenceError as exc:
-        raise ConvergenceError(f"at training step {start_step + tau}: {exc}",
+        raise ConvergenceError(f"at training step {step}: {exc}",
                                residual=exc.residual,
                                iterations=exc.iterations) from exc
 
-    trace = TrainTrace(records=records, eta=eta, eta_mode=eta_mode,
-                       lambda_0=lambda_0, phi_0=phi0)
-    return p, trace
+    if on_checkpoint is not None:
+        on_checkpoint(start_step + cfg.steps, p)
+    return p, TrainTrace(records=records, eta=eta, eta_mode=eta_mode,
+                         lambda_0=lambda_0, phi_0=phi0)
 
 
 def _write_rows(path, header: str, rows, append: bool) -> None:

@@ -49,7 +49,7 @@ def test_criterion_1_gradient_finite_differences():
     ds = gen_sphere_data(5, 8, seed=0)
     solver = SolverConfig(tol=1e-12)
     sol = solve_equilibrium(p, ds.x, solver)
-    g = gradients(p, sol, ds.x, ds.y, solver)
+    g, _ = gradients(p, sol, ds.x, ds.y, solver)
     fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=1e-5, cfg=solver)
     worst = 0.0
     excluded = 0
@@ -74,7 +74,7 @@ def test_criterion_2_kronecker_equivalence():
         ds = gen_sphere_data(n, d, seed=seed + 100)
         solver = SolverConfig(tol=1e-13)
         sol = solve_equilibrium(p, ds.x, solver)
-        g = gradients(p, sol, ds.x, ds.y, solver)
+        g, _ = gradients(p, sol, ds.x, ds.y, solver)
         ref = dense_gradients_reference(p, sol.z, ds.x, ds.y)
         for a, b in ((g.gw, ref.gw), (g.gu, ref.gu), (g.ga, ref.ga)):
             rel = np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-30)

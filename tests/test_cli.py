@@ -140,6 +140,16 @@ class TestKernelCommand:
         assert "suggested_width" in text and "suggested_depth" in text
 
 
+    def test_depth_decay_against_the_exported_kernel(self, runner, tmp_path):
+        # at a loose kernel.tol the decay's floor is that K's own error
+        out = tmp_path / "o"
+        run_ok(runner, ["kernel", "--set", "data.n=6", "--set", "data.d=8",
+                        "--set", "kernel.l_max=40", "--set", "kernel.tol=1e-4",
+                        "--set", f"output.directory={out}"])
+        rows = (out / "kernel_depth_decay.csv").read_text().splitlines()
+        assert float(rows[-1].split(",")[1]) > 1e-7
+
+
 class TestCheckCommand:
     def test_report_schema(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -301,6 +311,21 @@ class TestConcentrationCommand:
                                       "--set", "concentration.m_list=[]",
                                       "--set", f"output.directory={tmp_path}"])
         assert result.exit_code == 2
+
+
+    def test_descending_m_list_exits_2_before_any_output(self, runner, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        result = runner.invoke(main, [
+            "concentration", "--set", "data.n=5", "--set", "data.d=8",
+            "--set", "concentration.m_list=[40, 20]",
+            "--set", ("concentration.experiments="
+                      "[lambda0_vs_width, tied_vs_population]"),
+            "--set", f"output.directory={out}"])
+        assert result.exit_code == 2, result.output
+        assert "error (ConfigError)" in result.output
+        assert "ascending" in result.output
+        assert list(out.iterdir()) == []
 
 
 class TestGradCheckCommand:

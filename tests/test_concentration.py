@@ -14,7 +14,8 @@ from deqlab.concentration import (
 )
 from deqlab.data import gen_sphere_data
 from deqlab.errors import AssumptionError, DegenerateInputError, InputError
-from deqlab.kernel import kernel_recursion, rho
+from deqlab.kernel import (kernel_fixed_point, kernel_layer_sequence,
+                           kernel_recursion, rho)
 from deqlab.linalg import gram, spectral_norm
 from deqlab.model import DeqParams, SolverConfig, init_params, solve_equilibrium
 
@@ -49,7 +50,7 @@ class TestLayerIterates:
 class TestKernelDepthDecay:
     def test_strictly_decreasing_and_geometric(self):
         x = gen_sphere_data(8, 8, seed=5).x
-        series = kernel_depth_decay(x, 0.08, 12)
+        series = kernel_depth_decay(kernel_fixed_point(x, 0.08), x, 12)
         assert all(series[i + 1] < series[i] for i in range(1, 11))
         # Ratio approaches sigma_w^2; proof gives it as the asymptotic rate.
         for i in range(2, 8):
@@ -57,8 +58,19 @@ class TestKernelDepthDecay:
 
     def test_sigma_near_zero_collapses_to_first_layer(self):
         x = gen_sphere_data(5, 6, seed=6).x
-        series = kernel_depth_decay(x, 1e-12, 4)
+        series = kernel_depth_decay(kernel_fixed_point(x, 1e-12), x, 4)
         assert series[0] <= 1e-9
+
+
+    def test_measured_against_the_given_kernel(self):
+        # a loose fixed point's own error is the series' floor
+        x = gen_sphere_data(8, 8, seed=5).x
+        loose = kernel_fixed_point(x, 0.08, tol=1e-4)
+        series = kernel_depth_decay(loose, x, 40)
+        ks, _ = kernel_layer_sequence(x, 0.08, 40)
+        assert series[-1] == float(np.linalg.norm(loose.k - ks[-1]))
+        assert series[-1] > 1e-7
+        assert kernel_depth_decay(kernel_fixed_point(x, 0.08), x, 40)[-1] < 1e-12
 
 
 class TestEquilibriumDepthDecay:

@@ -94,6 +94,19 @@ class TestSections:
         assert "shared eta" not in result.output
 
 
+class TestConcentrationSection:
+    @pytest.mark.parametrize("item", [
+        "concentration.m_list=[40, 20]",
+        "concentration.reconstruct_l=0",
+        "concentration.reconstruct_m=0",
+        "concentration.reconstruct_i=-1",
+        "concentration.reconstruct_j=-1",
+    ])
+    def test_rejected_at_load(self, item):
+        with pytest.raises(ConfigError, match=item.split("=")[0].split(".")[1]):
+            load_config(None, [item])
+
+
 class TestResumeChecks:
     def test_width_list_fails_at_load(self, runner, tmp_path):
         ckpt = tmp_path / "ckpt.npz"

@@ -130,19 +130,19 @@ class TestGradients:
     def test_interpolation_point_zero_gradients(self):
         p, ds, sol = instance(12, 5, 6, seed=8)
         y = predict(p, sol.z)  # labels equal to predictions: e = 0
-        g = gradients(p, sol, ds.x, y, TIGHT)
+        g, _ = gradients(p, sol, ds.x, y, TIGHT)
         assert grad_norm_sq(g) == 0.0
 
     def test_ga_is_z_times_error(self):
         p, ds, sol = instance(12, 5, 6, seed=9)
-        g = gradients(p, sol, ds.x, ds.y, TIGHT)
+        g, _ = gradients(p, sol, ds.x, ds.y, TIGHT)
         e = predict(p, sol.z) - ds.y
         np.testing.assert_allclose(g.ga, sol.z @ e, atol=1e-14)
 
     @pytest.mark.parametrize("m,n,d,seed", [(20, 10, 6, 0), (40, 5, 8, 1), (8, 4, 3, 2)])
     def test_kronecker_equivalence(self, m, n, d, seed):
         p, ds, sol = instance(m, n, d, seed=seed)
-        g = gradients(p, sol, ds.x, ds.y, TIGHT)
+        g, _ = gradients(p, sol, ds.x, ds.y, TIGHT)
         ref = dense_gradients_reference(p, sol.z, ds.x, ds.y)
         for a, b in ((g.gw, ref.gw), (g.gu, ref.gu), (g.ga, ref.ga)):
             assert (np.linalg.norm(a - b)
@@ -150,7 +150,7 @@ class TestGradients:
 
     def test_finite_difference_agreement(self):
         p, ds, sol = instance(30, 5, 8, seed=0)
-        g = gradients(p, sol, ds.x, ds.y, SolverConfig(tol=1e-12))
+        g, _ = gradients(p, sol, ds.x, ds.y, SolverConfig(tol=1e-12))
         fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=1e-5)
         for a, b, v in ((g.gw, fd.gw, valid.gw), (g.gu, fd.gu, valid.gu),
                         (g.ga, fd.ga, valid.ga)):
@@ -175,7 +175,7 @@ class TestGradients:
         # ||grad_a||^2 >= 2 lambda_min(Z^T Z) * loss holds unconditionally.
         for seed in range(6):
             p, ds, sol = instance(25, 6, 5, seed=seed)
-            g = gradients(p, sol, ds.x, ds.y, TIGHT)
+            g, _ = gradients(p, sol, ds.x, ds.y, TIGHT)
             phi = loss(predict(p, sol.z), ds.y)
             lam = min_eig_sym(gram(sol.z))
             assert np.sum(g.ga**2) >= 2 * lam * phi - 1e-8 * (1 + phi)
@@ -185,7 +185,7 @@ class TestGradients:
         # norm inequalities give c-weighted bounds on each gradient block.
         for seed in range(4):
             p, ds, sol = instance(20, 6, 5, seed=seed + 20)
-            g = gradients(p, sol, ds.x, ds.y, TIGHT)
+            g, _ = gradients(p, sol, ds.x, ds.y, TIGHT)
             e = predict(p, sol.z) - ds.y
             rho_w, rho_u, rho_a = (spectral_norm(p.w), spectral_norm(p.u),
                                    float(np.linalg.norm(p.a)))
@@ -426,7 +426,7 @@ class TestEquilibriumPreActivation:
         else:
             p, ds = at_cut.p, at_cut.ds
             sol = at_cut.solve("forward")[1]
-        g, adj = gradients(p, sol, ds.x, ds.y, return_adjoint=True)
+        g, adj = gradients(p, sol, ds.x, ds.y)
         mask = activation_mask(p.w @ sol.z + p.u @ ds.x)
         ref = solve_adjoint(p, mask, predict(p, sol.z) - ds.y)
         assert np.array_equal(adj.m, ref.m)

@@ -16,6 +16,7 @@ from deqlab.model import (
     DeqParams,
     SolverConfig,
     init_params,
+    loss,
     predict,
     solve_equilibrium,
     well_posedness,
@@ -74,7 +75,7 @@ class TestTrain:
         cfg = TrainConfig(eta=eta, steps=1, solver=TIGHT, warm_start=False)
         p_out, trace = train(p, ds, cfg)
         sol = solve_equilibrium(p, ds.x, TIGHT)
-        g = gradients(p, sol, ds.x, ds.y, TIGHT)
+        g, _ = gradients(p, sol, ds.x, ds.y, TIGHT)
         np.testing.assert_allclose(p_out.w, p.w - eta * g.gw, atol=1e-14)
         np.testing.assert_allclose(p_out.u, p.u - eta * g.gu, atol=1e-14)
         np.testing.assert_allclose(p_out.a, p.a - eta * g.ga, atol=1e-14)
@@ -207,6 +208,55 @@ class TestTrain:
         with pytest.raises(ConvergenceError, match="training step"):
             train(p, ds, cfg)
 
+    @pytest.mark.parametrize("assert_mode", ["record", "fail-fast"])
+    def test_ill_posed_initial_w_raises_well_posedness(self, assert_mode):
+        p, ds = setup(seed=21)
+        w = p.w * (1.01 / np.linalg.norm(p.w, 2))
+        p = DeqParams(w=w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        cfg = TrainConfig(eta=1e-3, steps=2, assert_mode=assert_mode)
+        with pytest.raises(WellPosednessError, match=r"^step 0: "):
+            train(p, ds, cfg)
+
+    def test_failed_solve_reports_the_step_of_its_parameters(self, monkeypatch):
+        # the third solve is the one at W(2)
+        p, ds = setup(seed=10)
+        solve = train_module.solve_equilibrium
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise ConvergenceError("injected", residual=1.0, iterations=1)
+            return solve(*args, **kwargs)
+        monkeypatch.setattr(train_module, "solve_equilibrium", failing)
+        with pytest.raises(ConvergenceError,
+                           match=r"^at training step 2: injected$"):
+            train(p, ds, TrainConfig(eta=1e-3, steps=4))
+
+    def test_one_loss_evaluation_per_step(self, monkeypatch):
+        p, ds = setup(seed=7)
+        evaluate = train_module.loss
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return evaluate(*args, **kwargs)
+        monkeypatch.setattr(train_module, "loss", counted)
+        cfg = TrainConfig(eta="auto", steps=5, assert_mode="fail-fast")
+        _, trace = train(p, ds, cfg)
+        assert len(calls) == len(trace.records) == 6
+
+    @pytest.mark.parametrize("every, steps, fired", [(1, 3, [1, 2, 3]),
+                                                     (2, 5, [2, 4, 5])])
+    def test_checkpoints_after_updates_and_at_the_end(self, every, steps, fired):
+        p, ds = setup(seed=7)
+        seen = []
+        p_out, _ = train(p, ds, TrainConfig(eta=1e-3, steps=steps),
+                         checkpoint_every=every,
+                         on_checkpoint=lambda step, q: seen.append((step, q)))
+        assert [step for step, _ in seen] == fired
+        assert seen[-1][1] is p_out
+
     def test_rejects_raw_arrays(self):
         p, _ = setup(seed=11)
         with pytest.raises(InputError):
@@ -249,7 +299,7 @@ def solved_step(seed):
     """(p, data, equilibrium, adjoint, gradients) at a fresh init."""
     p, ds = setup(seed=seed)
     sol = solve_equilibrium(p, ds.x, TIGHT)
-    grads, adj = gradients(p, sol, ds.x, ds.y, TIGHT, return_adjoint=True)
+    grads, adj = gradients(p, sol, ds.x, ds.y, TIGHT)
     return p, ds, sol, adj, grads
 
 
@@ -258,19 +308,22 @@ class TestMonitors:
         p, ds, sol, adj, grads = solved_step(seed=14)
         lam0 = min_eig_sym(gram(sol.z))
         phi0 = 3.14
-        rec = monitors(p, sol, adj, grads, ds, lam0, eta=1e-3, tau=0, phi0=phi0)
+        rec = monitors(p, sol, adj, grads, loss(predict(p, sol.z), ds.y),
+                       lam0, eta=1e-3, tau=0, phi0=phi0)
         assert rec.rate_envelope == phi0
         assert rec.lambda_tau == pytest.approx(lam0, abs=1e-12)
 
     def test_lambda_via_singular_value_route(self):
         p, ds, sol, adj, grads = solved_step(seed=15)
-        rec = monitors(p, sol, adj, grads, ds, 1.0, eta=1e-3, tau=2, phi0=1.0)
+        rec = monitors(p, sol, adj, grads, loss(predict(p, sol.z), ds.y),
+                       1.0, eta=1e-3, tau=2, phi0=1.0)
         smin = np.linalg.svd(sol.z, compute_uv=False)[-1]
         assert rec.lambda_tau == pytest.approx(smin**2, abs=1e-8)
 
     def test_record_copies_the_steps_diagnostics(self):
         p, ds, sol, adj, grads = solved_step(seed=16)
-        rec = monitors(p, sol, adj, grads, ds, 1.0, eta=1e-3, tau=0, phi0=1.0)
+        rec = monitors(p, sol, adj, grads, loss(predict(p, sol.z), ds.y),
+                       1.0, eta=1e-3, tau=0, phi0=1.0)
         assert (rec.solver_iters, rec.residual) == (sol.iterations,
                                                     sol.residual)
         assert (rec.adjoint_iters, rec.adjoint_residual) == (adj.iterations,
