@@ -318,8 +318,14 @@ def cmd_train(cfg, doc):
 def cmd_concentration(cfg, doc):
     """Width/depth concentration experiments and the exact reconstruction."""
     ds = build_dataset(cfg)
-    out = _out_dir(cfg)
     c = cfg.concentration
+    # the one bound the config section cannot check: it depends on the data
+    if ("reconstruct" in c.experiments
+            and max(c.reconstruct_i, c.reconstruct_j) >= ds.n):
+        raise ConfigError(
+            f"concentration.reconstruct_i = {c.reconstruct_i} and "
+            f".reconstruct_j = {c.reconstruct_j} must be < n = {ds.n}")
+    out = _out_dir(cfg)
     sigma_w2 = cfg.model.sigma_w2
     outputs = []
 

@@ -55,7 +55,14 @@ class GradientTriple:
 
 @dataclass(frozen=True)
 class AdjointSolution:
+    """The fixed point M of a masked linear solve (adjoint, op = W^T, or
+    sensitivity, op = W) with convergence diagnostics. `product` is op M
+    at the returned M, the solve's last float64 application, bitwise
+    equal to p.w.T @ m (adjoint) or p.w @ m (sensitivity). `iterations`
+    counts products with op."""
+
     m: np.ndarray  # (m, n) adjoint fixed point
+    product: np.ndarray  # (m, n) op @ m
     residual: float
     iterations: int
     residuals: tuple = ()
@@ -74,7 +81,8 @@ def activation_mask(pre) -> np.ndarray:
 
 class _MaskedLinearMap:
     """The linear map x -> source + mask .* (op x) for model._iterate; its
-    increment at any point is d -> mask .* (op d)."""
+    increment at any point is d -> mask .* (op d). The product op x of the
+    last application, or the seed standing in for it, is `product`."""
 
     clip = False
 
@@ -82,8 +90,9 @@ class _MaskedLinearMap:
         self.op, self.mask, self.source = op, mask, source
         self.apply32 = None
 
-    def __call__(self, x):
-        return self.source + self.mask * (self.op @ x)
+    def __call__(self, x, seed=None):
+        self.product = self.op @ x if seed is None else seed
+        return self.source + self.mask * self.product
 
     def increment(self):
         """Float32 increment map, as (d, out) -> None."""
@@ -98,48 +107,60 @@ class _MaskedLinearMap:
         return self.apply32
 
 
+def _checked_start(x0, shape, name: str) -> np.ndarray:
+    x = np.asarray(x0, dtype=np.float64)
+    if x.shape != shape or not np.all(np.isfinite(x)):
+        raise InputError(f"{name} has wrong shape or non-finite entries")
+    return x
+
+
 def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
-                  what: str, x0_name: str) -> AdjointSolution:
+                  what: str, x0_name: str, seed=None) -> AdjointSolution:
     """Picard iteration X = source + mask .* (op X) from `x0` (X = 0 if
     None): the one body of the adjoint (op = W^T) and sensitivity (op = W)
-    solves, after each has checked its own operand shapes."""
+    solves, after each has checked its own operand shapes. `seed` is
+    op @ x0 when already known (see model._iterate)."""
     w_norm, ok = well_posedness(p)
     if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: {what} fixed point may not exist")
-    if x0 is None:
-        x = np.zeros_like(mask)
-    else:
-        x = np.asarray(x0, dtype=np.float64)
-        if x.shape != mask.shape or not np.all(np.isfinite(x)):
-            raise InputError(f"{x0_name} has wrong shape or non-finite entries")
-    x, res, k, history = _iterate(_MaskedLinearMap(op, mask, source), x, cfg,
-                                  what)
-    return AdjointSolution(m=x, residual=res, iterations=k, residuals=history)
+    if seed is not None:
+        if x0 is None:
+            raise InputError(f"a seed needs the {x0_name} it was taken at")
+        seed = _checked_start(seed, mask.shape, "seed")
+    x = (np.zeros_like(mask) if x0 is None
+         else _checked_start(x0, mask.shape, x0_name))
+    step = _MaskedLinearMap(op, mask, source)
+    x, res, k, history = _iterate(step, x, cfg, what, seed)
+    return AdjointSolution(m=x, product=step.product, residual=res,
+                           iterations=k, residuals=history)
 
 
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
-                  m0=None) -> AdjointSolution:
+                  m0=None, seed=None) -> AdjointSolution:
     """Picard iteration for M = mask .* (a e^T + W^T M), from M = 0.
 
     Contraction at rate <= ||W||_2 since mask entries are at most 1.
-    `m0` warm-starts from a previous solution for nearby parameters.
+    `m0` warm-starts from a previous solution for nearby parameters, and
+    `seed`, if given, is W^T m0 known from elsewhere: the solve then makes
+    one product fewer.
     """
     mask = as_matrix(mask, "mask")
     e = np.asarray(e, dtype=np.float64).ravel()
     if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
         raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
     return _solve_masked(p, p.w.T, mask, mask * np.outer(p.a, e), m0, cfg,
-                         "adjoint", "m0")
+                         "adjoint", "m0", seed)
 
 
 def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
-              cfg: SolverConfig = SolverConfig(), m0=None):
+              cfg: SolverConfig = SolverConfig(), m0=None, seed=None):
     """Gradients of the quadratic loss w.r.t. (W, U, a) at the equilibrium
     `sol` of (p, x), whose pre-activation gives the ReLU mask.
 
     Returns (GradientTriple, AdjointSolution); the adjoint's M warm-starts
-    the next solve (`m0`) for nearby parameters.
+    the next solve (`m0`, with `seed` = W^T m0; see solve_adjoint) for
+    nearby parameters.
     """
     z = sol.z
     x = as_matrix(x, "X")
@@ -147,13 +168,14 @@ def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
     y = np.asarray(y, dtype=np.float64).ravel()
     e = predict(p, z) - y
     mask = activation_mask(sol.pre)
-    adj = solve_adjoint(p, mask, e, cfg, m0=m0)
+    adj = solve_adjoint(p, mask, e, cfg, m0=m0, seed=seed)
     return GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e), adj
 
 
 def grad_norm_sq(g: GradientTriple) -> float:
     """||grad_W||_F^2 + ||grad_U||_F^2 + ||grad_a||_2^2."""
-    return float(np.sum(g.gw**2) + np.sum(g.gu**2) + np.sum(g.ga**2))
+    return float(np.vdot(g.gw, g.gw) + np.vdot(g.gu, g.gu)
+                 + np.vdot(g.ga, g.ga))
 
 
 def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(),

@@ -51,7 +51,9 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
     a previous call on a nearby matrix). Stops when the estimate is
     stable to a relative change of 0.1 * `tol` between consecutive steps;
     raises ConvergenceError after `max_iter` products with A^T A. The
-    basis restarts from the current Ritz vector every 128 vectors. When
+    stop test needs only the top Ritz value; a Ritz vector is formed only
+    where it is used, when the basis restarts from it every 128 vectors
+    and for `return_vector`. When
     the Krylov space is invariant before it spans R^n (a start vector
     blind to the top singular vector), the basis continues from a fixed
     pseudo-random vector orthogonalized against it. With `return_vector`
@@ -92,7 +94,8 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
         h2 = q_j @ w  # second pass: twice is enough
         w -= h2 @ q_j
         t[j, j] = h[j] + h2[j]
-        theta, y = np.linalg.eigh(t[:j + 1, :j + 1])
+        dim = j + 1
+        theta = np.linalg.eigvalsh(t[:dim, :dim])
         sigma_new = float(np.sqrt(max(theta[-1], 0.0)))
         # Within one basis, Ritz values only rise; a first vector's value
         # has nothing to be compared with, and A != 0 rules out 0.
@@ -105,8 +108,7 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
         if j == n:  # the basis spans R^n, so the Ritz values are exact
             break
         if j == size:
-            q = y[:, -1] @ q_j
-            q /= np.linalg.norm(q)
+            q = _top_ritz_vector(t, basis)
             t[:] = 0.0
             j = 0
         elif beta <= _BREAKDOWN * sigma_new**2:
@@ -123,8 +125,14 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
             residual=None, iterations=max_iter)
     if not return_vector:
         return sigma_new
-    v = y[:, -1] @ basis[:len(y)]
-    return sigma_new, v / np.linalg.norm(v)
+    return sigma_new, _top_ritz_vector(t[:dim, :dim], basis[:dim])
+
+
+def _top_ritz_vector(t, basis) -> np.ndarray:
+    """Unit Ritz vector of the top eigenvalue of the projection `t` onto
+    the rows of `basis`."""
+    v = np.linalg.eigh(t)[1][:, -1] @ basis
+    return v / np.linalg.norm(v)
 
 
 def min_eig_sym(s, tol: float = 1e-8) -> float:

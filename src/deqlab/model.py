@@ -197,11 +197,16 @@ class _ReluMap:
         return apply
 
 
-def _iterate(step, x, cfg: SolverConfig, what: str):
+def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
     """Picard iteration x <- step(x) from x until
     ||x+ - x||_F / max(1, ||x||_F) <= cfg.tol; returns (x, residual,
     iterations, residuals) for the first x that meets the rule. The last
     application of `step` is the float64 one made at that x.
+
+    A `seed` is the map's operator product at the start x, known from
+    elsewhere: the first application is then step(x, seed), which makes
+    no product, counts in no `iterations`, adds no residual and never
+    stops the loop. A wrong seed costs iterations, never accuracy.
 
     `step` maps an (m, n) iterate through an m x m operator, so one
     application costs m^2 n multiply-adds. From F32_MIN_MADDS on, the
@@ -230,13 +235,16 @@ def _iterate(step, x, cfg: SolverConfig, what: str):
     history = []
     k = 0
     while k < cfg.max_iter:
-        x_next = step(x)
-        k += 1
+        seeded = seed is not None
+        x_next = step(x, seed) if seeded else step(x)
+        seed = None
         r_norm = np.linalg.norm(x_next - x)
         res = float(r_norm / max(1.0, np.linalg.norm(x)))
-        history.append(res)
-        if res <= cfg.tol:
-            return x, res, k, tuple(history)
+        if not seeded:
+            k += 1
+            history.append(res)
+            if res <= cfg.tol:
+                return x, res, k, tuple(history)
         if not rounds:
             x = x_next
             continue

@@ -58,6 +58,11 @@ __all__ = [
     "write_solver_trace_csv",
 ]
 
+# Relative stop tolerance of the per-step Lanczos certificate: a tenth of
+# spectral_norm's default, so consecutive warm calls from the secant start
+# keep w_spec_norm within about 1e-11 of ||W||_2.
+CERT_TOL = 1e-11
+
 METRICS_HEADER = ("step,loss,w_spec_norm,lambda_tau,grad_norm_sq,"
                   "pl_ratio,rate_envelope,solver_iters,residual")
 SOLVER_TRACE_HEADER = ("step,forward_iters,adjoint_iters,forward_residual,"
@@ -220,6 +225,15 @@ def _secant(cur, prev):
     return cur if prev is None else 2.0 * cur - prev
 
 
+def _certificate_start(v, v_prev):
+    """The next certificate's Lanczos start: the secant of the last two
+    Ritz vectors `v` and `v_prev`, after turning v_prev to v's side (a
+    Ritz vector's sign is arbitrary)."""
+    if v_prev is None:
+        return v
+    return _secant(v, np.copysign(1.0, v @ v_prev) * v_prev)
+
+
 def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
           start_step: int = 0, anchor: dict | None = None,
           on_checkpoint=None, checkpoint_every: int = 0):
@@ -230,9 +244,11 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     also fixes eta, lambda_0 and phi_0. Records are written at step 0,
     every `monitor_every`-th step, and the final step. In fail-fast mode
     a step after 0 aborts if ||W||_2 >= 1 or, under auto eta, if the loss
-    increases by more than 1e-8 relative. Warm starts (secant
-    extrapolation of Z and M) change iteration counts, never results
-    beyond the solver tolerance.
+    increases by more than 1e-8 relative. Warm starts change iteration
+    counts, never results beyond the solver tolerances: the certificate
+    starts from the secant of the last two Ritz vectors, the forward
+    solve from the secant of the last two Z, and the adjoint from the
+    last M, seeded with W^T M updated by the rank-n step.
 
     Resuming: `start_step` offsets the recorded step indices, and
     `anchor` = {"eta", "lambda_0", "phi_0"} pins the step size and the
@@ -245,11 +261,13 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                          "the data assumptions)")
     p = p0
     records = []
-    w_vec = z0 = m0 = z_prev = m_prev = None
+    v0 = v_prev = z0 = z_prev = m0 = wtm0 = None
     try:
         for tau in range(cfg.steps + 1):
             step = start_step + tau
-            w_norm, w_vec = spectral_norm(p.w, v0=w_vec, return_vector=True)
+            w_norm, v = spectral_norm(p.w, tol=CERT_TOL, v0=v0,
+                                      return_vector=True)
+            v0, v_prev = _certificate_start(v, v_prev), v
             w_norm, ok = well_posedness(p, w_norm)
             if not ok:
                 message = (f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
@@ -278,7 +296,8 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                     f"step {step}: loss increased from {phi_prev:.6e} to "
                     f"{phi:.6e} under auto eta")
             phi_prev = phi
-            grads, adj = gradients(p, sol, data.x, data.y, cfg.solver, m0=m0)
+            grads, adj = gradients(p, sol, data.x, data.y, cfg.solver,
+                                   m0=m0, seed=wtm0)
             if tau % cfg.monitor_every == 0 or tau == cfg.steps:
                 records.append(monitors(p, sol, adj, grads, phi, lambda_0,
                                         eta, step, phi0))
@@ -287,8 +306,9 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
 
             if cfg.warm_start:  # next step's starts; a Z start must be >= 0
                 z0 = np.maximum(_secant(sol.z, z_prev), 0.0)
-                m0 = _secant(adj.m, m_prev)
-                z_prev, m_prev = sol.z, adj.m
+                z_prev, m0 = sol.z, adj.m
+                # W+^T M = W^T M - eta Z (M^T M): two m n^2 products
+                wtm0 = adj.product - eta * (sol.z @ (adj.m.T @ adj.m))
             # W - eta G_W without a W-sized temporary: negation is exact,
             # so this is bitwise the same sum
             w = np.multiply(grads.gw, -eta)

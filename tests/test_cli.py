@@ -327,6 +327,21 @@ class TestConcentrationCommand:
         assert "ascending" in result.output
         assert list(out.iterdir()) == []
 
+    def test_reconstruct_index_beyond_n_exits_2_before_any_output(
+            self, runner, tmp_path):
+        out = tmp_path / "o"
+        out.mkdir()
+        result = runner.invoke(main, [
+            "concentration", "--set", "data.n=5", "--set", "data.d=8",
+            "--set", "concentration.reconstruct_i=7",
+            "--set", ("concentration.experiments="
+                      "[tied_vs_population, reconstruct]"),
+            "--set", f"output.directory={out}"])
+        assert result.exit_code == 2, result.output
+        assert "error (ConfigError)" in result.output
+        assert "reconstruct_i = 7" in result.output
+        assert list(out.iterdir()) == []
+
 
 class TestGradCheckCommand:
     def test_passes_by_default(self, runner):

@@ -433,6 +433,59 @@ class TestEquilibriumPreActivation:
         assert np.array_equal(g.gw, ref.m @ sol.z.T)
 
 
+class TestSeededAdjoint:
+    """solve_adjoint(..., m0, seed) takes seed for W^T m0: the first
+    application makes no product and never stops the solve."""
+
+    @pytest.fixture(params=["below", "at_cut"])
+    def warm(self, request, moved):
+        # W moved by 1e-2 relative, with the unmoved solution as m0
+        if request.param == "at_cut":
+            prob, starts = moved
+            return prob, starts["adjoint"]
+        prob = Problem(60, 12, 10, seed=9, w_shift=1e-2)
+        return prob, Problem(60, 12, 10, seed=9).solve("adjoint")[0]
+
+    def solve(self, prob, m0, seed=None):
+        return solve_adjoint(prob.p, prob.mask, prob.e, m0=m0, seed=seed)
+
+    @pytest.mark.parametrize("wrong", ["zeros", "random"])
+    def test_wrong_seed_costs_iterations_not_accuracy(self, warm, wrong):
+        prob, m0 = warm
+        ref = self.solve(prob, m0)
+        seed = (np.zeros_like(m0) if wrong == "zeros" else
+                np.random.default_rng(3).standard_normal(m0.shape))
+        adj = self.solve(prob, m0, seed)
+        tol = SolverConfig().tol
+        assert adj.residual <= tol
+        assert (np.linalg.norm(adj.m - ref.m)
+                <= tol * max(1.0, np.linalg.norm(ref.m)))
+
+    def test_correct_seed_saves_exactly_one_product(self, warm):
+        prob, m0 = warm
+        ref = self.solve(prob, m0)
+        adj = self.solve(prob, m0, prob.p.w.T @ m0)
+        assert adj.iterations == ref.iterations - 1
+        assert adj.residuals == ref.residuals[1:]
+        assert np.array_equal(adj.m, ref.m)
+
+    def test_product_is_the_last_application(self, warm):
+        prob, m0 = warm
+        p = prob.p
+        for adj in (self.solve(prob, None), self.solve(prob, m0),
+                    self.solve(prob, m0, np.zeros_like(m0))):
+            assert np.array_equal(adj.product, p.w.T @ adj.m)
+        sens = solve_sensitivity(p, prob.mask, prob.rhs)
+        assert np.array_equal(sens.product, p.w @ sens.m)
+
+    def test_seed_needs_its_start_and_shape(self, warm):
+        prob, m0 = warm
+        with pytest.raises(InputError, match="m0"):
+            self.solve(prob, None, m0)
+        with pytest.raises(InputError, match="seed"):
+            self.solve(prob, m0, m0[:, 1:])
+
+
 class TestPicardEngineBelowCut:
     @pytest.mark.parametrize("kind", ["forward", "adjoint"])
     def test_bitwise_plain_float64_loop(self, kind):

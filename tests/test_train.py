@@ -257,6 +257,48 @@ class TestTrain:
         assert [step for step, _ in seen] == fired
         assert seen[-1][1] is p_out
 
+    def test_certificate_reads_lapack_norm_from_below(self):
+        # 30 warm certificates, each started from the secant of the last
+        # two Ritz vectors at tol CERT_TOL
+        p, ds = setup(m=300, n=20, d=10, seed=14)
+        ws = {0: p.w}
+        _, trace = train(p, ds, TrainConfig(eta="auto", steps=30),
+                         checkpoint_every=1,
+                         on_checkpoint=lambda step, q: ws.setdefault(step, q.w))
+        assert len(trace.records) == len(ws) == 31
+        for r in trace.records:
+            exact = float(np.linalg.norm(ws[r.step], 2))
+            assert r.w_spec_norm <= exact
+            assert exact - r.w_spec_norm <= 2e-11 * exact
+
+    def test_certificate_start_ignores_ritz_sign(self):
+        rng = np.random.default_rng(15)
+        v, v_prev = rng.standard_normal((2, 50))
+        v_prev += 3 * v  # on v's side
+        start = train_module._certificate_start(v, v_prev)
+        np.testing.assert_array_equal(start, 2 * v - v_prev)
+        np.testing.assert_array_equal(
+            train_module._certificate_start(v, -v_prev), start)
+        assert train_module._certificate_start(v, None) is v
+
+    def test_adjoint_starts_from_last_m_seeded_with_its_product(self,
+                                                                monkeypatch):
+        p, ds = setup(seed=7)
+        differentiate = train_module.gradients
+        calls = []
+
+        def recorded(q, sol, *args, m0=None, seed=None):
+            grads, adj = differentiate(q, sol, *args, m0=m0, seed=seed)
+            calls.append((q, m0, seed, adj))
+            return grads, adj
+        monkeypatch.setattr(train_module, "gradients", recorded)
+        train(p, ds, TrainConfig(eta="auto", steps=4))
+        assert calls[0][1] is None and calls[0][2] is None
+        for (_, _, _, adj), (q, m0, seed, _) in zip(calls, calls[1:]):
+            assert m0 is adj.m
+            ref = q.w.T @ m0
+            assert np.linalg.norm(seed - ref) <= 1e-13 * np.linalg.norm(ref)
+
     def test_rejects_raw_arrays(self):
         p, _ = setup(seed=11)
         with pytest.raises(InputError):
