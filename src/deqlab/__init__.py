@@ -13,6 +13,9 @@ Library layout:
 - train: full-batch gradient descent with convergence-theory monitors
 - concentration: Monte Carlo experiments comparing finite models to the
   population kernel
+- reporting: the one result-table writer, SVG plots and the run.json
+  manifest
+- config: experiment YAML and overrides, validated at load
 - cli: `deqlab` command-line front end
 """
 

@@ -67,7 +67,7 @@ from .model import (
     save_params,
     solve_equilibrium,
 )
-from .reporting import config_hash, line_plot_svg, write_run_manifest
+from .reporting import config_hash, line_plot_svg, write_csv, write_run_manifest
 from .train import (
     auto_eta,
     gram_min_eig,
@@ -149,14 +149,6 @@ def build_dataset(cfg) -> Dataset:
     return Dataset(x=x, y=y, provenance="file", y_cap=d.y_cap)
 
 
-def _write_depth_csv(path, series) -> None:
-    """A depth-decay series as `l,error` rows, l counted from 1."""
-    with open(path, "w") as f:
-        f.write("l,error\n")
-        for level, err in enumerate(series, start=1):
-            f.write(f"{level},{err:.17g}\n")
-
-
 def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
@@ -194,7 +186,7 @@ def cmd_kernel(cfg, doc):
                             width_c=cfg.kernel.width_constant,
                             depth_c=cfg.kernel.depth_constant)
     series = kernel_depth_decay(pk, ds.x, cfg.kernel.l_max)
-    _write_depth_csv(out / "kernel_depth_decay.csv", series)
+    write_csv(out / "kernel_depth_decay.csv", "l,error", enumerate(series, start=1))
     line_plot_svg(out / "kernel_depth_decay.svg",
                   {"||K - K^(l)||_F": (list(range(1, len(series) + 1)), series)},
                   "Population kernel depth decay", "depth l", "Frobenius error",
@@ -350,10 +342,8 @@ def cmd_concentration(cfg, doc):
             write_report_csv(out / "lambda0_vs_width.csv", rep)
             write_summary_csv(out / "lambda0_vs_width_summary.csv", rep)
             fr = rep.extra["fraction_ge_half"]
-            with open(out / "lambda0_fractions.csv", "w") as f:
-                f.write("m,fraction_ge_half\n")
-                for m in c.m_list:
-                    f.write(f"{m},{fr[m]:.17g}\n")
+            write_csv(out / "lambda0_fractions.csv", "m,fraction_ge_half",
+                      ((m, fr[m]) for m in c.m_list))
             outputs += ["lambda0_vs_width.csv", "lambda0_vs_width_summary.csv",
                         "lambda0_fractions.csv"]
             for m in c.m_list:
@@ -362,14 +352,16 @@ def cmd_concentration(cfg, doc):
         elif name == "kernel_depth_decay":
             pk = kernel_fixed_point(ds.x, sigma_w2, tol=cfg.kernel.tol)
             series = kernel_depth_decay(pk, ds.x, c.l)
-            _write_depth_csv(out / "kernel_depth_decay.csv", series)
+            write_csv(out / "kernel_depth_decay.csv", "l,error",
+                      enumerate(series, start=1))
             outputs.append("kernel_depth_decay.csv")
             click.echo(f"kernel_depth_decay: first {series[0]:.4g} "
                        f"last {series[-1]:.4g}")
         elif name == "equilibrium_depth_decay":
             p = init_params(c.reconstruct_m, ds.d, sigma_w2, c.base_seed)
             series = equilibrium_depth_decay(p, ds.x, c.l, cfg.solver)
-            _write_depth_csv(out / "equilibrium_depth_decay.csv", series)
+            write_csv(out / "equilibrium_depth_decay.csv", "l,error",
+                      enumerate(series, start=1))
             outputs.append("equilibrium_depth_decay.csv")
             click.echo(f"equilibrium_depth_decay: first {series[0]:.4g} "
                        f"last {series[-1]:.4g}")
@@ -377,11 +369,10 @@ def cmd_concentration(cfg, doc):
             p = init_params(c.reconstruct_m, ds.d, sigma_w2, c.base_seed)
             id_err, ip_err = fresh_randomness_reconstruct(
                 p, ds.x, c.reconstruct_i, c.reconstruct_j, c.reconstruct_l)
-            with open(out / "reconstruct.csv", "w") as f:
-                f.write("i,j,l,m,identity_error,inner_product_error\n")
-                f.write(f"{c.reconstruct_i},{c.reconstruct_j},"
-                        f"{c.reconstruct_l},{c.reconstruct_m},"
-                        f"{id_err:.17g},{ip_err:.17g}\n")
+            write_csv(out / "reconstruct.csv",
+                      "i,j,l,m,identity_error,inner_product_error",
+                      [(c.reconstruct_i, c.reconstruct_j, c.reconstruct_l,
+                        c.reconstruct_m, id_err, ip_err)])
             outputs.append("reconstruct.csv")
             click.echo(f"reconstruct (i={c.reconstruct_i}, j={c.reconstruct_j}, "
                        f"l={c.reconstruct_l}): identity error {id_err:.3e}, "

@@ -17,8 +17,7 @@ not statistics, and that distinction is itself a tested property.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,7 @@ from .kernel import (PopulationKernel, kernel_fixed_point,
                      kernel_layer_sequence, kernel_recursion)
 from .linalg import as_matrix, gram, gram_schmidt, min_eig_sym
 from .model import DeqParams, SolverConfig, forward_layer, init_params, solve_equilibrium
+from .reporting import write_csv
 
 __all__ = [
     "CellResult",
@@ -109,16 +109,9 @@ def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
 def equilibrium_depth_decay(p: DeqParams, x, l_max: int,
                             solver: SolverConfig = SolverConfig()) -> list:
     """(1/m) ||G - G^(l)||_F for l = 1..l_max, G from the converged solve."""
-    if l_max < 1:
-        raise InputError("l_max must be >= 1")
-    x = as_matrix(x, "X")
+    zs = layer_iterates(p, x, l_max)
     g_star = gram(solve_equilibrium(p, x, solver).z)
-    out = []
-    z = np.zeros((p.m, x.shape[1]))
-    for _ in range(l_max):
-        z = forward_layer(p, z, x)
-        out.append(float(np.linalg.norm(g_star - gram(z))) / p.m)
-    return out
+    return [float(np.linalg.norm(g_star - gram(z))) / p.m for z in zs]
 
 
 def tied_vs_population(x, sigma_w2: float, m_list, l: int, trials: int,
@@ -260,18 +253,8 @@ def fresh_randomness_reconstruct(p: DeqParams, x, i: int, j: int, l: int):
 
 
 def write_report_csv(path, report: ConcentrationReport) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["experiment", "m", "l", "trial", "seed", "error"])
-        for c in report.cells:
-            writer.writerow([c.experiment, c.m, c.l, c.trial, c.seed,
-                             f"{c.error:.17g}"])
+    write_csv(path, "experiment,m,l,trial,seed,error", map(astuple, report.cells))
 
 
 def write_summary_csv(path, report: ConcentrationReport) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["experiment", "m", "l", "trials", "q1", "median", "q3"])
-        for exp, m, l, trials, q1, med, q3 in report.summary_rows():
-            writer.writerow([exp, m, l, trials,
-                             f"{q1:.17g}", f"{med:.17g}", f"{q3:.17g}"])
+    write_csv(path, "experiment,m,l,trials,q1,median,q3", report.summary_rows())

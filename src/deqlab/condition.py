@@ -7,7 +7,6 @@ proceeds regardless and the margins are logged.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -16,6 +15,7 @@ import numpy as np
 from .errors import InputError
 from .linalg import as_matrix, spectral_norm
 from .model import DeqParams, well_posedness
+from .reporting import write_csv
 
 __all__ = [
     "InitBounds",
@@ -118,14 +118,9 @@ def check_condition(b: InitBounds, lambda_0: float, x,
 
 
 def write_condition_csv(path, b: InitBounds, report: ConditionReport) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["quantity", "value"])
-        for name in ("delta", "rho_w", "rho_u", "rho_a", "c_w", "c_u", "c_a"):
-            writer.writerow([name, f"{getattr(b, name):.17g}"])
-        writer.writerow(["lambda_0", f"{report.lambda_0:.17g}"])
-        writer.writerow(["phi_0", f"{report.phi_0:.17g}"])
-        writer.writerow(["eta_max", f"{report.eta_max:.17g}"])
-        for idx, (margin, ok) in enumerate(zip(report.margins, report.satisfied), 1):
-            writer.writerow([f"margin_{idx}", f"{margin:.17g}"])
-            writer.writerow([f"satisfied_{idx}", str(ok).lower()])
+    rows = [(name, getattr(b, name))
+            for name in ("delta", "rho_w", "rho_u", "rho_a", "c_w", "c_u", "c_a")]
+    rows += [(name, getattr(report, name)) for name in ("lambda_0", "phi_0", "eta_max")]
+    for idx, (margin, ok) in enumerate(zip(report.margins, report.satisfied), 1):
+        rows += [(f"margin_{idx}", margin), (f"satisfied_{idx}", ok)]
+    write_csv(path, "quantity,value", rows)

@@ -43,9 +43,22 @@ _Loader.add_implicit_resolver(
     list("-+0123456789"))
 
 # The YAML values a field annotation admits: an int is a float, a bool is
-# not an int.
+# not an int, and `list[int]` is a list of ints.
 _ADMITS = {"int": (int,), "float": (int, float), "str": (str,),
            "bool": (bool,), "list": (list,), "None": (type(None),)}
+
+
+def _admits(annotation: str, value) -> bool:
+    """Whether `value` fits one alternative of a field annotation."""
+    for kind in annotation.split(" | "):
+        if kind.startswith("list["):
+            if isinstance(value, list) and all(_admits(kind[5:-1], v)
+                                               for v in value):
+                return True
+        elif (isinstance(value, _ADMITS[kind])
+              and (kind == "bool" or not isinstance(value, bool))):
+            return True
+    return False
 
 
 def _build(section_cls, payload: dict, section: str, **fixed):
@@ -62,9 +75,7 @@ def _build(section_cls, payload: dict, section: str, **fixed):
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
     for key, value in payload.items():
-        admitted = sum((_ADMITS[k] for k in annotations[key].split(" | ")), ())
-        if not isinstance(value, admitted) or (isinstance(value, bool)
-                                               and bool not in admitted):
+        if not _admits(annotations[key], value):
             raise ConfigError(f"section {section!r}: {key} must be "
                               f"{annotations[key]}, got {value!r}")
     try:
@@ -111,7 +122,7 @@ class DataConfig:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    m: int | list = 500  # a list runs a width sweep sharing one step size
+    m: int | list[int] = 500  # a list runs a width sweep sharing one step size
     sigma_w2: float = 0.08
     seed: int = 1
 
@@ -168,7 +179,7 @@ class KernelSection:
 class ConcentrationSection:
     experiments: list = field(default_factory=lambda: [
         "tied_vs_population", "lambda0_vs_width"])
-    m_list: list = field(default_factory=lambda: [100, 400, 1600])
+    m_list: list[int] = field(default_factory=lambda: [100, 400, 1600])
     l: int = 6
     trials: int = 20
     base_seed: int = 123
@@ -250,6 +261,8 @@ class ExperimentConfig:
 
 def apply_overrides(doc: dict, overrides) -> dict:
     """Apply `section.key=value` strings; values parse as YAML scalars."""
+    if overrides and not isinstance(doc, dict):
+        raise ConfigError("config root must be a mapping")
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"--set needs section.key=value, got {item!r}")
@@ -262,7 +275,8 @@ def apply_overrides(doc: dict, overrides) -> dict:
             value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError(f"could not parse value in {item!r}: {exc}") from exc
-        doc.setdefault(section, {})
+        if doc.get(section) is None:  # an absent or empty section
+            doc[section] = {}
         if not isinstance(doc[section], dict):
             raise ConfigError(f"section {section!r} is not a mapping")
         doc[section][key] = value

@@ -130,10 +130,9 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((d, n))
     for _ in range(100):
-        norms = np.linalg.norm(x, axis=0)
-        bad = set(np.nonzero(norms == 0.0)[0].tolist())
+        bad = set(np.nonzero(np.linalg.norm(x, axis=0) == 0.0)[0].tolist())
         if not bad:
-            xn = x * (np.sqrt(d) / norms)
+            xn = normalize_to_sphere(x)
             if n > 1:
                 c = _pairwise_cosines(xn)
                 ii, jj = np.nonzero(np.abs(c) > PARALLEL_COS_TOL)

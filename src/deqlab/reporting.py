@@ -1,12 +1,13 @@
-"""Minimal SVG polyline plots and reproducibility metadata.
+"""Result tables, minimal SVG polyline plots and reproducibility metadata.
 
-CSVs are the contract for every experiment; the SVG emitter is a
-convenience renderer over the same series so results can be eyeballed
-without a plotting stack.
+CSVs are the contract for every experiment, and `write_csv` writes every
+one of them; the SVG emitter is a convenience renderer over the same
+series so results can be eyeballed without a plotting stack.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -18,12 +19,43 @@ import numpy as np
 from . import __version__
 from .errors import InputError
 
-__all__ = ["line_plot_svg", "config_hash", "environment", "write_run_manifest"]
+__all__ = ["write_csv", "line_plot_svg", "config_hash", "environment",
+           "write_run_manifest"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 _W, _H = 720, 460
 _ML, _MR, _MT, _MB = 70, 20, 40, 55  # margins: left, right, top, bottom
+
+
+def _cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def write_csv(path, header: str, rows, append: bool = False) -> None:
+    """The table `header` (column names joined by commas) over `rows`,
+    lines ended by the csv module's default `\\r\\n`. Floats print as
+    `%.17g`, so they round-trip bit-exactly; bools as `true`/`false`;
+    anything else as `str`.
+
+    With `append`, rows are led by their step, and only those after the
+    last step of an existing file are added, so a resumed run continues
+    the file contiguously; a missing, empty or header-only file is
+    rewritten."""
+    after = -1
+    if append and Path(path).exists():
+        last = "".join(Path(path).read_text().splitlines()[-1:]).split(",")[0]
+        after = int(last) if last.isdigit() else -1
+    with open(path, "a" if after >= 0 else "w", newline="") as f:
+        writer = csv.writer(f)
+        if after < 0:
+            writer.writerow(header.split(","))
+        writer.writerows([_cell(v) for v in row] for row in rows
+                         if after < 0 or row[0] > after)
 
 
 def _ticks(lo: float, hi: float, count: int = 6):

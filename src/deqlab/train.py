@@ -11,9 +11,7 @@ holds at desk scale.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -42,6 +40,7 @@ from .model import (
     solve_equilibrium,
     well_posedness,
 )
+from .reporting import write_csv
 
 __all__ = [
     "TrainConfig",
@@ -329,44 +328,16 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                          lambda_0=lambda_0, phi_0=phi0)
 
 
-def _write_rows(path, header: str, rows, append: bool) -> None:
-    """CSV of `header` and `rows`, each row led by its step. With `append`
-    onto an existing file, only the rows after its last step are added, so
-    a resumed run continues the file contiguously."""
-    after = -1
-    if append and Path(path).exists():
-        # the last row's step; a header-only or empty file is rewritten
-        last = "".join(Path(path).read_text().splitlines()[-1:]).split(",")[0]
-        after = int(last) if last.isdigit() else -1
-    with open(path, "a" if after >= 0 else "w", newline="") as f:
-        writer = csv.writer(f)
-        if after < 0:
-            writer.writerow(header.split(","))
-        writer.writerows(row for row in rows if row[0] > after)
-
-
 def write_metrics_csv(path, trace: TrainTrace, append: bool = False) -> None:
     """Metrics CSV with the exact header the experiment tooling expects."""
-    _write_rows(path, METRICS_HEADER, ([
-        r.step,
-        f"{r.loss:.17g}",
-        f"{r.w_spec_norm:.17g}",
-        f"{r.lambda_tau:.17g}",
-        f"{r.grad_norm_sq:.17g}",
-        f"{r.pl_ratio:.17g}",
-        f"{r.rate_envelope:.17g}",
-        r.solver_iters,
-        f"{r.residual:.17g}",
-    ] for r in trace.records), append)
+    names = METRICS_HEADER.split(",")
+    write_csv(path, METRICS_HEADER,
+              ([getattr(r, name) for name in names] for r in trace.records), append)
 
 
 def write_solver_trace_csv(path, trace: TrainTrace, append: bool = False) -> None:
     """Solver-effort sidecar: forward and adjoint iterations and final
     residuals per recorded step, under SOLVER_TRACE_HEADER."""
-    _write_rows(path, SOLVER_TRACE_HEADER, ([
-        r.step,
-        r.solver_iters,
-        r.adjoint_iters,
-        f"{r.residual:.17g}",
-        f"{r.adjoint_residual:.17g}",
-    ] for r in trace.records), append)
+    write_csv(path, SOLVER_TRACE_HEADER,
+              ([r.step, r.solver_iters, r.adjoint_iters, r.residual,
+                r.adjoint_residual] for r in trace.records), append)

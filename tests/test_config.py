@@ -62,6 +62,22 @@ class TestSections:
         with pytest.raises(ConfigError, match=r"unknown keys in section 'train'"):
             load_config(None, ["train.solver=1"])
 
+    def test_empty_section_takes_overrides(self, tmp_path):
+        path = tmp_path / "empty.yaml"
+        path.write_text("train:\n")
+        assert load_config(path)[0].train.steps == 500
+        cfg, doc = load_config(path, ["train.steps=5"])
+        assert cfg.train.steps == 5 and doc["train"]["steps"] == 5
+
+    def test_list_root_with_override_exits_2(self, runner, tmp_path):
+        path = tmp_path / "list.yaml"
+        path.write_text("- train\n")
+        result = runner.invoke(main, ["gen-data", "-c", str(path),
+                                      "--set", "data.n=4",
+                                      "--set", f"output.directory={tmp_path}"])
+        assert result.exit_code == 2, result.output
+        assert "config root must be a mapping" in result.output
+
     @pytest.mark.parametrize("item, section", [
         ("model.m=abc", "model"),
         ("data.n=abc", "data"),
@@ -74,6 +90,9 @@ class TestSections:
         ("train.monitor_every=true", "train"),
         ("output.directory=5", "output"),
         ("model.m=[100, x]", "model"),
+        ("model.m=[10.5]", "model"),
+        ("model.m=[true]", "model"),
+        ("concentration.m_list=[10.5]", "concentration"),
     ])
     def test_mistyped_value_exits_2(self, runner, tmp_path, item, section):
         result = runner.invoke(main, ["gen-data",
