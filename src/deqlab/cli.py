@@ -69,7 +69,6 @@ from .model import (
 )
 from .reporting import config_hash, line_plot_svg, write_csv, write_run_manifest
 from .train import (
-    auto_eta,
     gram_min_eig,
     train,
     write_metrics_csv,
@@ -249,32 +248,27 @@ def cmd_train(cfg, doc):
                 f"the config asks for {(widths[0], ds.d, cfg.model.sigma_w2)}")
     out = _out_dir(cfg)
 
-    if len(widths) > 1 and t.eta == "auto":
-        # One step size for the whole sweep: the stability bound binds at
-        # the largest width and is safe for all smaller ones.
-        p_big = init_params(widths[-1], ds.d, cfg.model.sigma_w2, cfg.model.seed)
-        sol_big = solve_equilibrium(p_big, ds.x, t.solver)
-        t = replace(t, eta=auto_eta(p_big, sol_big.z, ds.x, t.auto_eta_safety,
-                                    t.solver))
-        click.echo(f"shared eta (auto at m={widths[-1]}): {t.eta:.6g}")
-
     outputs = []
     traces = {}
-    for m in widths:
+    # Largest width first: under auto eta its step size, where the
+    # stability bound binds, is then shared by the smaller widths.
+    for m in reversed(widths):
         tag = f"m{m}"
         p0 = p_resume if t.resume is not None else init_params(
             m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
 
-        checkpoints = []
-        _, trace = train(
-            p0, ds, t, start_step=start_step, anchor=anchor,
-            on_checkpoint=(lambda step, params: checkpoints.append((step, params)))
-            if t.checkpoint_every else None,
-            checkpoint_every=t.checkpoint_every)
+        steps = []
 
-        for step, params in checkpoints:
+        def checkpoint(step, params):
+            save_params(out / f"ckpt_{tag}_{step:06d}.npz", params)
+            steps.append(step)
+
+        _, trace = train(p0, ds, t, start_step=start_step, anchor=anchor,
+                         on_checkpoint=checkpoint if t.checkpoint_every else None,
+                         checkpoint_every=t.checkpoint_every)
+
+        for step in steps:  # the sidecars need the run's eta and anchors
             ck = out / f"ckpt_{tag}_{step:06d}.npz"
-            save_params(ck, params)
             ck.with_suffix(".json").write_text(json.dumps({
                 "step": step, "eta": trace.eta, "lambda_0": trace.lambda_0,
                 "phi_0": trace.phi_0, "config_hash": config_hash(doc),
@@ -286,18 +280,21 @@ def cmd_train(cfg, doc):
             write(out / name, trace, append=t.resume is not None)
             outputs.append(name)
 
-        traces[tag] = trace
+        traces[m] = trace
         click.echo(f"{tag}: eta={trace.eta:.6g} ({trace.eta_mode}) "
                    f"phi0={trace.phi_0:.6g} final={trace.records[-1].loss:.6g} "
                    f"max||W||={max(r.w_spec_norm for r in trace.records):.4f}")
+        if len(widths) > 1 and t.eta == "auto":
+            t = replace(t, eta=trace.eta)
+            click.echo(f"shared eta (auto at m={m}): {t.eta:.6g}")
 
     for name, title, ylabel, logy in (
             ("loss", "Training loss", "loss", True),
             ("w_spec_norm", "Spectral norm of W", "||W||_2", False),
             ("lambda_tau", "Least Gram eigenvalue", "lambda_tau", False)):
         line_plot_svg(out / f"{name}.svg",
-                      {tag: (trace.column("step"), trace.column(name))
-                       for tag, trace in traces.items()},
+                      {f"m{m}": (traces[m].column("step"), traces[m].column(name))
+                       for m in widths},
                       title, "step", ylabel, logy=logy)
         outputs.append(f"{name}.svg")
     write_run_manifest(out, doc,

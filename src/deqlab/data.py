@@ -8,6 +8,7 @@ Dataset constructor enforces them.
 
 from __future__ import annotations
 
+import itertools
 import struct
 import warnings
 from dataclasses import dataclass, field
@@ -39,14 +40,6 @@ NORM_RTOL = 1e-8
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 CIFAR_RECORD_BYTES = 3073
-CIFAR_PIXELS = 3072
-
-
-def _pairwise_cosines(x: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(x, axis=0)
-    c = (x.T @ x) / np.outer(norms, norms)
-    np.fill_diagonal(c, 0.0)
-    return c
 
 
 @dataclass(frozen=True)
@@ -80,7 +73,8 @@ class Dataset:
                 f"columns {bad[:8].tolist()} have norm != sqrt(d): "
                 f"{norms[bad[:8]].tolist()}")
         if x.shape[1] > 1:
-            c = _pairwise_cosines(x)
+            c = (x.T @ x) / np.outer(norms, norms)
+            np.fill_diagonal(c, 0.0)
             i, j = np.unravel_index(int(np.argmax(np.abs(c))), c.shape)
             if abs(c[i, j]) > PARALLEL_COS_TOL:
                 raise AssumptionError(
@@ -113,13 +107,41 @@ def normalize_to_sphere(x_raw) -> np.ndarray:
     return x * (np.sqrt(x.shape[0]) / norms)
 
 
+def _pick_columns(x, candidates, start: int = 0) -> list:
+    """Fill the columns of x from `start` on, in order, from `candidates`,
+    (key, column) pairs whose columns have norm sqrt(d).
+
+    A candidate is kept unless it is parallel to a column kept before it,
+    x[:, :start] included, by Dataset's own test (|cos| >
+    PARALLEL_COS_TOL), so a filled x always passes the constructor. No
+    candidate is pulled once x is full (start < x.shape[1] is assumed).
+    Returns the keys kept: fewer than the columns to fill when the
+    candidates run out.
+    """
+    norms = np.empty(x.shape[1])
+    norms[:start] = np.linalg.norm(x[:, :start], axis=0)
+    keys = []
+    k = start
+    for key, col in candidates:
+        norm = np.linalg.norm(col)
+        cos = (x[:, :k].T @ col) / (norms[:k] * norm)
+        if not (np.abs(cos) > PARALLEL_COS_TOL).any():
+            x[:, k], norms[k] = col, norm
+            keys.append(key)
+            k += 1
+            if k == x.shape[1]:
+                break
+    return keys
+
+
 def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     """Uniform points on the radius-sqrt(d) sphere with Gaussian labels.
 
     Deterministic in (n, d, seed): columns are standard Gaussian draws
     rescaled to norm sqrt(d); labels are standard Gaussian clipped to
-    [-y_cap, y_cap]. Any column pair that comes out parallel (or any zero
-    draw) is redrawn from the same stream.
+    [-y_cap, y_cap]. A draw parallel to an earlier kept one is dropped
+    and a fresh draw from the same stream appended after the others, at
+    most n times.
     """
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
@@ -128,23 +150,15 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     if d < 2:
         raise InputError(f"d must be >= 2, got {d}")
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((d, n))
-    for _ in range(100):
-        bad = set(np.nonzero(np.linalg.norm(x, axis=0) == 0.0)[0].tolist())
-        if not bad:
-            xn = normalize_to_sphere(x)
-            if n > 1:
-                c = _pairwise_cosines(xn)
-                ii, jj = np.nonzero(np.abs(c) > PARALLEL_COS_TOL)
-                bad |= {int(j) for i, j in zip(ii, jj) if i < j}
-        if not bad:
-            break
-        for k in sorted(bad):
-            x[:, k] = rng.standard_normal(d)
-    else:
-        raise AssumptionError("could not draw a dataset without parallel pairs")
+    draws = normalize_to_sphere(rng.standard_normal((d, n))).T
+    redraws = (normalize_to_sphere(rng.standard_normal((d, 1)))[:, 0]
+               for _ in range(n))
+    x = np.empty((d, n))
+    if len(_pick_columns(x, enumerate(itertools.chain(draws, redraws)))) < n:
+        raise AssumptionError(f"could not draw {n} points without parallel "
+                              f"pairs in d={d} within {n} redraws")
     y = np.clip(rng.standard_normal(n), -y_cap, y_cap)
-    return Dataset(x=xn, y=y, provenance="synthetic", y_cap=y_cap)
+    return Dataset(x=x, y=y, provenance="synthetic", y_cap=y_cap)
 
 
 def _read_exact(f, count: int, what: str) -> bytes:
@@ -211,73 +225,45 @@ def subset_binary(raw, class_a: int, class_b: int, per_class: int, seed: int,
                   provenance: str = "file") -> Dataset:
     """Draw a balanced two-class subset with labels -1 (class_a) / +1 (class_b).
 
-    Samples per_class images of each class without replacement (seeded),
-    normalizes columns to sqrt(d), and swaps out any sample whose column is
-    parallel to another (or zero) for a fresh one from the same class pool.
-    Irreparable duplicates raise with the offending source indices.
+    Each class's samples are taken in a seeded random order, normalized
+    to norm sqrt(d), and the first per_class that are nonzero and not
+    parallel to an earlier pick (of either class) are kept. A class that
+    runs out raises with the source indices it had to reject.
     """
     pixels, labels = raw
     if per_class < 1:
         raise InputError("per_class must be >= 1")
+
+    def candidates(order):
+        for idx in order:
+            col = pixels[:, idx]
+            norm = np.linalg.norm(col)
+            if norm != 0.0:
+                yield idx, col * (np.sqrt(pixels.shape[0]) / norm)
+
     rng = np.random.default_rng(seed)
-    chosen = []
-    for cls in (class_a, class_b):
+    x = np.empty((pixels.shape[0], 2 * per_class))
+    picked = []
+    for side, cls in enumerate((class_a, class_b)):
         pool = np.nonzero(labels == cls)[0]
         if pool.size < per_class:
             raise InputError(
                 f"class {cls} has only {pool.size} samples, need {per_class}")
-        order = rng.permutation(pool)
-        chosen.append(list(order[:per_class]))
-        chosen.append(list(order[per_class:]))
-    picked = np.array(chosen[0] + chosen[2], dtype=np.int64)
-    reserves = [list(chosen[1]), list(chosen[3])]
-
-    def column(idx):
-        col = pixels[:, idx]
-        norm = np.linalg.norm(col)
-        return None if norm == 0.0 else col * (np.sqrt(pixels.shape[0]) / norm)
-
-    x = np.empty((pixels.shape[0], 2 * per_class))
-    for pos, idx in enumerate(picked):
-        col = column(idx)
-        while col is None:
-            side = 0 if pos < per_class else 1
-            if not reserves[side]:
-                raise AssumptionError(f"sample {idx} is all zeros and the class "
-                                      f"pool is exhausted")
-            idx = reserves[side].pop(0)
-            picked[pos] = idx
-            col = column(idx)
-        x[:, pos] = col
-
-    for _ in range(2 * per_class):
-        c = _pairwise_cosines(x)
-        ii, jj = np.nonzero(np.abs(c) > PARALLEL_COS_TOL)
-        dup = [(int(i), int(j)) for i, j in zip(ii, jj) if i < j]
-        if not dup:
-            break
-        pos = dup[0][1]
-        side = 0 if pos < per_class else 1
-        if not reserves[side]:
-            offending = sorted({picked[i] for pair in dup for i in pair})
+        order = rng.permutation(pool).tolist()
+        keys = _pick_columns(x[:, :(side + 1) * per_class], candidates(order),
+                             start=side * per_class)
+        if len(keys) < per_class:
+            rejected = sorted(set(order) - set(keys))
             raise AssumptionError(
-                f"parallel duplicate images at source indices {offending} "
-                f"and no replacements left")
-        idx = reserves[side].pop(0)
-        col = column(idx)
-        if col is None:
-            continue
-        picked[pos] = idx
-        x[:, pos] = col
-    else:
-        offending = sorted({int(picked[i]) for pair in dup for i in pair})
-        raise AssumptionError(
-            f"could not eliminate parallel duplicates; source indices {offending}")
+                f"class {cls}: {len(keys)} of its samples are nonzero and not "
+                f"parallel to an earlier pick, need {per_class}; rejected "
+                f"source indices {rejected[:8]}")
+        picked += keys
 
     y = np.concatenate([np.full(per_class, -1.0), np.full(per_class, 1.0)])
     return Dataset(x=x, y=y, provenance=provenance,
                    extra={"class_a": class_a, "class_b": class_b,
-                          "source_indices": picked.tolist(),
+                          "source_indices": picked,
                           "label_encoding": "-1 for class_a, +1 for class_b"})
 
 

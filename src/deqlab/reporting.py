@@ -42,14 +42,25 @@ def write_csv(path, header: str, rows, append: bool = False) -> None:
     `%.17g`, so they round-trip bit-exactly; bools as `true`/`false`;
     anything else as `str`.
 
-    With `append`, rows are led by their step, and only those after the
-    last step of an existing file are added, so a resumed run continues
-    the file contiguously; a missing, empty or header-only file is
-    rewritten."""
-    after = -1
+    With `append`, rows are led by their step. An existing file is cut
+    after the row of the first new step, and then only rows after its
+    last step are added, so a resumed run continues the file
+    contiguously and replaces the rows the file had past its start; a
+    missing, empty or header-only file, or one whose rows all come after
+    the first new step, is rewritten."""
+    rows = list(rows)
+    first = rows[0][0] if rows else math.inf
+    after, keep = -1, 0  # the kept file's last step and its length in bytes
     if append and Path(path).exists():
-        last = "".join(Path(path).read_text().splitlines()[-1:]).split(",")[0]
-        after = int(last) if last.isdigit() else -1
+        lines = Path(path).read_bytes().splitlines(keepends=True)
+        size = sum(map(len, lines[:1]))
+        for line in lines[1:]:
+            step = line.split(b",")[0]
+            if not step.isdigit() or int(step) > first:
+                break
+            size += len(line)
+            after, keep = int(step), size
+        os.truncate(path, keep)
     with open(path, "a" if after >= 0 else "w", newline="") as f:
         writer = csv.writer(f)
         if after < 0:

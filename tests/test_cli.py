@@ -231,6 +231,59 @@ class TestTrainCommand:
         assert (out / "metrics_m10.csv").exists()
         assert (out / "metrics_m30.csv").exists()
 
+    def test_sweep_solves_each_width_cold_once(self, runner, tmp_path,
+                                               monkeypatch):
+        import deqlab.cli
+        import deqlab.train
+        cold = []
+        for module in (deqlab.cli, deqlab.train):
+            def counted(p, x, cfg, z0=None, _solve=module.solve_equilibrium):
+                if z0 is None:
+                    cold.append(p.m)
+                return _solve(p, x, cfg, z0=z0)
+            monkeypatch.setattr(module, "solve_equilibrium", counted)
+        result = run_ok(runner, ["train", "--set", "data.n=12",
+                                 "--set", "data.d=8",
+                                 "--set", "model.m=[10, 30]",
+                                 "--set", "train.steps=2",
+                                 "--set", f"output.directory={tmp_path}"])
+        assert cold == [30, 10]
+        assert result.output.splitlines()[0].startswith("m30: eta=")
+        assert "(auto)" in result.output.splitlines()[0]
+
+    def test_checkpoint_written_when_it_fires(self, runner, tmp_path,
+                                              monkeypatch):
+        import deqlab.cli
+        real, on_disk = deqlab.cli.train, []
+
+        def train(*args, on_checkpoint=None, **kwargs):
+            def checkpoint(step, params):
+                on_checkpoint(step, params)
+                on_disk.append((tmp_path / f"ckpt_m20_{step:06d}.npz").exists())
+            return real(*args, on_checkpoint=checkpoint, **kwargs)
+
+        monkeypatch.setattr(deqlab.cli, "train", train)
+        run_ok(runner, tiny_train_args(tmp_path, ["--set",
+                                                  "train.checkpoint_every=1"]))
+        assert on_disk == [True] * 4
+        assert len(list(tmp_path.glob("ckpt_m20_*.json"))) == 4
+
+    def test_resume_replaces_the_rows_past_its_start(self, runner, tmp_path):
+        out, fresh = tmp_path / "o", tmp_path / "fresh"
+        run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
+        ckpt = out / "ckpt_m20_000002.npz"
+        before = {name: (out / name).read_bytes().splitlines(keepends=True)
+                  for name in ("metrics_m20.csv", "trace_m20.csv")}
+        for target in (out, fresh):
+            run_ok(runner, tiny_train_args(target, ["--set", "train.steps=2",
+                                                    "--set", f"train.resume={ckpt}"]))
+        for name, lines in before.items():
+            resumed = (fresh / name).read_bytes().splitlines(keepends=True)
+            assert [line.split(b",")[0] for line in resumed[1:]] == [b"2", b"3", b"4"]
+            assert resumed[2:] != lines[4:]
+            assert (out / name).read_bytes().splitlines(keepends=True) == \
+                lines[:4] + resumed[2:]
+
     def test_resume_contiguous(self, runner, tmp_path):
         out = tmp_path / "o"
         run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))

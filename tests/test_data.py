@@ -97,6 +97,23 @@ class TestGenSphereData:
             ds = gen_sphere_data(1, 4, seed=5)
         assert ds.n == 1
 
+    def test_parallel_draw_is_redrawn_after_the_others(self):
+        # At d=2 draw 42 of seed 844110 is parallel to an earlier one: it
+        # is dropped, the later draws move up and one redraw from the same
+        # stream, taken before the labels, fills the last column.
+        n, d, seed = 47, 2, 844110
+        rng = np.random.default_rng(seed)
+        draws = normalize_to_sphere(rng.standard_normal((d, n)))
+        redraw = normalize_to_sphere(rng.standard_normal((d, 1)))
+        labels = rng.standard_normal(n)
+        cos = draws[:, :42].T @ draws[:, 42] / d
+        assert np.abs(cos).max() > 1.0 - 1e-9
+        ds = gen_sphere_data(n, d, seed)
+        np.testing.assert_array_equal(ds.x[:, :42], draws[:, :42])
+        np.testing.assert_array_equal(ds.x[:, 42:46], draws[:, 43:])
+        np.testing.assert_array_equal(ds.x[:, 46], redraw[:, 0])
+        np.testing.assert_array_equal(ds.y, labels)
+
     def test_bad_ranges(self):
         with pytest.raises(InputError):
             gen_sphere_data(0, 4, seed=0)
@@ -213,6 +230,34 @@ class TestSubsetBinary:
         labels = np.array([0, 0, 1, 1])
         with pytest.raises(AssumptionError, match="parallel"):
             subset_binary((pixels, labels), 0, 1, per_class=2, seed=0)
+
+    def test_error_lists_plain_source_indices(self):
+        col = np.arange(1.0, 7.0)
+        pixels = np.column_stack([col, 2 * col, col * 0.5, 3 * col])
+        with pytest.raises(AssumptionError,
+                           match=r"class 0: 1 of .* source indices \[[01]\]$"):
+            subset_binary((pixels, np.array([0, 0, 1, 1])), 0, 1, per_class=2,
+                          seed=0)
+
+    def test_zero_samples_skipped(self):
+        rng = np.random.default_rng(2)
+        pixels = rng.integers(1, 255, size=(6, 5)).astype(np.float64)
+        pixels[:, 0] = 0.0
+        labels = np.array([0, 0, 0, 1, 1])
+        for seed in range(10):
+            ds = subset_binary((pixels, labels), 0, 1, per_class=2, seed=seed)
+            assert sorted(ds.extra["source_indices"][:2]) == [1, 2]
+
+    def test_parallel_pick_replaced_from_the_rest_of_the_pool(self):
+        # Class 1 holds three multiples of class 0's sample and one more:
+        # every seed must end with that one, however the pool is ordered.
+        a = np.arange(1.0, 7.0)
+        c = np.random.default_rng(0).integers(1, 255, 6).astype(np.float64)
+        pixels = np.column_stack([a, 2 * a, 3 * a, 4 * a, c])
+        labels = np.array([0, 1, 1, 1, 1])
+        for seed in range(40):
+            ds = subset_binary((pixels, labels), 0, 1, per_class=1, seed=seed)
+            assert ds.extra["source_indices"] == [0, 4]
 
     def test_duplicate_replaced_when_possible(self):
         d = 6

@@ -54,6 +54,13 @@ class TestWriteCsv:
                                  ["2", "0.25"], ["3", "0.125"],
                                  ["4", "0.0625"]]
 
+    def test_append_cuts_the_file_after_the_first_new_step(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(path, "step,loss", [(0, 1.0), (1, 0.5), (2, 0.25), (3, 0.125)])
+        write_csv(path, "step,loss", [(1, 9.0), (2, 8.0), (3, 7.0)], append=True)
+        assert rows_of(path) == [["step", "loss"], ["0", "1"], ["1", "0.5"],
+                                 ["2", "8"], ["3", "7"]]
+
     @pytest.mark.parametrize("existing", [None, b"", b"step,loss\r\n"])
     def test_append_rewrites_a_missing_empty_or_header_only_file(
             self, tmp_path, existing):
