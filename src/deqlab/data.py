@@ -275,6 +275,12 @@ def subset_binary(raw, class_a: int, class_b: int, per_class: int, seed: int,
 # first). Values are written with repr-exact precision (%.17g).
 
 
+def _values_text(values) -> str:
+    """One '%.17g' line per value of a 1-D float64 array, as one string.
+    Python floats format exactly as the numpy scalars do."""
+    return "".join(map("{:.17g}\n".format, values.tolist()))
+
+
 def save_matrix_csv(path, a) -> None:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -282,8 +288,8 @@ def save_matrix_csv(path, a) -> None:
     with open(path, "w") as f:
         f.write("d,n\n")
         f.write(f"{a.shape[0]},{a.shape[1]}\n")
-        for v in a.flatten(order="F"):
-            f.write(f"{v:.17g}\n")
+        for col in a.T:
+            f.write(_values_text(col))
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -305,8 +311,7 @@ def save_labels_csv(path, y) -> None:
     y = np.asarray(y, dtype=np.float64).ravel()
     with open(path, "w") as f:
         f.write("y\n")
-        for v in y:
-            f.write(f"{v:.17g}\n")
+        f.write(_values_text(y))
 
 
 def load_labels_csv(path) -> np.ndarray:

@@ -101,14 +101,17 @@ def kernel_layer_sequence(x, sigma_w2: float, depth: int):
     xtx_over_d = cos.copy()
     ks = []
     # l = 1: rho = 1 and the cosine is the raw normalized inner product.
-    k = q_func(cos)
-    np.fill_diagonal(k, 1.0)
-    ks.append(k)
+    # The cosine's diagonal is exactly 1 and Q(1) == 1.0, so q is K^(l)/rho
+    # bit for bit, and the next level reuses it.
+    q = q_func(cos)
+    np.fill_diagonal(q, 1.0)
+    ks.append(q)
     for level in range(2, depth + 1):
         r = rho(sigma_w2, level)
-        cos = (1.0 - 1.0 / r) * q_func(cos) + xtx_over_d / r
+        cos = (1.0 - 1.0 / r) * q + xtx_over_d / r
         np.fill_diagonal(cos, 1.0)
-        k = r * q_func(cos)
+        q = q_func(cos)
+        k = r * q
         np.fill_diagonal(k, r)
         ks.append(k)
     return ks, cos

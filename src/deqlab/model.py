@@ -40,8 +40,11 @@ CERT_MARGIN = 1e-5
 
 # Picard solves whose layer map costs at least this many multiply-adds
 # (m^2 n) run in defect-correction rounds with float32 iterations on the
-# correction; see _iterate.
-F32_MIN_MADDS = 2**27
+# correction; see _iterate. Rounds were at least as fast as plain float64
+# from m^2 n = 6.4e5 on (2 OpenBLAS threads), so the cut does not follow
+# speed: it keeps the small solves that finite differences resolve in
+# plain float64.
+F32_MIN_MADDS = 2**22
 # The float32 rounding floor of a correction round, relative to ||r||.
 _ROUND_FLOOR = 2.0 * float(np.finfo(np.float32).eps)
 
@@ -222,9 +225,13 @@ def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
     the float32 rounding floor of the round, or when the increments stop
     contracting; then x_b <- x_b + d, clipped at 0 for a map with `clip`.
     Only a float64 residual can stop the loop. Below the cut the loop is
-    plain float64: small solves gain nothing from float32, and its
-    rounding would make the solution non-smooth in the parameters at the
-    tolerance level, which the finite-difference references resolve.
+    plain float64, bit for bit. Speed alone would put the cut lower:
+    over n in {16, 64, 200} and m from 100 to 1600, cold and warm rounds
+    were at least as fast as the float64 loop from m^2 n = 6.4e5 on
+    (2 OpenBLAS threads). The cut exists to keep the finite-difference
+    regime smooth: float32 rounding makes the solution non-smooth in the
+    parameters at the tolerance level, which the finite-difference
+    references and grad-check (m^2 n <= 1.6e4) resolve.
     Every application counts in `iterations` and adds one residual; a
     float32 one is ||d+ - d||_F / max(1, ||x_b + d||_F).
     """

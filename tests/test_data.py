@@ -305,6 +305,33 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(load_labels_csv(path), y)
 
 
+class TestCsvByteFormat:
+    """Both writers print each value as f"{v:.17g}" formats the numpy
+    float64, one per line, and load_* reads the same bits back."""
+
+    VALUES = np.array([-0.0, 5e-324, 1e308, 0.1, 1 / 3])
+
+    @staticmethod
+    def expected(values):
+        return "".join(f"{v:.17g}\n" for v in values)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+    def test_matrix(self, tmp_path, shape):
+        a = self.VALUES.reshape(shape)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, a)
+        assert path.read_text() == (f"d,n\n{shape[0]},{shape[1]}\n"
+                                    + self.expected(a.flatten(order="F")))
+        assert load_matrix_csv(path).tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1)])
+    def test_labels(self, tmp_path, shape):
+        path = tmp_path / "y.csv"
+        save_labels_csv(path, self.VALUES.reshape(shape))
+        assert path.read_text() == "y\n" + self.expected(self.VALUES)
+        assert load_labels_csv(path).tobytes() == self.VALUES.tobytes()
+
+
 @settings(deadline=None, max_examples=20)
 @given(n=st.integers(2, 30), d=st.integers(2, 30), seed=st.integers(0, 10**6))
 def test_gen_sphere_invariants_property(n, d, seed):

@@ -304,19 +304,34 @@ class Recorded:
 KINDS = ("forward", "adjoint", "sensitivity")
 
 
+def shifted(prob):
+    """The instance `prob` (seed 41) after W moved by 1e-2 relative, with
+    prob's solutions as warm starts, as in a training step."""
+    moved = Problem(prob.p.m, prob.ds.n, prob.p.d, seed=41, w_shift=1e-2)
+    return moved, {kind: prob.solve(kind)[0] for kind in KINDS}
+
+
 @pytest.fixture(scope="module")
 def at_cut():
     """An instance whose layer map costs exactly the float32 cut."""
-    assert 1024 * 1024 * 128 == F32_MIN_MADDS
-    return Problem(1024, 128, 32, seed=41)
+    assert 512 * 512 * 16 == F32_MIN_MADDS
+    return Problem(512, 16, 32, seed=41)
 
 
 @pytest.fixture(scope="module")
 def moved(at_cut):
-    """The at-cut instance after W moved by 1e-2 relative, with the
-    at-cut solutions as warm starts, as in a training step."""
-    prob = Problem(1024, 128, 32, seed=41, w_shift=1e-2)
-    return prob, {kind: at_cut.solve(kind)[0] for kind in KINDS}
+    return shifted(at_cut)
+
+
+@pytest.fixture(scope="module")
+def training():
+    """A training-shaped instance, 1024 x 128: 32 times the cut."""
+    return Problem(1024, 128, 32, seed=41)
+
+
+@pytest.fixture(scope="module")
+def training_moved(training):
+    return shifted(training)
 
 
 class TestPicardEngineAtCut:
@@ -399,6 +414,18 @@ class TestPicardEngineAtCut:
         assert again.iterations == 1
 
 
+class TestPicardEngineAtTrainingShape(TestPicardEngineAtCut):
+    """The at-cut tests again on the training-shaped instance."""
+
+    @pytest.fixture
+    def at_cut(self, training):
+        return training
+
+    @pytest.fixture
+    def moved(self, training_moved):
+        return training_moved
+
+
 class TestEquilibriumPreActivation:
     """sol.pre is W z + U x at the returned z, bitwise, so the mask built
     from it is the mask of the equilibrium."""
@@ -419,13 +446,18 @@ class TestEquilibriumPreActivation:
         p = prob.p
         assert np.array_equal(sol.pre, p.w @ z + p.u @ prob.ds.x)
 
-    @pytest.mark.parametrize("size", ["below", "at_cut"])
-    def test_gradients_match_recomputed_mask(self, at_cut, size):
+    @pytest.mark.parametrize("start", ["cold", "warm", "moved"])
+    def test_at_training_shape(self, training, training_moved, start):
+        self.test_at_cut(training, training_moved, start)
+
+    @pytest.mark.parametrize("size", ["below", "at_cut", "training"])
+    def test_gradients_match_recomputed_mask(self, request, size):
         if size == "below":
             p, ds, sol = instance(15, 6, 5, seed=2)
         else:
-            p, ds = at_cut.p, at_cut.ds
-            sol = at_cut.solve("forward")[1]
+            prob = request.getfixturevalue(size)
+            p, ds = prob.p, prob.ds
+            sol = prob.solve("forward")[1]
         g, adj = gradients(p, sol, ds.x, ds.y)
         mask = activation_mask(p.w @ sol.z + p.u @ ds.x)
         ref = solve_adjoint(p, mask, predict(p, sol.z) - ds.y)
@@ -437,11 +469,12 @@ class TestSeededAdjoint:
     """solve_adjoint(..., m0, seed) takes seed for W^T m0: the first
     application makes no product and never stops the solve."""
 
-    @pytest.fixture(params=["below", "at_cut"])
-    def warm(self, request, moved):
+    @pytest.fixture(params=["below", "at_cut", "training"])
+    def warm(self, request):
         # W moved by 1e-2 relative, with the unmoved solution as m0
-        if request.param == "at_cut":
-            prob, starts = moved
+        if request.param != "below":
+            moved = {"at_cut": "moved", "training": "training_moved"}
+            prob, starts = request.getfixturevalue(moved[request.param])
             return prob, starts["adjoint"]
         prob = Problem(60, 12, 10, seed=9, w_shift=1e-2)
         return prob, Problem(60, 12, 10, seed=9).solve("adjoint")[0]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from deqlab import kernel
 from deqlab.data import gen_sphere_data
 from deqlab.errors import InputError
 from deqlab.kernel import (
@@ -135,6 +136,30 @@ class TestKernelRecursion:
         ks, _ = kernel_layer_sequence(gen_sphere_data(10, 6, seed=3).x, 0.1, 8)
         for k in ks:
             assert min_eig_sym(k) >= -1e-10 * spectral_norm(k)
+
+    def test_bitwise_the_recursion_written_out(self, monkeypatch):
+        # The recursion as the definition reads, Q evaluated twice per
+        # level; the library evaluates it once per level and reuses it.
+        x = gen_sphere_data(12, 7, seed=4).x
+        sigma_w2, depth = 0.08, 60
+        c1 = np.clip(x.T @ x / 7, -1.0, 1.0)
+        np.fill_diagonal(c1, 1.0)
+        cos, ref = c1, [q_func(c1)]
+        np.fill_diagonal(ref[0], 1.0)
+        for level in range(2, depth + 1):
+            r = rho(sigma_w2, level)
+            cos = (1.0 - 1.0 / r) * q_func(cos) + c1 / r
+            np.fill_diagonal(cos, 1.0)
+            ref.append(r * q_func(cos))
+            np.fill_diagonal(ref[-1], r)
+        calls = []
+        monkeypatch.setattr(kernel, "q_func",
+                            lambda c: calls.append(1) or q_func(c))
+        ks, cos_out = kernel_layer_sequence(x, sigma_w2, depth)
+        assert len(calls) == depth
+        assert np.array_equal(cos_out, cos)
+        for k, k_ref in zip(ks, ref, strict=True):
+            assert np.array_equal(k, k_ref)
 
 
 class TestKernelFixedPoint:
