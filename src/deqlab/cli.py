@@ -12,7 +12,6 @@ or verification failure, 1 anything unexpected.
 
 from __future__ import annotations
 
-import datetime
 import functools
 import json
 import sys
@@ -148,10 +147,6 @@ def build_dataset(cfg) -> Dataset:
     return Dataset(x=x, y=y, provenance="file", y_cap=d.y_cap)
 
 
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
 @main.command("gen-data")
 @_command
 def cmd_gen_data(cfg, doc):
@@ -169,8 +164,7 @@ def cmd_gen_data(cfg, doc):
     (out / "data.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
                                         + "\n")
     write_run_manifest(out, doc, {"data": cfg.data.seed},
-                       ["data.csv", "labels.csv", "data.meta.json"],
-                       timestamp=_timestamp())
+                       ["data.csv", "labels.csv", "data.meta.json"])
     click.echo(f"wrote dataset d={ds.d} n={ds.n} ({ds.provenance}) to {out}")
 
 
@@ -192,8 +186,7 @@ def cmd_kernel(cfg, doc):
                   logy=True)
     write_run_manifest(out, doc, {"data": cfg.data.seed},
                        ["kernel.csv", "cos_theta.csv", "kernel_summary.txt",
-                        "kernel_depth_decay.csv", "kernel_depth_decay.svg"],
-                       timestamp=_timestamp())
+                        "kernel_depth_decay.csv", "kernel_depth_decay.svg"])
     for key, value in summary.items():
         click.echo(f"{key} = {value}")
 
@@ -214,7 +207,7 @@ def cmd_check(cfg, doc):
     report = check_condition(bounds, lam0, ds.x, r0)
     write_condition_csv(out / "condition.csv", bounds, report)
     write_run_manifest(out, doc, {"data": cfg.data.seed, "model": cfg.model.seed},
-                       ["condition.csv"], timestamp=_timestamp())
+                       ["condition.csv"])
     click.echo(f"lambda_0 = {report.lambda_0:.6g}")
     click.echo(f"phi_0 = {report.phi_0:.6g}")
     click.echo(f"eta_max = {report.eta_max:.6g}")
@@ -297,9 +290,8 @@ def cmd_train(cfg, doc):
                        for m in widths},
                       title, "step", ylabel, logy=logy)
         outputs.append(f"{name}.svg")
-    write_run_manifest(out, doc,
-                       {"data": cfg.data.seed, "model": cfg.model.seed},
-                       outputs, timestamp=_timestamp())
+    write_run_manifest(out, doc, {"data": cfg.data.seed, "model": cfg.model.seed},
+                       outputs)
 
 
 @main.command("concentration")
@@ -348,7 +340,7 @@ def cmd_concentration(cfg, doc):
                            f"fraction(lambda0 >= m*lambda*/2) = {fr[m]:.3g}")
         elif name == "kernel_depth_decay":
             pk = kernel_fixed_point(ds.x, sigma_w2, tol=cfg.kernel.tol)
-            series = kernel_depth_decay(pk, ds.x, c.l)
+            series = kernel_depth_decay(pk, ds.x, cfg.kernel.l_max)
             write_csv(out / "kernel_depth_decay.csv", "l,error",
                       enumerate(series, start=1))
             outputs.append("kernel_depth_decay.csv")
@@ -375,16 +367,14 @@ def cmd_concentration(cfg, doc):
                        f"l={c.reconstruct_l}): identity error {id_err:.3e}, "
                        f"inner-product error {ip_err:.3e}")
 
-    write_run_manifest(out, doc, {"data": cfg.data.seed,
-                                  "concentration": c.base_seed},
-                       outputs, timestamp=_timestamp())
+    write_run_manifest(out, doc,
+                       {"data": cfg.data.seed, "concentration": c.base_seed},
+                       outputs)
 
 
 @main.command("grad-check")
-@click.option("--corrupt", is_flag=True, hidden=True,
-              help="negative control: perturb one gradient entry")
 @_command
-def cmd_grad_check(cfg, doc, corrupt):
+def cmd_grad_check(cfg, doc):
     """Verify implicit gradients against both reference constructions."""
     d = min(cfg.data.d, 8)
     ds = gen_sphere_data(5, d, cfg.data.seed)
@@ -395,10 +385,6 @@ def cmd_grad_check(cfg, doc, corrupt):
     step = 1e-5
     floor = (FD_ROUNDING_MULTIPLE * np.finfo(np.float64).eps
              * loss(predict(p, sol.z), ds.y) / step)
-    if corrupt:
-        bad = g.gw.copy()
-        bad[0, 0] += 1e-2 * (1 + abs(bad[0, 0]))
-        g = type(g)(gw=bad, gu=g.gu, ga=g.ga)
 
     failures = []
 

@@ -43,9 +43,9 @@ _Loader.add_implicit_resolver(
     list("-+0123456789"))
 
 # The YAML values a field annotation admits: an int is a float, a bool is
-# not an int, and `list[int]` is a list of ints.
+# neither, and `list[int]` is a list of ints.
 _ADMITS = {"int": (int,), "float": (int, float), "str": (str,),
-           "bool": (bool,), "list": (list,), "None": (type(None),)}
+           "list": (list,), "None": (type(None),)}
 
 
 def _admits(annotation: str, value) -> bool:
@@ -55,8 +55,7 @@ def _admits(annotation: str, value) -> bool:
             if isinstance(value, list) and all(_admits(kind[5:-1], v)
                                                for v in value):
                 return True
-        elif (isinstance(value, _ADMITS[kind])
-              and (kind == "bool" or not isinstance(value, bool))):
+        elif isinstance(value, _ADMITS[kind]) and not isinstance(value, bool):
             return True
     return False
 

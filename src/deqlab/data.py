@@ -281,6 +281,15 @@ def _values_text(values) -> str:
     return "".join(map("{:.17g}\n".format, values.tolist()))
 
 
+def _read_values(f, path) -> np.ndarray:
+    """The rest of the open file `f`, one float per line; InputError
+    naming `path` on a line that is not a number."""
+    try:
+        return np.loadtxt(f, dtype=np.float64, ndmin=1)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
 def save_matrix_csv(path, a) -> None:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
@@ -297,11 +306,13 @@ def load_matrix_csv(path) -> np.ndarray:
         header = f.readline().strip()
         if header != "d,n":
             raise InputError(f"{path}: expected header 'd,n', got {header!r}")
-        dims = f.readline().strip().split(",")
-        if len(dims) != 2:
-            raise InputError(f"{path}: expected '<d>,<n>' on line 2")
-        d, n = int(dims[0]), int(dims[1])
-        values = np.loadtxt(f, dtype=np.float64, ndmin=1)
+        line = f.readline().strip()
+        dims = line.split(",")
+        if len(dims) != 2 or not all(v.isdecimal() and int(v) > 0 for v in dims):
+            raise InputError(f"{path}: expected two positive integers "
+                             f"'<d>,<n>' on line 2, got {line!r}")
+        d, n = map(int, dims)
+        values = _read_values(f, path)
     if values.size != d * n:
         raise InputError(f"{path}: expected {d * n} values, found {values.size}")
     return values.reshape((d, n), order="F")
@@ -319,4 +330,4 @@ def load_labels_csv(path) -> np.ndarray:
         header = f.readline().strip()
         if header != "y":
             raise InputError(f"{path}: expected header 'y', got {header!r}")
-        return np.loadtxt(f, dtype=np.float64, ndmin=1)
+        return _read_values(f, path)

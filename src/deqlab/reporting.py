@@ -8,6 +8,7 @@ series so results can be eyeballed without a plotting stack.
 from __future__ import annotations
 
 import csv
+import datetime
 import hashlib
 import json
 import math
@@ -192,12 +193,12 @@ def environment() -> dict:
 
 
 def write_run_manifest(out_dir, config: dict, seeds: dict,
-                       outputs: list, timestamp: str | None = None) -> Path:
-    """run.json: config hash + echo, seeds, artifact version, output files
-    and the environment block.
+                       outputs: list) -> Path:
+    """run.json: config hash + echo, seeds, artifact version, output files,
+    the environment block and the UTC time of writing.
 
-    The optional timestamp is the only non-deterministic field; repeat
-    runs with identical config in one environment differ in nothing else.
+    The timestamp is the only non-deterministic field; repeat runs with
+    identical config in one environment differ in nothing else.
     """
     manifest = {
         "artifact_version": __version__,
@@ -206,9 +207,8 @@ def write_run_manifest(out_dir, config: dict, seeds: dict,
         "environment": environment(),
         "seeds": seeds,
         "outputs": sorted(str(o) for o in outputs),
+        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    if timestamp is not None:
-        manifest["timestamp"] = timestamp
     path = Path(out_dir) / "run.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str)
                     + "\n")

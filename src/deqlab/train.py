@@ -70,15 +70,14 @@ SOLVER_TRACE_HEADER = ("step,forward_iters,adjoint_iters,forward_residual,"
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """eta may be an explicit float or "auto" (curvature-scaled, see auto_eta)."""
+    """eta may be an explicit float or "auto": auto_eta at its default
+    safety, 1 / lambda_max(H)."""
 
     eta: float | str = "auto"
     steps: int = 500
     monitor_every: int = 1
     solver: SolverConfig = field(default_factory=SolverConfig)
     assert_mode: str = "record"  # "record" or "fail-fast"
-    auto_eta_safety: float = 0.5
-    warm_start: bool = True
 
     def __post_init__(self):
         if isinstance(self.eta, str):
@@ -92,8 +91,6 @@ class TrainConfig:
             raise InputError("monitor_every must be >= 1")
         if self.assert_mode not in ("record", "fail-fast"):
             raise InputError(f"unknown assert_mode {self.assert_mode!r}")
-        if not (0 < self.auto_eta_safety <= 1):
-            raise InputError("auto_eta_safety must lie in (0, 1]")
 
 
 @dataclass(frozen=True)
@@ -284,7 +281,7 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             elif tau == 0:
                 lambda_0, phi0 = gram_min_eig(sol.z), phi
                 if cfg.eta == "auto":
-                    eta = auto_eta(p, sol.z, data.x, cfg.auto_eta_safety, cfg.solver)
+                    eta = auto_eta(p, sol.z, data.x, solver=cfg.solver)
                     eta_mode = "auto"
                 else:
                     eta = float(cfg.eta)
@@ -303,11 +300,11 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             if tau == cfg.steps:
                 break
 
-            if cfg.warm_start:  # next step's starts; a Z start must be >= 0
-                z0 = np.maximum(_secant(sol.z, z_prev), 0.0)
-                z_prev, m0 = sol.z, adj.m
-                # W+^T M = W^T M - eta Z (M^T M): two m n^2 products
-                wtm0 = adj.product - eta * (sol.z @ (adj.m.T @ adj.m))
+            # next step's starts; a Z start must be >= 0
+            z0 = np.maximum(_secant(sol.z, z_prev), 0.0)
+            z_prev, m0 = sol.z, adj.m
+            # W+^T M = W^T M - eta Z (M^T M): two m n^2 products
+            wtm0 = adj.product - eta * (sol.z @ (adj.m.T @ adj.m))
             # W - eta G_W without a W-sized temporary: negation is exact,
             # so this is bitwise the same sum
             w = np.multiply(grads.gw, -eta)

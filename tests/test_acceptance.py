@@ -3,8 +3,8 @@
 Each test prints a single `[criterion N] PASS/FAIL` line (visible under
 `pytest -s` or in the captured output of a failure). Criteria 5-7 run
 Monte Carlo / training workloads sized for a desktop; the full module
-takes about 3.5 minutes on 2 cores, nearly all of it in criterion 7's width
-sweep.
+took 215 s on 2 cores (Intel Xeon, OpenBLAS with 2 threads), nearly all of
+it in criterion 7's width sweep (207 s).
 """
 
 import json

@@ -25,6 +25,23 @@ def run_ok(runner, args):
     return result
 
 
+@pytest.fixture
+def corrupt_gradients(monkeypatch):
+    """Negative control for grad-check: the command's implicit gradients
+    with one W entry perturbed."""
+    import deqlab.cli
+
+    exact = deqlab.cli.gradients
+
+    def perturbed(*args, **kwargs):
+        g, adj = exact(*args, **kwargs)
+        gw = g.gw.copy()
+        gw[0, 0] += 1e-2 * (1 + abs(gw[0, 0]))
+        return type(g)(gw=gw, gu=g.gu, ga=g.ga), adj
+
+    monkeypatch.setattr(deqlab.cli, "gradients", perturbed)
+
+
 def tiny_train_args(out, extra=()):
     return ["train", "--set", "data.n=10", "--set", "data.d=8",
             "--set", "data.seed=2", "--set", "model.m=20",
@@ -114,9 +131,25 @@ class TestExitCodes:
                                       "--set", f"output.directory={tmp_path / 'o'}"])
         assert result.exit_code == 4
 
-    def test_grad_check_corrupt_is_5(self, runner):
-        result = runner.invoke(main, ["grad-check", "--corrupt"])
+    def test_grad_check_corrupt_is_5(self, runner, corrupt_gradients):
+        result = runner.invoke(main, ["grad-check"])
         assert result.exit_code == 5
+        assert "['dense:W', 'fd:W']" in result.output
+
+    @pytest.mark.parametrize("dims, value, label, culprit", [
+        ("2,x", "1", "1", "x.csv"), ("2,1", "foo", "1", "x.csv"),
+        ("2,1", "1", "bar", "y.csv"), ("-1,-2", "1", "1", "x.csv")])
+    def test_malformed_data_file_is_2(self, runner, tmp_path, dims, value,
+                                      label, culprit):
+        (tmp_path / "x.csv").write_text(f"d,n\n{dims}\n{value}\n1\n")
+        (tmp_path / "y.csv").write_text(f"y\n{label}\n")
+        result = runner.invoke(main, ["gen-data", "--set", "data.kind=file",
+                                      "--set", f"data.matrix={tmp_path / 'x.csv'}",
+                                      "--set", f"data.labels_csv={tmp_path / 'y.csv'}",
+                                      "--set", f"output.directory={tmp_path / 'o'}"])
+        assert result.exit_code == 2, result.output
+        assert "error (InputError)" in result.output
+        assert f"{tmp_path / culprit}: " in result.output
 
     def test_well_posedness_maps_to_4(self):
         from deqlab.cli import _exit_code
@@ -148,6 +181,18 @@ class TestKernelCommand:
                         "--set", f"output.directory={out}"])
         rows = (out / "kernel_depth_decay.csv").read_text().splitlines()
         assert float(rows[-1].split(",")[1]) > 1e-7
+
+    def test_concentration_writes_the_same_depth_decay(self, runner, tmp_path):
+        # both commands write kernel_depth_decay.csv, at depth kernel.l_max
+        args = ["--set", "data.n=6", "--set", "data.d=8",
+                "--set", "kernel.l_max=12", "--set", "concentration.l=3",
+                "--set", f"output.directory={tmp_path}"]
+        run_ok(runner, ["kernel", *args])
+        written = (tmp_path / "kernel_depth_decay.csv").read_bytes()
+        assert len(written.splitlines()) == 1 + 12
+        run_ok(runner, ["concentration", *args, "--set",
+                        "concentration.experiments=[kernel_depth_decay]"])
+        assert (tmp_path / "kernel_depth_decay.csv").read_bytes() == written
 
 
 class TestCheckCommand:
@@ -409,9 +454,10 @@ class TestGradCheckCommand:
         assert "rounding floor" in result.output
         assert result.output.count("[pass]") == 6
 
-    def test_desk_config_corrupt_is_5(self, runner):
-        result = runner.invoke(main, ["grad-check", "--corrupt", "-c", DESK])
+    def test_desk_config_corrupt_is_5(self, runner, corrupt_gradients):
+        result = runner.invoke(main, ["grad-check", "-c", DESK])
         assert result.exit_code == 5
+        assert "['dense:W', 'fd:W']" in result.output
 
 
 class TestDeterminism:
@@ -438,7 +484,7 @@ class TestDeterminism:
             out = tmp_path / name
             run_ok(runner, tiny_train_args(out))
             doc = json.loads((out / "run.json").read_text())
-            doc.pop("timestamp", None)
+            doc.pop("timestamp")
             # the configured output directory (and thus the config hash)
             # legitimately differs between the two runs
             doc.pop("config_hash", None)

@@ -86,7 +86,6 @@ class TestSections:
         ("train.steps=x", "train"),
         ("solver.tol=abc", "solver"),
         ("data.seed=abc", "data"),
-        ("train.warm_start=maybe", "train"),
         ("train.monitor_every=true", "train"),
         ("output.directory=5", "output"),
         ("model.m=[100, x]", "model"),
@@ -106,11 +105,20 @@ class TestSections:
     def test_range_checked_at_load(self, runner, tmp_path):
         result = runner.invoke(main, [
             "train", "--set", "data.n=6", "--set", "data.d=5",
-            "--set", "model.m=[8, 12]", "--set", "train.auto_eta_safety=5",
+            "--set", "model.m=[8, 12]", "--set", "train.monitor_every=0",
             "--set", f"output.directory={tmp_path}"])
         assert result.exit_code == 2, result.output
         assert "section 'train'" in result.output
         assert "shared eta" not in result.output
+
+    @pytest.mark.parametrize("item", ["train.warm_start=true",
+                                      "train.auto_eta_safety=0.5"])
+    def test_removed_train_keys_exit_2(self, runner, tmp_path, item):
+        # train always warm-starts, and auto eta is 1 / lambda_max(H)
+        result = runner.invoke(main, ["gen-data", "--set", item,
+                                      "--set", f"output.directory={tmp_path}"])
+        assert result.exit_code == 2, result.output
+        assert "unknown keys in section 'train'" in result.output
 
 
 class TestConcentrationSection:
@@ -147,11 +155,12 @@ class TestResumeChecks:
 
 
 class TestConfigHash:
-    """The echo, and so the hash, did not change when the sections became
-    the library's config types."""
+    """The config echo, and so its hash, is pinned: a key added to or
+    removed from a section changes the config_hash of every run.json and
+    checkpoint sidecar."""
 
     def test_desk_config(self):
-        assert config_hash(load_config(DESK)[1]) == "873b0a1504a0"
+        assert config_hash(load_config(DESK)[1]) == "04ed2bb1b726"
 
     def test_no_config(self):
-        assert config_hash(load_config(None)[1]) == "744cd7a6ed1f"
+        assert config_hash(load_config(None)[1]) == "5f0de562123d"

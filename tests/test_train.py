@@ -72,7 +72,7 @@ class TestTrain:
     def test_single_step_matches_gradient_oracle(self):
         p, ds = setup(seed=2)
         eta = 1e-4
-        cfg = TrainConfig(eta=eta, steps=1, solver=TIGHT, warm_start=False)
+        cfg = TrainConfig(eta=eta, steps=1, solver=TIGHT)
         p_out, trace = train(p, ds, cfg)
         sol = solve_equilibrium(p, ds.x, TIGHT)
         g, _ = gradients(p, sol, ds.x, ds.y, TIGHT)
@@ -115,14 +115,28 @@ class TestTrain:
         for a, b in zip(t1.records, t2.records):
             assert a == b
 
-    def test_warm_start_agrees_with_cold(self):
+    def test_every_step_matches_a_cold_oracle(self):
+        # The warm starts change iteration counts only: at every step's
+        # parameters a cold solve gives the recorded loss, and the update
+        # is p - eta * gradients(p, cold).
         p, ds = setup(seed=6)
-        cfg_w = TrainConfig(eta="auto", steps=12, solver=TIGHT, warm_start=True)
-        cfg_c = TrainConfig(eta="auto", steps=12, solver=TIGHT, warm_start=False)
-        _, tw = train(p, ds, cfg_w)
-        _, tc = train(p, ds, cfg_c)
-        np.testing.assert_allclose(tw.column("loss"), tc.column("loss"),
-                                   rtol=1e-7, atol=1e-9)
+        params = [p]
+        _, trace = train(p, ds, TrainConfig(eta="auto", steps=12, solver=TIGHT),
+                         checkpoint_every=1,
+                         on_checkpoint=lambda step, q: params.append(q))
+        assert [r.step for r in trace.records] == list(range(13))
+        assert len(params) == 13  # the parameters of steps 0..12
+        for record, q, q_next in zip(trace.records, params, params[1:] + [None]):
+            cold = solve_equilibrium(q, ds.x, TIGHT)
+            assert loss(predict(q, cold.z), ds.y) == pytest.approx(
+                record.loss, rel=1e-10)
+            if q_next is None:
+                break
+            g, _ = gradients(q, cold, ds.x, ds.y, TIGHT)
+            for new, old, grad in ((q_next.w, q.w, g.gw), (q_next.u, q.u, g.gu),
+                                   (q_next.a, q.a, g.ga)):
+                np.testing.assert_allclose(new, old - trace.eta * grad,
+                                           rtol=0, atol=1e-12)
 
     def test_monitor_cadence(self):
         p, ds = setup(seed=7)
