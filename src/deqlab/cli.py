@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import json
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -99,7 +100,9 @@ def _exit_code(exc: Exception) -> int:
 
 
 def _command(fn):
-    """Shared options + exception-to-exit-code mapping."""
+    """Shared options + exception-to-exit-code mapping. The command gets
+    the loaded config, its document and `started`, the perf_counter
+    reading at invocation, from which run.json's wall_s is measured."""
 
     @click.option("-c", "--config", "config_path", default=None,
                   type=click.Path(), help="experiment config YAML")
@@ -107,9 +110,10 @@ def _command(fn):
                   help="override a config entry (repeatable)")
     @functools.wraps(fn)
     def wrapper(config_path, overrides, **kwargs):
+        started = time.perf_counter()
         try:
             cfg, doc = load_config(config_path, overrides)
-            fn(cfg, doc, **kwargs)
+            fn(cfg, doc, started, **kwargs)
         except (ConfigError, InputError, ConvergenceError, AssumptionError,
                 WellPosednessError, TrainingAssertionError) as exc:
             click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
@@ -144,12 +148,15 @@ def build_dataset(cfg) -> Dataset:
                              provenance="cifar10")
     x = load_matrix_csv(d.matrix)
     y = load_labels_csv(d.labels_csv)
+    if y.size != x.shape[1]:
+        raise InputError(f"{d.labels_csv} has {y.size} labels, but {d.matrix} "
+                         f"has n = {x.shape[1]} columns")
     return Dataset(x=x, y=y, provenance="file", y_cap=d.y_cap)
 
 
 @main.command("gen-data")
 @_command
-def cmd_gen_data(cfg, doc):
+def cmd_gen_data(cfg, doc, started):
     """Generate (or ingest) a dataset and write it in the CSV schema."""
     ds = build_dataset(cfg)
     out = _out_dir(cfg)
@@ -164,13 +171,13 @@ def cmd_gen_data(cfg, doc):
     (out / "data.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
                                         + "\n")
     write_run_manifest(out, doc, {"data": cfg.data.seed},
-                       ["data.csv", "labels.csv", "data.meta.json"])
+                       ["data.csv", "labels.csv", "data.meta.json"], started)
     click.echo(f"wrote dataset d={ds.d} n={ds.n} ({ds.provenance}) to {out}")
 
 
 @main.command("kernel")
 @_command
-def cmd_kernel(cfg, doc):
+def cmd_kernel(cfg, doc, started):
     """Population kernel: K, lambda*, suggested width/depth, depth decay."""
     ds = build_dataset(cfg)
     out = _out_dir(cfg)
@@ -186,14 +193,15 @@ def cmd_kernel(cfg, doc):
                   logy=True)
     write_run_manifest(out, doc, {"data": cfg.data.seed},
                        ["kernel.csv", "cos_theta.csv", "kernel_summary.txt",
-                        "kernel_depth_decay.csv", "kernel_depth_decay.svg"])
+                        "kernel_depth_decay.csv", "kernel_depth_decay.svg"],
+                       started)
     for key, value in summary.items():
         click.echo(f"{key} = {value}")
 
 
 @main.command("check")
 @_command
-def cmd_check(cfg, doc):
+def cmd_check(cfg, doc, started):
     """Evaluate the initialization condition and learning-rate bound."""
     ds = build_dataset(cfg)
     out = _out_dir(cfg)
@@ -207,7 +215,7 @@ def cmd_check(cfg, doc):
     report = check_condition(bounds, lam0, ds.x, r0)
     write_condition_csv(out / "condition.csv", bounds, report)
     write_run_manifest(out, doc, {"data": cfg.data.seed, "model": cfg.model.seed},
-                       ["condition.csv"])
+                       ["condition.csv"], started)
     click.echo(f"lambda_0 = {report.lambda_0:.6g}")
     click.echo(f"phi_0 = {report.phi_0:.6g}")
     click.echo(f"eta_max = {report.eta_max:.6g}")
@@ -218,7 +226,7 @@ def cmd_check(cfg, doc):
 
 @main.command("train")
 @_command
-def cmd_train(cfg, doc):
+def cmd_train(cfg, doc, started):
     """Train by full-batch GD; a width list runs the sweep at one step size."""
     ds = build_dataset(cfg)
     widths = cfg.model.widths()
@@ -291,12 +299,12 @@ def cmd_train(cfg, doc):
                       title, "step", ylabel, logy=logy)
         outputs.append(f"{name}.svg")
     write_run_manifest(out, doc, {"data": cfg.data.seed, "model": cfg.model.seed},
-                       outputs)
+                       outputs, started)
 
 
 @main.command("concentration")
 @_command
-def cmd_concentration(cfg, doc):
+def cmd_concentration(cfg, doc, started):
     """Width/depth concentration experiments and the exact reconstruction."""
     ds = build_dataset(cfg)
     c = cfg.concentration
@@ -369,12 +377,12 @@ def cmd_concentration(cfg, doc):
 
     write_run_manifest(out, doc,
                        {"data": cfg.data.seed, "concentration": c.base_seed},
-                       outputs)
+                       outputs, started)
 
 
 @main.command("grad-check")
 @_command
-def cmd_grad_check(cfg, doc):
+def cmd_grad_check(cfg, doc, started):
     """Verify implicit gradients against both reference constructions."""
     d = min(cfg.data.d, 8)
     ds = gen_sphere_data(5, d, cfg.data.seed)

@@ -283,9 +283,13 @@ def _values_text(values) -> str:
 
 def _read_values(f, path) -> np.ndarray:
     """The rest of the open file `f`, one float per line; InputError
-    naming `path` on a line that is not a number."""
+    naming `path` on a line that is not a number. No lines give an empty
+    array, which the callers' count checks report."""
     try:
-        return np.loadtxt(f, dtype=np.float64, ndmin=1)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data",
+                                    UserWarning)
+            return np.loadtxt(f, dtype=np.float64, ndmin=1)
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
 

@@ -13,6 +13,8 @@ import hashlib
 import json
 import math
 import os
+import resource
+import time
 from pathlib import Path
 
 import numpy as np
@@ -193,12 +195,16 @@ def environment() -> dict:
 
 
 def write_run_manifest(out_dir, config: dict, seeds: dict,
-                       outputs: list) -> Path:
+                       outputs: list, started: float) -> Path:
     """run.json: config hash + echo, seeds, artifact version, output files,
-    the environment block and the UTC time of writing.
+    the environment block, the UTC time of writing, the command's wall
+    time `wall_s` since `started` (a time.perf_counter() reading) and the
+    process's peak resident set `peak_rss_mb` (ru_maxrss, in KiB on
+    Linux, / 1024).
 
-    The timestamp is the only non-deterministic field; repeat runs with
-    identical config in one environment differ in nothing else.
+    The timestamp, wall_s and peak_rss_mb are the non-deterministic
+    fields; repeat runs with identical config in one environment differ
+    in nothing else.
     """
     manifest = {
         "artifact_version": __version__,
@@ -208,6 +214,8 @@ def write_run_manifest(out_dir, config: dict, seeds: dict,
         "seeds": seeds,
         "outputs": sorted(str(o) for o in outputs),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "wall_s": time.perf_counter() - started,
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
     }
     path = Path(out_dir) / "run.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True, default=str)

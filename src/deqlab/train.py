@@ -139,7 +139,9 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     Power iteration using only fixed-point solves: for a direction v,
     H v = G v + S^T a where S is the equilibrium's first-order response
     to the parameter direction (M(v) Z^T, M(v) X^T, Z v) produced by the
-    adjoint solve. No mn x mn object is ever formed. Raises
+    adjoint solve. No mn x mn object is ever formed. Each sweep's solves
+    start from the previous sweep's solutions, the adjoint seeded with
+    its W^T M, so a warm adjoint solve makes one product fewer. Raises
     ConvergenceError if the estimate is not stable to a relative change
     of `tol` within `max_sweeps` sweeps.
     """
@@ -151,11 +153,10 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     n = z.shape[1]
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
-    m_warm = None
-    s_warm = None
+    m_warm = wtm_warm = s_warm = None
     for _ in range(max_sweeps):
-        adj = solve_adjoint(p, mask, v, solver, m0=m_warm)
-        m_warm = adj.m
+        adj = solve_adjoint(p, mask, v, solver, m0=m_warm, seed=wtm_warm)
+        m_warm, wtm_warm = adj.m, adj.product
         rhs = adj.m @ g + adj.m @ xtx  # (M Z^T) Z + (M X^T) X, reassociated
         sens = solve_sensitivity(p, mask, rhs, solver, s0=s_warm)
         s_warm = sens.m
@@ -244,7 +245,8 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     counts, never results beyond the solver tolerances: the certificate
     starts from the secant of the last two Ritz vectors, the forward
     solve from the secant of the last two Z, and the adjoint from the
-    last M, seeded with W^T M updated by the rank-n step.
+    last M, seeded with W^T M updated by the rank-n step. A step holds
+    W(0), W(tau) and the gradient G_W, whose buffer becomes W(tau+1).
 
     Resuming: `start_step` offsets the recorded step indices, and
     `anchor` = {"eta", "lambda_0", "phi_0"} pins the step size and the
@@ -305,9 +307,10 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             z_prev, m0 = sol.z, adj.m
             # W+^T M = W^T M - eta Z (M^T M): two m n^2 products
             wtm0 = adj.product - eta * (sol.z @ (adj.m.T @ adj.m))
-            # W - eta G_W without a W-sized temporary: negation is exact,
-            # so this is bitwise the same sum
-            w = np.multiply(grads.gw, -eta)
+            # W - eta G_W in G_W's own buffer, without a W-sized
+            # temporary: negation is exact, so this is bitwise the same sum
+            w = grads.gw
+            w *= -eta
             w += p.w
             p = DeqParams(w=w, u=p.u - eta * grads.gu,
                           a=p.a - eta * grads.ga, sigma_w2=p.sigma_w2)

@@ -151,6 +151,30 @@ class TestExitCodes:
         assert "error (InputError)" in result.output
         assert f"{tmp_path / culprit}: " in result.output
 
+    def test_label_count_mismatch_is_2(self, runner, tmp_path):
+        (tmp_path / "x.csv").write_text("d,n\n2,1\n1\n1\n")
+        (tmp_path / "y.csv").write_text("y\n1\n1\n")
+        result = runner.invoke(main, ["gen-data", "--set", "data.kind=file",
+                                      "--set", f"data.matrix={tmp_path / 'x.csv'}",
+                                      "--set", f"data.labels_csv={tmp_path / 'y.csv'}",
+                                      "--set", f"output.directory={tmp_path / 'o'}"])
+        assert result.exit_code == 2, result.output
+        assert "error (InputError)" in result.output
+        assert str(tmp_path / "x.csv") in result.output
+        assert str(tmp_path / "y.csv") in result.output
+
+    @pytest.mark.filterwarnings("error::UserWarning")
+    def test_matrix_without_values_is_2_without_a_warning(self, runner,
+                                                          tmp_path):
+        (tmp_path / "x.csv").write_text("d,n\n2,1\n")
+        (tmp_path / "y.csv").write_text("y\n1\n")
+        result = runner.invoke(main, ["gen-data", "--set", "data.kind=file",
+                                      "--set", f"data.matrix={tmp_path / 'x.csv'}",
+                                      "--set", f"data.labels_csv={tmp_path / 'y.csv'}",
+                                      "--set", f"output.directory={tmp_path / 'o'}"])
+        assert result.exit_code == 2, result.output
+        assert f"{tmp_path / 'x.csv'}: expected 2 values, found 0" in result.output
+
     def test_well_posedness_maps_to_4(self):
         from deqlab.cli import _exit_code
         from deqlab.errors import WellPosednessError
@@ -485,6 +509,8 @@ class TestDeterminism:
             run_ok(runner, tiny_train_args(out))
             doc = json.loads((out / "run.json").read_text())
             doc.pop("timestamp")
+            # the command's wall time and the process's peak RSS
+            assert doc.pop("wall_s") > 0 and doc.pop("peak_rss_mb") > 0
             # the configured output directory (and thus the config hash)
             # legitimately differs between the two runs
             doc.pop("config_hash", None)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from deqlab.errors import (
 from deqlab.grad import grad_norm_sq, gradients
 from deqlab.linalg import gram, min_eig_sym
 from deqlab.model import (
+    F32_MIN_MADDS,
     DeqParams,
     SolverConfig,
     init_params,
@@ -84,15 +87,33 @@ class TestTrain:
     @given(data=st.data(),
            eta=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
     def test_w_update_without_temporary_is_bitwise(self, data, eta):
-        # train builds W - eta G as (G * -eta) + W; signed zeros included
+        # train turns G into W - eta G in place, as (G * -eta) + W; signed
+        # zeros included
         finite = st.floats(allow_nan=False, allow_infinity=False)
         w, g = (data.draw(arrays(np.float64, (3, 4), elements=finite))
                 for _ in range(2))
         with np.errstate(over="ignore"):  # a huge eta * g is inf on both sides
-            w_new = np.multiply(g, -eta)
-            w_new += w
             ref = w - eta * g
-        assert np.array_equal(w_new.view(np.uint64), ref.view(np.uint64))
+            g *= -eta
+            g += w
+        assert np.array_equal(g.view(np.uint64), ref.view(np.uint64))
+
+    def test_step_holds_one_w_sized_array_beyond_w(self):
+        # Below the float32 cut no solve copies W, so besides the caller's
+        # W(0) a step holds W(tau) and the gradient that becomes W(tau+1):
+        # a live peak of about 2.17 W, against 3.17 W with a separate
+        # buffer for the new W.
+        p0 = init_params(1000, 4, 0.08, seed=0)
+        ds = gen_sphere_data(4, 4, seed=1)
+        assert p0.m ** 2 * ds.n < F32_MIN_MADDS
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            train(p0, ds, TrainConfig(steps=3))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * p0.w.nbytes
 
     def test_loss_decreases_under_auto_eta(self):
         p, ds = setup(seed=3)
@@ -404,6 +425,25 @@ class TestAutoEta:
         with pytest.raises(ConvergenceError) as exc:
             ntk_max_eig(p, sol.z, ds.x, max_sweeps=1)
         assert exc.value.iterations == 1
+
+    def test_warm_adjoint_seed_saves_a_product_bitwise(self, monkeypatch):
+        p, ds = setup(seed=17)
+        sol = solve_equilibrium(p, ds.x)
+        adjoint = train_module.solve_adjoint
+        runs = {}
+        for seeded in (True, False):
+            iters = runs[seeded] = []
+
+            def recorded(*args, seed=None, **kwargs):
+                adj = adjoint(*args, seed=seed if seeded else None, **kwargs)
+                iters.append(adj.iterations)
+                return adj
+            monkeypatch.setattr(train_module, "solve_adjoint", recorded)
+            runs[seeded, "lam"] = ntk_max_eig(p, sol.z, ds.x)
+        assert runs[True, "lam"] == runs[False, "lam"]
+        assert len(runs[True]) == len(runs[False]) > 1
+        assert runs[True][0] == runs[False][0]
+        assert [k + 1 for k in runs[True][1:]] == runs[False][1:]
 
     def test_safety_scales_linearly(self):
         p, ds = setup(seed=18)
