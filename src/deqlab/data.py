@@ -276,9 +276,9 @@ def subset_binary(raw, class_a: int, class_b: int, per_class: int, seed: int,
 
 
 def _values_text(values) -> str:
-    """One '%.17g' line per value of a 1-D float64 array, as one string.
-    Python floats format exactly as the numpy scalars do."""
-    return "".join(map("{:.17g}\n".format, values.tolist()))
+    """One '%.17g' line per value of a 1-D float64 array, as one string
+    from one %-format. Python floats format exactly as numpy scalars do."""
+    return ("%.17g\n" * values.size) % tuple(values.tolist())
 
 
 def _read_values(f, path) -> np.ndarray:

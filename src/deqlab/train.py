@@ -138,29 +138,27 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
 
     Power iteration using only fixed-point solves: for a direction v,
     H v = G v + S^T a where S is the equilibrium's first-order response
-    to the parameter direction (M(v) Z^T, M(v) X^T, Z v) produced by the
-    adjoint solve. No mn x mn object is ever formed. Each sweep's solves
-    start from the previous sweep's solutions, the adjoint seeded with
-    its W^T M, so a warm adjoint solve makes one product fewer. Raises
-    ConvergenceError if the estimate is not stable to a relative change
-    of `tol` within `max_sweeps` sweeps.
+    to the parameter direction (M(v) Z^T, M(v) X^T, Z v). Column i of the
+    adjoint M(v) = D .* (a v^T + W^T M(v)) is linear in v_i alone, so
+    M(v) = M~ diag(v), with M~ solved once at v = 1. Each sweep makes one
+    sensitivity solve, from the previous sweep's S. No mn x mn object is
+    ever formed. Raises ConvergenceError if the estimate is not stable to
+    a relative change of `tol` within `max_sweeps` sweeps.
     """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
     mask = (p.w @ z + p.u @ x >= 0.0).astype(np.float64)
     g = z.T @ z
-    xtx = x.T @ x
+    k = g + x.T @ x
     n = z.shape[1]
+    m_tilde = solve_adjoint(p, mask, np.ones(n), solver).m
     v = np.full(n, 1.0 / np.sqrt(n))
     lam = 0.0
-    m_warm = wtm_warm = s_warm = None
+    s_warm = None
     for _ in range(max_sweeps):
-        adj = solve_adjoint(p, mask, v, solver, m0=m_warm, seed=wtm_warm)
-        m_warm, wtm_warm = adj.m, adj.product
-        rhs = adj.m @ g + adj.m @ xtx  # (M Z^T) Z + (M X^T) X, reassociated
-        sens = solve_sensitivity(p, mask, rhs, solver, s0=s_warm)
-        s_warm = sens.m
-        hv = g @ v + sens.m.T @ p.a
+        rhs = m_tilde @ (v[:, None] * k)  # M(v) Z^T Z + M(v) X^T X
+        s_warm = solve_sensitivity(p, mask, rhs, solver, s0=s_warm).m
+        hv = g @ v + s_warm.T @ p.a
         norm_hv = float(np.linalg.norm(hv))
         if norm_hv == 0.0:
             return 0.0

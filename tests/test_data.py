@@ -331,6 +331,16 @@ class TestCsvByteFormat:
         assert path.read_text() == "y\n" + self.expected(self.VALUES)
         assert load_labels_csv(path).tobytes() == self.VALUES.tobytes()
 
+    def test_edge_values(self, tmp_path):
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+                          1.7976931348623157e308, -1.7976931348623157e308,
+                          2.2250738585072014e-308, 1e16, 0.1, 1 / 3, -2.5])
+        a = np.stack([edges, edges[::-1]], axis=1)
+        path = tmp_path / "m.csv"
+        save_matrix_csv(path, a)
+        assert path.read_text() == (f"d,n\n{a.shape[0]},2\n"
+                                    + self.expected(a.flatten(order="F")))
+
 
 @settings(deadline=None, max_examples=20)
 @given(n=st.integers(2, 30), d=st.integers(2, 30), seed=st.integers(0, 10**6))

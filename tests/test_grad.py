@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deqlab import model
 from deqlab.data import gen_sphere_data
@@ -108,6 +109,48 @@ class TestSolveAdjoint:
         w = spectral_norm(p.w)
         bound = int(np.ceil(np.log(cfg.tol * (1 - w)) / np.log(w))) + 10
         assert adj.iterations <= bound
+
+
+def assert_columns_separate(p, mask, e, cfg):
+    """solve_adjoint(e).m == solve_adjoint(1).m * e: column i of the
+    adjoint solves m_i = D_i (a e_i + W^T m_i), linear in e_i alone."""
+    scaled = solve_adjoint(p, mask, np.ones(e.size), cfg).m * e
+    m = solve_adjoint(p, mask, e, cfg).m
+    assert np.linalg.norm(m - scaled) <= 1e-10 * np.linalg.norm(scaled)
+    assert not np.any(m[:, e == 0.0])
+
+
+class TestAdjointColumnSeparability:
+    CFG = SolverConfig(tol=1e-12)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 12),
+           n=st.integers(1, 8), rho=st.floats(0.0, 0.8),
+           data=st.data())
+    def test_small_random(self, seed, m, n, rho, data):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((m, m))
+        w *= rho / max(np.linalg.norm(w, 2), 1e-300)
+        a = rng.choice([-1.0, 1.0], m) * rng.uniform(1.0, 2.0, m)
+        p = DeqParams(w=w, u=np.zeros((m, 1)), a=a, sigma_w2=0.08)
+        # pre-activations in {-1, 0, 1}: zeros are ties, which map to 1,
+        # and some columns are all negative, so their mask is all zero
+        pre = rng.integers(-1, 2, (m, n)).astype(np.float64)
+        pre[:, rng.random(n) < 0.3] = -1.0
+        e = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-4.0, -0.5),
+                      st.floats(0.5, 4.0)), min_size=n, max_size=n)))
+        assert_columns_separate(p, activation_mask(pre), e, self.CFG)
+
+    def test_above_the_float32_cut(self):
+        m, n = 300, 48
+        assert m * m * n >= F32_MIN_MADDS
+        p, ds, sol = instance(m, n, 10, seed=12)
+        e = predict(p, sol.z) - ds.y
+        e[::5] = 0.0
+        mask = activation_mask(sol.pre)
+        mask[:, 3] = 0.0
+        assert_columns_separate(p, mask, e, self.CFG)
 
 
 class TestSolveSensitivity:

@@ -426,24 +426,50 @@ class TestAutoEta:
             ntk_max_eig(p, sol.z, ds.x, max_sweeps=1)
         assert exc.value.iterations == 1
 
-    def test_warm_adjoint_seed_saves_a_product_bitwise(self, monkeypatch):
+    def test_one_adjoint_solve_at_e_one(self, monkeypatch):
         p, ds = setup(seed=17)
         sol = solve_equilibrium(p, ds.x)
         adjoint = train_module.solve_adjoint
-        runs = {}
-        for seeded in (True, False):
-            iters = runs[seeded] = []
+        sensitivity = train_module.solve_sensitivity
+        adjoint_calls, s0s, solutions = [], [], []
 
-            def recorded(*args, seed=None, **kwargs):
-                adj = adjoint(*args, seed=seed if seeded else None, **kwargs)
-                iters.append(adj.iterations)
-                return adj
-            monkeypatch.setattr(train_module, "solve_adjoint", recorded)
-            runs[seeded, "lam"] = ntk_max_eig(p, sol.z, ds.x)
-        assert runs[True, "lam"] == runs[False, "lam"]
-        assert len(runs[True]) == len(runs[False]) > 1
-        assert runs[True][0] == runs[False][0]
-        assert [k + 1 for k in runs[True][1:]] == runs[False][1:]
+        def recorded_adjoint(p, mask, e, *args, **kwargs):
+            adjoint_calls.append((np.array(e), kwargs))
+            return adjoint(p, mask, e, *args, **kwargs)
+
+        def recorded_sensitivity(*args, s0=None, **kwargs):
+            s0s.append(s0)
+            solutions.append(sensitivity(*args, s0=s0, **kwargs))
+            return solutions[-1]
+        monkeypatch.setattr(train_module, "solve_adjoint", recorded_adjoint)
+        monkeypatch.setattr(train_module, "solve_sensitivity",
+                            recorded_sensitivity)
+        assert ntk_max_eig(p, sol.z, ds.x) > 0
+        assert len(adjoint_calls) == 1
+        e, kwargs = adjoint_calls[0]
+        np.testing.assert_array_equal(e, np.ones(ds.n))
+        assert kwargs.get("m0") is None and kwargs.get("seed") is None
+        assert len(s0s) > 1 and s0s[0] is None
+        assert all(s0 is prev.m for s0, prev in zip(s0s[1:], solutions))
+
+    def test_matches_dense_tangent_kernel(self):
+        # J = dyhat/d(vec W, vec U, a) by the Kronecker construction of
+        # grad.dense_gradients_reference: with R = (I_n kron a^T) J_z^-1 D,
+        # J_z = I_mn - D (I_n kron W), the blocks are R (Z^T kron I_m),
+        # R (X^T kron I_m) and Z^T.
+        m, n, d = 12, 6, 5
+        p, ds = setup(m=m, n=n, d=d, seed=23)
+        sol = solve_equilibrium(p, ds.x, SolverConfig(tol=1e-13))
+        z, x = sol.z, ds.x
+        mask = (sol.pre >= 0.0).astype(np.float64)
+        d_diag = np.diag(mask.flatten(order="F"))
+        j_z = np.eye(m * n) - d_diag @ np.kron(np.eye(n), p.w)
+        r = np.kron(np.eye(n), p.a) @ np.linalg.solve(j_z, d_diag)
+        jac = np.hstack([r @ np.kron(z.T, np.eye(m)),
+                         r @ np.kron(x.T, np.eye(m)), z.T])
+        oracle = np.linalg.eigvalsh(jac @ jac.T)[-1]
+        lam = ntk_max_eig(p, z, x, SolverConfig(tol=1e-13), tol=1e-12)
+        assert lam == pytest.approx(oracle, rel=1e-9)
 
     def test_safety_scales_linearly(self):
         p, ds = setup(seed=18)
