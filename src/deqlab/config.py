@@ -9,6 +9,7 @@ the commands can run.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -166,12 +167,15 @@ class KernelSection:
     def __post_init__(self):
         if self.l_max < 1:
             raise ConfigError("kernel.l_max must be >= 1")
-        if self.tol <= 0:
-            raise ConfigError("kernel.tol must be > 0")
+        if not 0.0 < self.tol < math.inf:  # also refuses nan
+            raise ConfigError(f"kernel.tol must be positive and finite, "
+                              f"got {self.tol}")
         if not (0 < self.failure_prob < 1):
             raise ConfigError("kernel.failure_prob must lie in (0, 1)")
-        if self.width_constant <= 0 or self.depth_constant <= 0:
-            raise ConfigError("kernel constants must be positive")
+        if not (0.0 < self.width_constant < math.inf
+                and 0.0 < self.depth_constant < math.inf):
+            raise ConfigError("kernel.width_constant and kernel.depth_constant "
+                              "must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -110,8 +110,9 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise InputError("solver tol must be positive")
+        if not 0.0 < self.tol < np.inf:  # also refuses nan
+            raise InputError(f"solver tol must be positive and finite, "
+                             f"got {self.tol}")
         if self.max_iter < 1:
             raise InputError("solver max_iter must be >= 1")
 

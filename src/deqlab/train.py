@@ -83,8 +83,9 @@ class TrainConfig:
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise InputError(f"eta must be a float or 'auto', got {self.eta!r}")
-        elif self.eta <= 0:
-            raise InputError("explicit eta must be positive")
+        elif not 0.0 < self.eta < np.inf:  # also refuses nan
+            raise InputError(f"explicit eta must be positive and finite, "
+                             f"got {self.eta}")
         if self.steps < 1:
             raise InputError("steps must be >= 1")
         if self.monitor_every < 1:
@@ -132,27 +133,39 @@ def gram_min_eig(z) -> float:
     return max(0.0, min_eig_sym(gram(z)))
 
 
+def _top_eigenvector(h) -> np.ndarray:
+    """Unit eigenvector of the symmetric matrix h's largest eigenvalue."""
+    return np.linalg.eigh(h)[1][:, -1]
+
+
 def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
-                tol: float = 1e-3, max_sweeps: int = 30) -> float:
+                tol: float = 1e-3, max_sweeps: int = 30, *, pre=None) -> float:
     """Top eigenvalue of the n x n tangent kernel H = (dyhat/dtheta)(..)^T.
 
     Power iteration using only fixed-point solves: for a direction v,
     H v = G v + S^T a where S is the equilibrium's first-order response
     to the parameter direction (M(v) Z^T, M(v) X^T, Z v). Column i of the
     adjoint M(v) = D .* (a v^T + W^T M(v)) is linear in v_i alone, so
-    M(v) = M~ diag(v), with M~ solved once at v = 1. Each sweep makes one
-    sensitivity solve, from the previous sweep's S. No mn x mn object is
-    ever formed. Raises ConvergenceError if the estimate is not stable to
-    a relative change of `tol` within `max_sweeps` sweeps.
+    M(v) = M~ diag(v) with M~ solved once at v = 1, and H has the closed
+    form (M~^T M~) .* (Z^T Z + X^T X) + Z^T Z. The iteration starts at
+    its top eigenvector, so the second sweep, warm from the first sweep's
+    S, meets the stop rule; the value returned is still the iteration's
+    own Rayleigh quotient, so a poor start costs sweeps, not accuracy.
+    No mn x mn object is ever formed. `pre` = W Z + U X, if the caller
+    holds it, saves one m^2 n product. Raises ConvergenceError if the
+    estimate is not stable to a relative change of `tol` within
+    `max_sweeps` sweeps.
     """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    mask = (p.w @ z + p.u @ x >= 0.0).astype(np.float64)
+    if pre is None:
+        pre = p.w @ z + p.u @ x
+    mask = (pre >= 0.0).astype(np.float64)
     g = z.T @ z
     k = g + x.T @ x
     n = z.shape[1]
     m_tilde = solve_adjoint(p, mask, np.ones(n), solver).m
-    v = np.full(n, 1.0 / np.sqrt(n))
+    v = _top_eigenvector((m_tilde.T @ m_tilde) * k + g)
     lam = 0.0
     s_warm = None
     for _ in range(max_sweeps):
@@ -173,7 +186,7 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
 
 
 def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,
-             solver: SolverConfig = SolverConfig()) -> float:
+             solver: SolverConfig = SolverConfig(), *, pre=None) -> float:
     """Step size safety * 2 / lambda_max(H) from the measured tangent kernel.
 
     lambda_max(H) is the curvature of the linearized training dynamics,
@@ -182,9 +195,10 @@ def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,
     convergence theorem's own eta bound is reported by the condition
     checker; at desk scale it is orders of magnitude too small to move
     the loss, so the trainer uses this measured-curvature rule instead.)
-    Raises WellPosednessError, from the first solve, unless ||W||_2 < 1.
+    `pre` is passed on to ntk_max_eig. Raises WellPosednessError, from
+    the first solve, unless ||W||_2 < 1.
     """
-    lam = ntk_max_eig(p, z0, x, solver)
+    lam = ntk_max_eig(p, z0, x, solver, pre=pre)
     if lam <= 0:
         raise InputError("tangent kernel has no positive curvature; "
                          "supply an explicit eta")
@@ -281,7 +295,8 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             elif tau == 0:
                 lambda_0, phi0 = gram_min_eig(sol.z), phi
                 if cfg.eta == "auto":
-                    eta = auto_eta(p, sol.z, data.x, solver=cfg.solver)
+                    eta = auto_eta(p, sol.z, data.x, solver=cfg.solver,
+                                   pre=sol.pre)
                     eta_mode = "auto"
                 else:
                     eta = float(cfg.eta)

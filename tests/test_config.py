@@ -111,6 +111,25 @@ class TestSections:
         assert "section 'train'" in result.output
         assert "shared eta" not in result.output
 
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("key, command", [
+        ("solver.tol", "train"), ("train.eta", "train"),
+        ("kernel.tol", "kernel")])
+    def test_non_finite_value_exits_2(self, runner, tmp_path, key, command,
+                                      value):
+        # a nan tolerance never stops a solve, and an infinite one stops
+        # it at once; a non-finite eta breaks W within one step
+        result = runner.invoke(main, [
+            command, "--set", "data.n=6", "--set", "data.d=5",
+            "--set", "model.m=12", "--set", "train.steps=2",
+            "--set", f"{key}={value}",
+            "--set", f"output.directory={tmp_path}"])
+        assert result.exit_code == 2, result.output
+        assert "error (ConfigError)" in result.output
+        assert all(part in result.output for part in key.split("."))
+        assert "positive and finite" in result.output
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("item", ["train.warm_start=true",
                                       "train.auto_eta_safety=0.5"])
     def test_removed_train_keys_exit_2(self, runner, tmp_path, item):

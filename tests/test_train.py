@@ -50,6 +50,11 @@ class TestTrainConfig:
     def test_validation(self):
         with pytest.raises(InputError):
             TrainConfig(eta=-1.0)
+        for eta in (np.nan, np.inf):
+            with pytest.raises(InputError, match="positive and finite"):
+                TrainConfig(eta=eta)
+            with pytest.raises(InputError, match="positive and finite"):
+                SolverConfig(tol=eta)
         with pytest.raises(InputError):
             TrainConfig(eta="fast")
         with pytest.raises(InputError):
@@ -449,27 +454,107 @@ class TestAutoEta:
         e, kwargs = adjoint_calls[0]
         np.testing.assert_array_equal(e, np.ones(ds.n))
         assert kwargs.get("m0") is None and kwargs.get("seed") is None
-        assert len(s0s) > 1 and s0s[0] is None
-        assert all(s0 is prev.m for s0, prev in zip(s0s[1:], solutions))
+        # started at the closed-form kernel's top eigenvector, the second
+        # sweep meets the stop rule from the first sweep's S
+        assert len(s0s) == 2 and s0s[0] is None
+        assert s0s[1] is solutions[0].m
+        assert solutions[1].iterations <= 2
 
-    def test_matches_dense_tangent_kernel(self):
-        # J = dyhat/d(vec W, vec U, a) by the Kronecker construction of
-        # grad.dense_gradients_reference: with R = (I_n kron a^T) J_z^-1 D,
-        # J_z = I_mn - D (I_n kron W), the blocks are R (Z^T kron I_m),
-        # R (X^T kron I_m) and Z^T.
-        m, n, d = 12, 6, 5
-        p, ds = setup(m=m, n=n, d=d, seed=23)
-        sol = solve_equilibrium(p, ds.x, SolverConfig(tol=1e-13))
-        z, x = sol.z, ds.x
+    @staticmethod
+    def dense_kernel(p, sol, x):
+        """J J^T for J = dyhat/d(vec W, vec U, a), by the Kronecker
+        construction of grad.dense_gradients_reference: with
+        R = (I_n kron a^T) J_z^-1 D, J_z = I_mn - D (I_n kron W), the
+        blocks are R (Z^T kron I_m), R (X^T kron I_m) and Z^T."""
+        z = sol.z
+        m, n = z.shape
         mask = (sol.pre >= 0.0).astype(np.float64)
         d_diag = np.diag(mask.flatten(order="F"))
         j_z = np.eye(m * n) - d_diag @ np.kron(np.eye(n), p.w)
         r = np.kron(np.eye(n), p.a) @ np.linalg.solve(j_z, d_diag)
         jac = np.hstack([r @ np.kron(z.T, np.eye(m)),
                          r @ np.kron(x.T, np.eye(m)), z.T])
-        oracle = np.linalg.eigvalsh(jac @ jac.T)[-1]
-        lam = ntk_max_eig(p, z, x, SolverConfig(tol=1e-13), tol=1e-12)
+        return jac @ jac.T
+
+    @staticmethod
+    def record_kernel(monkeypatch):
+        """The closed-form H each ntk_max_eig call starts from."""
+        kernels = []
+        top = train_module._top_eigenvector
+
+        def recorded(h):
+            kernels.append(h.copy())
+            return top(h)
+        monkeypatch.setattr(train_module, "_top_eigenvector", recorded)
+        return kernels
+
+    def test_matches_dense_tangent_kernel(self):
+        m, n, d = 12, 6, 5
+        p, ds = setup(m=m, n=n, d=d, seed=23)
+        sol = solve_equilibrium(p, ds.x, SolverConfig(tol=1e-13))
+        oracle = np.linalg.eigvalsh(self.dense_kernel(p, sol, ds.x))[-1]
+        lam = ntk_max_eig(p, sol.z, ds.x, SolverConfig(tol=1e-13), tol=1e-12)
         assert lam == pytest.approx(oracle, rel=1e-9)
+
+    def test_closed_form_kernel_is_dense_j_jt(self, monkeypatch):
+        p, ds = setup(m=12, n=6, d=5, seed=23)
+        solver = SolverConfig(tol=1e-13)
+        sol = solve_equilibrium(p, ds.x, solver)
+        kernels = self.record_kernel(monkeypatch)
+        ntk_max_eig(p, sol.z, ds.x, solver)
+        oracle = self.dense_kernel(p, sol, ds.x)
+        np.testing.assert_allclose(kernels[0], oracle, rtol=1e-10, atol=0)
+
+    def test_returns_the_closed_form_top_eigenvalue(self, monkeypatch):
+        p, ds = setup(seed=17)
+        sol = solve_equilibrium(p, ds.x)
+        kernels = self.record_kernel(monkeypatch)
+        lam = ntk_max_eig(p, sol.z, ds.x)
+        assert lam == pytest.approx(np.linalg.eigvalsh(kernels[0])[-1],
+                                    rel=1e-9)
+
+    def test_poor_start_costs_sweeps_not_accuracy(self, monkeypatch):
+        p, ds = setup(seed=17)
+        sol = solve_equilibrium(p, ds.x)
+        kernels = self.record_kernel(monkeypatch)
+        exact = ntk_max_eig(p, sol.z, ds.x)
+        top = np.linalg.eigvalsh(kernels[0])[-1]
+        sensitivity = train_module.solve_sensitivity
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return sensitivity(*args, **kwargs)
+        poor = np.random.default_rng(5).standard_normal(ds.n)
+        monkeypatch.setattr(train_module, "_top_eigenvector",
+                            lambda h: poor / np.linalg.norm(poor))
+        monkeypatch.setattr(train_module, "solve_sensitivity", counted)
+        tol = 1e-3
+        lam = ntk_max_eig(p, sol.z, ds.x, tol=tol)
+        assert len(calls) > 2
+        assert abs(lam - top) <= tol * top
+        assert abs(lam - exact) <= tol * exact
+
+    def test_pre_gives_the_same_bits(self, monkeypatch):
+        p, ds = setup(seed=17)
+        sol = solve_equilibrium(p, ds.x)
+        assert (ntk_max_eig(p, sol.z, ds.x, pre=sol.pre)
+                == ntk_max_eig(p, sol.z, ds.x))
+        assert (auto_eta(p, sol.z, ds.x, pre=sol.pre)
+                == auto_eta(p, sol.z, ds.x))
+        # the mask comes from pre when it is given
+        assert (ntk_max_eig(p, sol.z, ds.x, pre=-sol.pre)
+                != ntk_max_eig(p, sol.z, ds.x))
+        # train hands its step-0 equilibrium's pre-activation on
+        pres = []
+        ntk = train_module.ntk_max_eig
+
+        def recorded(*args, pre=None, **kwargs):
+            pres.append(pre)
+            return ntk(*args, pre=pre, **kwargs)
+        monkeypatch.setattr(train_module, "ntk_max_eig", recorded)
+        train(p, ds, TrainConfig(eta="auto", steps=1))
+        assert len(pres) == 1 and pres[0] is not None
 
     def test_safety_scales_linearly(self):
         p, ds = setup(seed=18)
