@@ -4,7 +4,7 @@ Library layout:
 
 - linalg: dense matrix kernels (spectral norm, least symmetric eigenvalue,
   Gram products, Gram-Schmidt)
-- data: dataset generation, normalization, and MNIST/CIFAR binary parsing
+- data: dataset generation, normalization, and the CSV schemas
 - model: DEQ parameters, initialization, fixed-point forward solver
 - grad: implicit-differentiation gradients via an adjoint fixed point
 - kernel: population Gram matrices, their infinite-depth limit, and the

@@ -37,13 +37,10 @@ from .config import load_config
 from .data import (
     Dataset,
     gen_sphere_data,
-    load_cifar_bin,
-    load_idx,
     load_labels_csv,
     load_matrix_csv,
     save_labels_csv,
     save_matrix_csv,
-    subset_binary,
 )
 from .errors import (
     AssumptionError,
@@ -138,14 +135,6 @@ def build_dataset(cfg) -> Dataset:
     d = cfg.data
     if d.kind == "synthetic":
         return gen_sphere_data(d.n, d.d, d.seed, y_cap=d.y_cap)
-    if d.kind == "mnist":
-        raw = load_idx(d.images, d.labels)
-        return subset_binary(raw, d.class_a, d.class_b, d.per_class, d.seed,
-                             provenance="mnist")
-    if d.kind == "cifar10":
-        raw = load_cifar_bin(d.path)
-        return subset_binary(raw, d.class_a, d.class_b, d.per_class, d.seed,
-                             provenance="cifar10")
     x = load_matrix_csv(d.matrix)
     y = load_labels_csv(d.labels_csv)
     if y.size != x.shape[1]:
@@ -167,7 +156,6 @@ def cmd_gen_data(cfg, doc, started):
         "seed": cfg.data.seed, "y_cap": ds.y_cap,
         "config_hash": config_hash(doc), "artifact_version": __version__,
     }
-    meta.update(ds.extra)
     (out / "data.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
                                         + "\n")
     write_run_manifest(out, doc, {"data": cfg.data.seed},

@@ -86,38 +86,31 @@ def _build(section_cls, payload: dict, section: str, **fixed):
 
 @dataclass(frozen=True)
 class DataConfig:
-    kind: str = "synthetic"  # synthetic | mnist | cifar10 | file
+    kind: str = "synthetic"  # synthetic | file
     n: int = 1000            # defaults match the reference synthetic setup
     d: int = 1000
     seed: int = 0
     y_cap: float = 10.0
-    images: str | None = None      # mnist: IDX image file
-    labels: str | None = None      # mnist: IDX label file
-    path: str | None = None        # cifar10: binary batch
     matrix: str | None = None      # file: matrix CSV
     labels_csv: str | None = None  # file: labels CSV
-    class_a: int = 0
-    class_b: int = 1
-    per_class: int = 500
 
     def __post_init__(self):
-        if self.kind not in ("synthetic", "mnist", "cifar10", "file"):
+        if self.kind not in ("synthetic", "file"):
             raise ConfigError(f"data.kind {self.kind!r} is not one of "
-                              f"synthetic|mnist|cifar10|file")
-        if self.kind == "synthetic":
-            if self.n < 1 or self.d < 2:
-                raise ConfigError(f"synthetic data needs n >= 1, d >= 2; "
-                                  f"got n={self.n}, d={self.d}")
-        required = {"mnist": ("images", "labels"), "cifar10": ("path",),
-                    "file": ("matrix", "labels_csv")}.get(self.kind, ())
-        for key in required:
-            value = getattr(self, key)
-            if value is None:
-                raise ConfigError(f"data.kind={self.kind} requires data.{key}")
-            if not Path(value).exists():
-                raise ConfigError(f"data.{key} path does not exist: {value}")
-        if self.kind in ("mnist", "cifar10") and self.per_class < 1:
-            raise ConfigError("data.per_class must be >= 1")
+                              f"synthetic|file")
+        if not 0.0 < self.y_cap < math.inf:  # also refuses nan
+            raise ConfigError(f"data.y_cap must be positive and finite, "
+                              f"got {self.y_cap}")
+        if self.kind == "synthetic" and (self.n < 1 or self.d < 2):
+            raise ConfigError(f"synthetic data needs n >= 1, d >= 2; "
+                              f"got n={self.n}, d={self.d}")
+        if self.kind == "file":
+            for key in ("matrix", "labels_csv"):
+                value = getattr(self, key)
+                if value is None:
+                    raise ConfigError(f"data.kind=file requires data.{key}")
+                if not Path(value).exists():
+                    raise ConfigError(f"data.{key} path does not exist: {value}")
 
 
 @dataclass(frozen=True)

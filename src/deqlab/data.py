@@ -1,4 +1,4 @@
-"""Dataset generation, normalization, and binary image-format parsing.
+"""Dataset generation, normalization, and the CSV schemas.
 
 Datasets carry inputs as the columns of a d x n matrix X with every
 column scaled to norm sqrt(d), no two columns parallel, and bounded
@@ -9,9 +9,8 @@ Dataset constructor enforces them.
 from __future__ import annotations
 
 import itertools
-import struct
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +21,6 @@ __all__ = [
     "PARALLEL_COS_TOL",
     "gen_sphere_data",
     "normalize_to_sphere",
-    "load_idx",
-    "load_cifar_bin",
-    "subset_binary",
     "save_matrix_csv",
     "load_matrix_csv",
     "save_labels_csv",
@@ -37,10 +33,6 @@ PARALLEL_COS_TOL = 1.0 - 1e-9
 # Column norms must equal sqrt(d) to this relative accuracy.
 NORM_RTOL = 1e-8
 
-IDX_IMAGES_MAGIC = 0x00000803
-IDX_LABELS_MAGIC = 0x00000801
-CIFAR_RECORD_BYTES = 3073
-
 
 @dataclass(frozen=True)
 class Dataset:
@@ -50,7 +42,6 @@ class Dataset:
     y: np.ndarray
     provenance: str = "synthetic"
     y_cap: float = 10.0
-    extra: dict = field(default_factory=dict)
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=np.float64)
@@ -107,31 +98,27 @@ def normalize_to_sphere(x_raw) -> np.ndarray:
     return x * (np.sqrt(x.shape[0]) / norms)
 
 
-def _pick_columns(x, candidates, start: int = 0) -> list:
-    """Fill the columns of x from `start` on, in order, from `candidates`,
-    (key, column) pairs whose columns have norm sqrt(d).
+def _pick_columns(x, candidates) -> int:
+    """Fill the columns of x, in order, from `candidates`, columns of norm
+    sqrt(d).
 
     A candidate is kept unless it is parallel to a column kept before it,
-    x[:, :start] included, by Dataset's own test (|cos| >
-    PARALLEL_COS_TOL), so a filled x always passes the constructor. No
-    candidate is pulled once x is full (start < x.shape[1] is assumed).
-    Returns the keys kept: fewer than the columns to fill when the
+    by Dataset's own test (|cos| > PARALLEL_COS_TOL), so a filled x always
+    passes the constructor. No candidate is pulled once x is full.
+    Returns the count of columns filled: fewer than x has when the
     candidates run out.
     """
     norms = np.empty(x.shape[1])
-    norms[:start] = np.linalg.norm(x[:, :start], axis=0)
-    keys = []
-    k = start
-    for key, col in candidates:
+    k = 0
+    for col in candidates:
         norm = np.linalg.norm(col)
         cos = (x[:, :k].T @ col) / (norms[:k] * norm)
         if not (np.abs(cos) > PARALLEL_COS_TOL).any():
             x[:, k], norms[k] = col, norm
-            keys.append(key)
             k += 1
             if k == x.shape[1]:
                 break
-    return keys
+    return k
 
 
 def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
@@ -154,117 +141,11 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     redraws = (normalize_to_sphere(rng.standard_normal((d, 1)))[:, 0]
                for _ in range(n))
     x = np.empty((d, n))
-    if len(_pick_columns(x, enumerate(itertools.chain(draws, redraws)))) < n:
+    if _pick_columns(x, itertools.chain(draws, redraws)) < n:
         raise AssumptionError(f"could not draw {n} points without parallel "
                               f"pairs in d={d} within {n} redraws")
     y = np.clip(rng.standard_normal(n), -y_cap, y_cap)
     return Dataset(x=x, y=y, provenance="synthetic", y_cap=y_cap)
-
-
-def _read_exact(f, count: int, what: str) -> bytes:
-    buf = f.read(count)
-    if len(buf) != count:
-        raise InputError(f"truncated file while reading {what}: "
-                         f"wanted {count} bytes, got {len(buf)}")
-    return buf
-
-
-def load_idx(images_path, labels_path):
-    """Parse an IDX image/label file pair (the MNIST container format).
-
-    Returns (pixels, labels): pixels is d x N float64 with values in
-    [0, 255], columns are images flattened in row-major pixel order;
-    labels is a length-N integer vector.
-    """
-    with open(images_path, "rb") as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, "image header"))
-        if magic != IDX_IMAGES_MAGIC:
-            raise InputError(
-                f"bad magic in {images_path}: 0x{magic:08x}, "
-                f"expected 0x{IDX_IMAGES_MAGIC:08x}")
-        rows, cols = struct.unpack(">II", _read_exact(f, 8, "image dimensions"))
-        raw = _read_exact(f, count * rows * cols, "image pixels")
-    pixels = np.frombuffer(raw, dtype=np.uint8).astype(np.float64)
-    pixels = pixels.reshape(count, rows * cols).T
-
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">II", _read_exact(f, 8, "label header"))
-        if magic != IDX_LABELS_MAGIC:
-            raise InputError(
-                f"bad magic in {labels_path}: 0x{magic:08x}, "
-                f"expected 0x{IDX_LABELS_MAGIC:08x}")
-        raw = _read_exact(f, label_count, "labels")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-
-    if label_count != count:
-        raise InputError(
-            f"image/label count mismatch: {count} images vs {label_count} labels")
-    return pixels, labels
-
-
-def load_cifar_bin(path):
-    """Parse a CIFAR-10 binary batch: 3073-byte records of label + RGB planes.
-
-    Returns (pixels, labels) with pixels 3072 x N float64 in [0, 255].
-    """
-    with open(path, "rb") as f:
-        raw = f.read()
-    if len(raw) == 0 or len(raw) % CIFAR_RECORD_BYTES != 0:
-        raise InputError(
-            f"{path}: size {len(raw)} is not a positive multiple of {CIFAR_RECORD_BYTES}")
-    records = np.frombuffer(raw, dtype=np.uint8).reshape(-1, CIFAR_RECORD_BYTES)
-    labels = records[:, 0].astype(np.int64)
-    if np.any(labels > 9):
-        k = int(np.argmax(labels > 9))
-        raise InputError(f"record {k} has label byte {labels[k]} > 9")
-    pixels = records[:, 1:].astype(np.float64).T
-    return pixels, labels
-
-
-def subset_binary(raw, class_a: int, class_b: int, per_class: int, seed: int,
-                  provenance: str = "file") -> Dataset:
-    """Draw a balanced two-class subset with labels -1 (class_a) / +1 (class_b).
-
-    Each class's samples are taken in a seeded random order, normalized
-    to norm sqrt(d), and the first per_class that are nonzero and not
-    parallel to an earlier pick (of either class) are kept. A class that
-    runs out raises with the source indices it had to reject.
-    """
-    pixels, labels = raw
-    if per_class < 1:
-        raise InputError("per_class must be >= 1")
-
-    def candidates(order):
-        for idx in order:
-            col = pixels[:, idx]
-            norm = np.linalg.norm(col)
-            if norm != 0.0:
-                yield idx, col * (np.sqrt(pixels.shape[0]) / norm)
-
-    rng = np.random.default_rng(seed)
-    x = np.empty((pixels.shape[0], 2 * per_class))
-    picked = []
-    for side, cls in enumerate((class_a, class_b)):
-        pool = np.nonzero(labels == cls)[0]
-        if pool.size < per_class:
-            raise InputError(
-                f"class {cls} has only {pool.size} samples, need {per_class}")
-        order = rng.permutation(pool).tolist()
-        keys = _pick_columns(x[:, :(side + 1) * per_class], candidates(order),
-                             start=side * per_class)
-        if len(keys) < per_class:
-            rejected = sorted(set(order) - set(keys))
-            raise AssumptionError(
-                f"class {cls}: {len(keys)} of its samples are nonzero and not "
-                f"parallel to an earlier pick, need {per_class}; rejected "
-                f"source indices {rejected[:8]}")
-        picked += keys
-
-    y = np.concatenate([np.full(per_class, -1.0), np.full(per_class, 1.0)])
-    return Dataset(x=x, y=y, provenance=provenance,
-                   extra={"class_a": class_a, "class_b": class_b,
-                          "source_indices": picked,
-                          "label_encoding": "-1 for class_a, +1 for class_b"})
 
 
 # --- documented CSV matrix schema ------------------------------------------

@@ -93,12 +93,31 @@ class TestGenData:
         assert result.exit_code == 0
         assert load_matrix_csv(out / "data.csv").shape == (4, 1)
 
+    def test_file_kind_round_trips_synthetic_bytes(self, runner, tmp_path):
+        # kind: file is the one path for external data: a dataset written
+        # in the CSV schema reads back and is written out byte for byte
+        src, dst = tmp_path / "src", tmp_path / "dst"
+        run_ok(runner, ["gen-data", "--set", "data.n=6", "--set", "data.d=5",
+                        "--set", f"output.directory={src}"])
+        run_ok(runner, ["gen-data", "--set", "data.kind=file",
+                        "--set", f"data.matrix={src / 'data.csv'}",
+                        "--set", f"data.labels_csv={src / 'labels.csv'}",
+                        "--set", f"output.directory={dst}"])
+        for name in ("data.csv", "labels.csv"):
+            assert (dst / name).read_bytes() == (src / name).read_bytes()
+        meta = json.loads((dst / "data.meta.json").read_text())
+        assert meta["provenance"] == "file"
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, runner, tmp_path):
-        result = runner.invoke(main, ["gen-data", "--set", "data.kind=parquet",
-                                      "--set", f"output.directory={tmp_path}"])
-        assert result.exit_code == 2
+        # image data enters through kind: file, so mnist is an unknown kind
+        for kind in ("parquet", "mnist", "cifar10"):
+            result = runner.invoke(main, ["gen-data", "--set", f"data.kind={kind}",
+                                          "--set", f"output.directory={tmp_path}"])
+            assert result.exit_code == 2, result.output
+            assert (f"data.kind {kind!r} is not one of synthetic|file"
+                    in result.output)
 
     def test_missing_path_is_2(self, runner, tmp_path):
         result = runner.invoke(main, ["kernel", "--set", "data.kind=file",

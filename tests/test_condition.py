@@ -19,6 +19,7 @@ from deqlab.model import (
     predict,
     solve_equilibrium,
 )
+from deqlab.train import gram_min_eig
 
 
 def bounds_from(c_w, c_u, c_a, delta=0.1, rho_w=0.9, rho_u=1.0, rho_a=1.0):
@@ -143,6 +144,34 @@ class TestEtaMaxMonotonicity:
         lo = check_condition(bounds_from(c_w, c_u, c_a), 1e12, x, 0.0)
         hi = check_condition(bounds_from(c_w + bump, c_u, c_a), 1e12, x, 0.0)
         assert hi.eta_max <= lo.eta_max * (1 + 1e-12)
+
+
+class TestInequalityThreeBound:
+    """At init_bounds' default delta = (1 - ||W||_2) / 2, inequality 3 as
+    transcribed cannot hold. Each equilibrium column has ||z_i|| <=
+    ||U x_i|| / (1 - ||W||_2), so lambda_0 <= ||Z||_F^2 / n <=
+    rho_u^2 ||X||_F^2 / (4 delta^2 n); and c_w >= rho_u / delta puts the
+    right-hand side at or above 4 rho_u^2 ||X||_F^2 / delta^2. The ratio
+    is at most 1/(16n) for every W, U, a and X."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(n=st.integers(1, 12), extra=st.integers(0, 18), d=st.integers(1, 8),
+           w_norm=st.floats(0.01, 0.95), log_u=st.floats(-2, 2),
+           log_a=st.floats(-3, 2), log_x=st.floats(-2, 2),
+           seed=st.integers(0, 2**32 - 1))
+    def test_ratio_at_most_one_over_16n(self, n, extra, d, w_norm, log_u,
+                                        log_a, log_x, seed):
+        m = n + extra
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal((m, m))
+        w *= w_norm / np.linalg.norm(w, 2)
+        p = DeqParams(w=w, u=10**log_u * rng.standard_normal((m, d)),
+                      a=10**log_a * rng.standard_normal(m), sigma_w2=0.08)
+        x = 10**log_x * rng.standard_normal((d, n))
+        lam0 = gram_min_eig(solve_equilibrium(p, x).z)
+        report = check_condition(init_bounds(p), lam0, x, residual_norm_0=0.0)
+        rhs3 = lam0 - report.margins[2]
+        assert lam0 / rhs3 <= (1 + 1e-6) / (16 * n)
 
 
 def test_write_condition_csv(tmp_path):

@@ -111,14 +111,16 @@ class TestSections:
         assert "section 'train'" in result.output
         assert "shared eta" not in result.output
 
-    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf"])
+    @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "0", "-1"])
     @pytest.mark.parametrize("key, command", [
         ("solver.tol", "train"), ("train.eta", "train"),
-        ("kernel.tol", "kernel")])
+        ("kernel.tol", "kernel"), ("data.y_cap", "gen-data")])
     def test_non_finite_value_exits_2(self, runner, tmp_path, key, command,
                                       value):
         # a nan tolerance never stops a solve, and an infinite one stops
-        # it at once; a non-finite eta breaks W within one step
+        # it at once; a non-finite eta breaks W within one step; a y_cap
+        # of 0 would clip every label to 0. Zero and negative values fail
+        # the same check.
         result = runner.invoke(main, [
             command, "--set", "data.n=6", "--set", "data.d=5",
             "--set", "model.m=12", "--set", "train.steps=2",
@@ -131,13 +133,17 @@ class TestSections:
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("item", ["train.warm_start=true",
-                                      "train.auto_eta_safety=0.5"])
+                                      "train.auto_eta_safety=0.5",
+                                      "data.images=x.idx", "data.path=x.bin",
+                                      "data.per_class=5"])
     def test_removed_train_keys_exit_2(self, runner, tmp_path, item):
-        # train always warm-starts, and auto eta is 1 / lambda_max(H)
+        # train always warm-starts, auto eta is 1 / lambda_max(H), and
+        # image data enters through data.kind: file, which reads no such key
         result = runner.invoke(main, ["gen-data", "--set", item,
                                       "--set", f"output.directory={tmp_path}"])
         assert result.exit_code == 2, result.output
-        assert "unknown keys in section 'train'" in result.output
+        section = item.split(".")[0]
+        assert f"unknown keys in section {section!r}" in result.output
 
 
 class TestConcentrationSection:
@@ -179,7 +185,7 @@ class TestConfigHash:
     checkpoint sidecar."""
 
     def test_desk_config(self):
-        assert config_hash(load_config(DESK)[1]) == "04ed2bb1b726"
+        assert config_hash(load_config(DESK)[1]) == "6d9a8cf7c901"
 
     def test_no_config(self):
-        assert config_hash(load_config(None)[1]) == "5f0de562123d"
+        assert config_hash(load_config(None)[1]) == "b828b0f7eefa"
