@@ -59,7 +59,8 @@ class AdjointSolution:
     sensitivity, op = W) with convergence diagnostics. `product` is op M
     at the returned M, the solve's last float64 application, bitwise
     equal to p.w.T @ m (adjoint) or p.w @ m (sensitivity). `iterations`
-    counts products with op."""
+    counts applications of the map; a cold solve's first makes no
+    product with op."""
 
     m: np.ndarray  # (m, n) adjoint fixed point
     product: np.ndarray  # (m, n) op @ m
@@ -82,16 +83,17 @@ def activation_mask(pre) -> np.ndarray:
 class _MaskedLinearMap:
     """The linear map x -> source + mask .* (op x) for model._iterate; its
     increment at any point is d -> mask .* (op d). The product op x of the
-    last application, or the seed standing in for it, is `product`."""
+    last application, or the one given in its place, is `product`."""
 
     clip = False
 
     def __init__(self, op, mask, source):
         self.op, self.mask, self.source = op, mask, source
+        self.shape = mask.shape
         self.apply32 = None
 
-    def __call__(self, x, seed=None):
-        self.product = self.op @ x if seed is None else seed
+    def __call__(self, x, product=None):
+        self.product = self.op @ x if product is None else product
         return self.source + self.mask * self.product
 
     def increment(self):
@@ -117,9 +119,10 @@ def _checked_start(x0, shape, name: str) -> np.ndarray:
 def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
                   what: str, x0_name: str, seed=None) -> AdjointSolution:
     """Picard iteration X = source + mask .* (op X) from `x0` (X = 0 if
-    None): the one body of the adjoint (op = W^T) and sensitivity (op = W)
-    solves, after each has checked its own operand shapes. `seed` is
-    op @ x0 when already known (see model._iterate)."""
+    None, whose first application makes no product): the one body of the
+    adjoint (op = W^T) and sensitivity (op = W) solves, after each has
+    checked its own operand shapes. `seed` is op @ x0 when already known
+    (see model._iterate)."""
     w_norm, ok = well_posedness(p)
     if not ok:
         raise WellPosednessError(
@@ -128,8 +131,7 @@ def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
         if x0 is None:
             raise InputError(f"a seed needs the {x0_name} it was taken at")
         seed = _checked_start(seed, mask.shape, "seed")
-    x = (np.zeros_like(mask) if x0 is None
-         else _checked_start(x0, mask.shape, x0_name))
+    x = None if x0 is None else _checked_start(x0, mask.shape, x0_name)
     step = _MaskedLinearMap(op, mask, source)
     x, res, k, history = _iterate(step, x, cfg, what, seed)
     return AdjointSolution(m=x, product=step.product, residual=res,

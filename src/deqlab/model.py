@@ -62,9 +62,9 @@ class DeqParams:
     """Trainable triple (W, U, a) plus the variance scale sigma_w^2.
 
     The arrays are read-only, so the well-posedness certificate that
-    well_posedness stores on the object cannot go stale: an array passed
-    in is marked read-only itself, and a view is copied first, since its
-    base could still be written.
+    well_posedness stores on the object, (||W||_2, ok, Ritz vector or
+    None), cannot go stale: an array passed in is marked read-only itself,
+    and a view is copied first, since its base could still be written.
     """
 
     w: np.ndarray  # (m, m)
@@ -177,11 +177,15 @@ class _ReluMap:
 
     def __init__(self, w, b):
         self.w, self.b, self.w32 = w, b, None
+        self.shape = b.shape
         self.pre = np.empty(b.shape)
 
-    def __call__(self, z):
-        np.matmul(self.w, z, out=self.pre)
-        self.pre += self.b
+    def __call__(self, z, product=None):
+        if product is None:
+            np.matmul(self.w, z, out=self.pre)
+            self.pre += self.b
+        else:
+            np.add(product, self.b, out=self.pre)
         return np.maximum(self.pre, 0.0)
 
     def increment(self):
@@ -207,10 +211,16 @@ def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
     iterations, residuals) for the first x that meets the rule. The last
     application of `step` is the float64 one made at that x.
 
-    A `seed` is the map's operator product at the start x, known from
-    elsewhere: the first application is then step(x, seed), which makes
-    no product, counts in no `iterations`, adds no residual and never
-    stops the loop. A wrong seed costs iterations, never accuracy.
+    `step(x, product)` takes the map's operator product at x in place of
+    computing it. A `seed` is that product at the start x, known from
+    elsewhere: the first application is then step(x, seed), which counts
+    in no `iterations`, adds no residual and never stops the loop. A
+    wrong seed costs iterations, never accuracy. x = None is the zero
+    start of shape `step.shape`, whose product is zero: its first
+    application is step(0, 0), which makes no product but otherwise is
+    an application like any other (it counts, adds its residual and can
+    stop the loop), so the solve is bitwise the one from an explicit
+    zero array.
 
     `step` maps an (m, n) iterate through an m x m operator, so one
     application costs m^2 n multiply-adds. From F32_MIN_MADDS on, the
@@ -233,9 +243,12 @@ def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
     regime smooth: float32 rounding makes the solution non-smooth in the
     parameters at the tolerance level, which the finite-difference
     references and grad-check (m^2 n <= 1.6e4) resolve.
-    Every application counts in `iterations` and adds one residual; a
-    float32 one is ||d+ - d||_F / max(1, ||x_b + d||_F).
+    Every application but a seeded one counts in `iterations` and adds
+    one residual; a float32 one is ||d+ - d||_F / max(1, ||x_b + d||_F).
     """
+    counted = seed is None
+    if x is None:
+        x, seed = np.zeros(step.shape), np.zeros(step.shape)
     m, n = x.shape
     rounds = m * m * n >= F32_MIN_MADDS
     if rounds:  # float32 r, x_b, d and d+, reused by every round
@@ -243,16 +256,16 @@ def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
     history = []
     k = 0
     while k < cfg.max_iter:
-        seeded = seed is not None
-        x_next = step(x, seed) if seeded else step(x)
+        x_next = step(x) if seed is None else step(x, seed)
         seed = None
         r_norm = np.linalg.norm(x_next - x)
         res = float(r_norm / max(1.0, np.linalg.norm(x)))
-        if not seeded:
+        if counted:
             k += 1
             history.append(res)
             if res <= cfg.tol:
                 return x, res, k, tuple(history)
+        counted = True
         if not rounds:
             x = x_next
             continue
@@ -289,7 +302,8 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
     """Picard iteration Z <- relu(W Z + U X) until the residual meets tol.
 
     Starts from Z = 0 unless `z0` (a nonnegative warm start, typically a
-    previous solution for nearby parameters) is given. Geometric
+    previous solution for nearby parameters) is given; the zero start's
+    first application is relu(U X), with no product with W. Geometric
     convergence at rate <= ||W||_2 under well-posedness.
     """
     x = as_matrix(x, "X")
@@ -300,10 +314,9 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: the layer map is not a contraction")
     n = x.shape[1]
-    if z0 is None:
-        z = np.zeros((p.m, n))
-    else:
-        z = np.asarray(z0, dtype=np.float64)
+    z = z0
+    if z is not None:
+        z = np.asarray(z, dtype=np.float64)
         if z.shape != (p.m, n):
             raise InputError(f"z0 has shape {z.shape}, expected ({p.m}, {n})")
         if not np.all(np.isfinite(z)) or np.any(z < 0.0):
@@ -339,18 +352,21 @@ def well_posedness(p: DeqParams, w_norm: float | None = None):
 
     Decided once per parameter set: the first call stores its result on
     `p`, and later calls return it and ignore `w_norm`. `w_norm` is a
-    spectral_norm estimate of ||W||_2, computed here when omitted.
+    spectral_norm estimate of ||W||_2, computed here when omitted; the
+    certificate then also keeps that run's unit Ritz vector (W's top right
+    singular direction), from which train warm-starts its own estimates.
     Lanczos converges to ||W||_2 from below, so the estimate decides alone
     only when w_norm * (1 + CERT_MARGIN) < 1; otherwise the exact
     np.linalg.norm(W, 2) decides and is the norm returned.
     """
     if p._certificate is None:
+        ritz = None
         if w_norm is None:
-            w_norm = spectral_norm(p.w)
+            w_norm, ritz = spectral_norm(p.w, return_vector=True)
         if w_norm * (1.0 + CERT_MARGIN) >= 1.0:
             w_norm = float(np.linalg.norm(p.w, 2))
-        object.__setattr__(p, "_certificate", (w_norm, w_norm < 1.0))
-    return p._certificate
+        object.__setattr__(p, "_certificate", (w_norm, w_norm < 1.0, ritz))
+    return p._certificate[:2]
 
 
 def save_params(path, p: DeqParams) -> None:

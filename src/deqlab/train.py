@@ -148,13 +148,15 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     adjoint M(v) = D .* (a v^T + W^T M(v)) is linear in v_i alone, so
     M(v) = M~ diag(v) with M~ solved once at v = 1, and H has the closed
     form (M~^T M~) .* (Z^T Z + X^T X) + Z^T Z. The iteration starts at
-    its top eigenvector, so the second sweep, warm from the first sweep's
-    S, meets the stop rule; the value returned is still the iteration's
-    own Rayleigh quotient, so a poor start costs sweeps, not accuracy.
-    No mn x mn object is ever formed. `pre` = W Z + U X, if the caller
-    holds it, saves one m^2 n product. Raises ConvergenceError if the
-    estimate is not stable to a relative change of `tol` within
-    `max_sweeps` sweeps.
+    its top eigenvector v, and the stop test starts from its top
+    eigenvalue v^T H v, so the first sweep meets the stop rule with one
+    sensitivity solve. The value returned is still the iteration's own
+    Rayleigh quotient. A start that is not an eigenvector of the closed
+    form to within `tol` (a poor start) gives the stop test nothing to
+    start from: it costs sweeps, not accuracy. No mn x mn object is ever
+    formed. `pre` = W Z + U X, if the caller holds it, saves one m^2 n
+    product. Raises ConvergenceError if the estimate is not stable to a
+    relative change of `tol` within `max_sweeps` sweeps.
     """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -165,8 +167,12 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     k = g + x.T @ x
     n = z.shape[1]
     m_tilde = solve_adjoint(p, mask, np.ones(n), solver).m
-    v = _top_eigenvector((m_tilde.T @ m_tilde) * k + g)
-    lam = 0.0
+    h = (m_tilde.T @ m_tilde) * k + g
+    v = _top_eigenvector(h)
+    hv = h @ v
+    lam = float(v @ hv)
+    if np.linalg.norm(hv - lam * v) > tol * abs(lam):
+        lam = 0.0
     s_warm = None
     for _ in range(max_sweeps):
         rhs = m_tilde @ (v[:, None] * k)  # M(v) Z^T Z + M(v) X^T X
@@ -207,17 +213,21 @@ def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,
 
 def monitors(p: DeqParams, sol: EquilibriumSolution, adj: AdjointSolution,
              grads: GradientTriple, phi: float, lambda_0: float,
-             eta: float, tau: int, phi0: float) -> TrainRecord:
+             eta: float, tau: int, phi0: float,
+             lambda_tau: float | None = None) -> TrainRecord:
     """Assemble one monitored record from the step's own results: the
     equilibrium `sol` at `p`, its loss `phi`, its adjoint `adj` and the
-    gradients `grads`. ||W||_2 is p's well-posedness certificate."""
+    gradients `grads`. ||W||_2 is p's well-posedness certificate.
+    `lambda_tau` is gram_min_eig(sol.z), computed here when omitted."""
     gsq = grad_norm_sq(grads)
     pl_ratio = gsq / (2.0 * phi) if phi > 0 else np.inf
+    if lambda_tau is None:
+        lambda_tau = gram_min_eig(sol.z)
     return TrainRecord(
         step=tau,
         loss=phi,
         w_spec_norm=well_posedness(p)[0],
-        lambda_tau=gram_min_eig(sol.z),
+        lambda_tau=lambda_tau,
         grad_norm_sq=gsq,
         pl_ratio=pl_ratio,
         rate_envelope=(1.0 - eta * lambda_0 / 2.0) ** tau * phi0,
@@ -250,7 +260,11 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
 
     Every step, step 0 included, certifies ||W||_2 < 1, solves the
     equilibrium, evaluates the loss once and takes the gradients; step 0
-    also fixes eta, lambda_0 and phi_0. Records are written at step 0,
+    also fixes eta, lambda_0 (which is also its record's lambda_tau) and
+    phi_0. A `p0` that well_posedness certified by its own Lanczos run
+    brings that run's norm and Ritz vector to step 0, which makes no
+    Lanczos run of its own; any other p0 gets a cold one at CERT_TOL.
+    Records are written at step 0,
     every `monitor_every`-th step, and the final step. In fail-fast mode
     a step after 0 aborts if ||W||_2 >= 1 or, under auto eta, if the loss
     increases by more than 1e-8 relative. Warm starts change iteration
@@ -275,10 +289,14 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     try:
         for tau in range(cfg.steps + 1):
             step = start_step + tau
-            w_norm, v = spectral_norm(p.w, tol=CERT_TOL, v0=v0,
-                                      return_vector=True)
+            cert = p._certificate
+            if cert is not None and cert[2] is not None:
+                w_norm, ok, v = cert
+            else:
+                w_norm, v = spectral_norm(p.w, tol=CERT_TOL, v0=v0,
+                                          return_vector=True)
+                w_norm, ok = well_posedness(p, w_norm)
             v0, v_prev = _certificate_start(v, v_prev), v
-            w_norm, ok = well_posedness(p, w_norm)
             if not ok:
                 message = (f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
                            f"equilibrium existence lost")
@@ -287,13 +305,15 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                 raise WellPosednessError(message)
             sol = solve_equilibrium(p, data.x, cfg.solver, z0=z0)
             phi = loss(predict(p, sol.z), data.y)
+            lambda_tau = None
             if tau == 0 and anchor is not None:
                 eta = float(anchor["eta"])
                 eta_mode = "resumed"
                 lambda_0 = float(anchor["lambda_0"])
                 phi0 = float(anchor["phi_0"])
             elif tau == 0:
-                lambda_0, phi0 = gram_min_eig(sol.z), phi
+                lambda_0 = lambda_tau = gram_min_eig(sol.z)
+                phi0 = phi
                 if cfg.eta == "auto":
                     eta = auto_eta(p, sol.z, data.x, solver=cfg.solver,
                                    pre=sol.pre)
@@ -311,7 +331,7 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                                    m0=m0, seed=wtm0)
             if tau % cfg.monitor_every == 0 or tau == cfg.steps:
                 records.append(monitors(p, sol, adj, grads, phi, lambda_0,
-                                        eta, step, phi0))
+                                        eta, step, phi0, lambda_tau))
             if tau == cfg.steps:
                 break
 

@@ -3,8 +3,8 @@
 Each test prints a single `[criterion N] PASS/FAIL` line (visible under
 `pytest -s` or in the captured output of a failure). Criteria 5-7 run
 Monte Carlo / training workloads sized for a desktop; the full module
-took 215 s on 2 cores (Intel Xeon, OpenBLAS with 2 threads), nearly all of
-it in criterion 7's width sweep (207 s).
+took 200 s on 2 cores (Intel Xeon, OpenBLAS with 2 threads), nearly all of
+it in criterion 7's width sweep (192 s).
 """
 
 import json
@@ -146,7 +146,10 @@ def test_criterion_6_lambda0_scaling():
 def test_criterion_7_training_guarantees():
     """Width sweep at one shared auto step size: well-posedness, monotone
     loss, width-ordered finals, PL floor; envelope asserted only under the
-    initialization condition."""
+    initialization condition. That branch cannot run at init_bounds'
+    default delta: inequality 3 as transcribed has lambda_0 / rhs_3 <=
+    1/(16n) for every W, U, a and X (TestInequalityThreeBound in
+    test_condition.py; ROADMAP item 7), so the condition never holds."""
     t0 = time.time()
     ds = gen_sphere_data(200, 100, seed=7)
     solver = SolverConfig(tol=1e-8)

@@ -313,15 +313,16 @@ class Problem:
             return self.mask * (np.outer(p.a, self.e) + p.w.T @ x)
         return self.mask * (p.w @ x + self.rhs)
 
-    def layer_map(self, kind):
-        """The library's own map object for `kind`, as _iterate takes it."""
+    def layer_map(self, kind, wrap=lambda op: op):
+        """The library's own map object for `kind`, as _iterate takes it,
+        with its operator passed through `wrap`."""
         p = self.p
         if kind == "forward":
-            return _ReluMap(p.w, p.u @ self.ds.x)
+            return _ReluMap(wrap(p.w), p.u @ self.ds.x)
         if kind == "adjoint":
-            return _MaskedLinearMap(p.w.T, self.mask,
+            return _MaskedLinearMap(wrap(p.w.T), self.mask,
                                     self.mask * np.outer(p.a, self.e))
-        return _MaskedLinearMap(p.w, self.mask, self.mask * self.rhs)
+        return _MaskedLinearMap(wrap(p.w), self.mask, self.mask * self.rhs)
 
 
 class Recorded:
@@ -579,3 +580,75 @@ class TestPicardEngineBelowCut:
         assert np.array_equal(x, ref)
         assert sol.residuals == tuple(history)
         assert sol.residual == history[-1]
+
+
+class CountingOperator:
+    """A float64 operator that counts its products with iterates, made by
+    `@` or np.matmul. Its float32 copy is a plain array, so the float32
+    applications of a correction round do not count."""
+
+    def __init__(self, a):
+        self.a, self.products = a, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.a @ x
+
+    def __array_ufunc__(self, ufunc, method, op, *args, **kwargs):
+        assert ufunc is np.matmul and method == "__call__"
+        self.products += 1
+        return ufunc(self.a, *args, **kwargs)
+
+    def astype(self, dtype):
+        return self.a.astype(dtype)
+
+
+class TestZeroStart:
+    """A solve started from None is the solve from an explicit zero array,
+    bit for bit, without the product with 0 of its first application."""
+
+    @pytest.fixture(params=["below", "at_cut", "training"])
+    def prob(self, request):
+        if request.param == "below":
+            return Problem(60, 12, 10, seed=9)
+        return request.getfixturevalue(request.param)
+
+    @staticmethod
+    def assert_bitwise(run, ref):
+        """Runs (x, product, residual, iterations, residuals) agree in
+        every bit."""
+        for a, b in zip(run[:2], ref[:2]):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        assert run[2:] == ref[2:]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_none_is_the_zero_array_bitwise(self, prob, kind):
+        runs = []
+        for x0 in (None, np.zeros_like(prob.z)):
+            x, sol = prob.solve(kind, x0=x0)
+            product = sol.pre if kind == "forward" else sol.product
+            runs.append((x, product, sol.residual, sol.iterations,
+                         sol.residuals))
+        assert runs[0][3] > 1
+        self.assert_bitwise(*runs)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_one_product_fewer(self, prob, kind):
+        runs, products = [], []
+        for x0 in (None, np.zeros_like(prob.z)):
+            step = prob.layer_map(kind, CountingOperator)
+            op = step.w if kind == "forward" else step.op
+            x, res, k, history = _iterate(step, x0, SolverConfig(), kind)
+            product = step.pre if kind == "forward" else step.product
+            runs.append((x, product, res, k, history))
+            products.append(op.products)
+        assert products[0] == products[1] - 1
+        self.assert_bitwise(*runs)
+
+    def test_zero_start_can_stop_the_solve(self):
+        # a zero source is its own fixed point: the first application,
+        # which makes no product, meets the stop rule
+        prob = Problem(60, 12, 10, seed=9)
+        adj = solve_adjoint(prob.p, prob.mask, np.zeros(prob.ds.n))
+        assert (adj.iterations, adj.residuals) == (1, (0.0,))
+        assert not adj.m.any() and not adj.product.any()

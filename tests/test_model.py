@@ -267,9 +267,9 @@ class TestWellPosedness:
     def test_decided_once_per_parameter_set(self, monkeypatch):
         calls = []
 
-        def counted(a):
+        def counted(a, **kwargs):
             calls.append(a.shape)
-            return spectral_norm(a)
+            return spectral_norm(a, **kwargs)
 
         monkeypatch.setattr(model, "spectral_norm", counted)
         p = small_params(seed=4)

@@ -29,6 +29,7 @@ from deqlab.train import (
     METRICS_HEADER,
     SOLVER_TRACE_HEADER,
     TrainConfig,
+    TrainRecord,
     auto_eta,
     monitors,
     ntk_max_eig,
@@ -321,6 +322,68 @@ class TestTrain:
             train_module._certificate_start(v, -v_prev), start)
         assert train_module._certificate_start(v, None) is v
 
+    @staticmethod
+    def cold_certificates(monkeypatch):
+        """The tol of each spectral_norm call train makes without a v0."""
+        tols = []
+        estimate = train_module.spectral_norm
+
+        def recorded(a, *args, v0=None, **kwargs):
+            if v0 is None:
+                tols.append(kwargs.get("tol"))
+            return estimate(a, *args, v0=v0, **kwargs)
+        monkeypatch.setattr(train_module, "spectral_norm", recorded)
+        return tols
+
+    def test_certified_params_bring_their_certificate(self, monkeypatch):
+        # p0 certified by its own Lanczos run: step 0 takes its norm and
+        # Ritz vector and makes no cold run; nothing else in a record moves
+        p, ds = setup(m=300, n=20, d=10, seed=14)
+        cfg = TrainConfig(eta=1e-3, steps=5)
+        _, plain = train(p, ds, cfg)
+        q = DeqParams(w=p.w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        norm, ok = well_posedness(q)
+        tols = self.cold_certificates(monkeypatch)
+        _, trace = train(q, ds, cfg)
+        assert ok and tols == []
+        assert trace.records[0].w_spec_norm == norm
+        fields = [f for f in TrainRecord.__dataclass_fields__
+                  if f != "w_spec_norm"]
+        for r, ref in zip(trace.records, plain.records, strict=True):
+            assert [getattr(r, f) for f in fields] == [getattr(ref, f)
+                                                       for f in fields]
+            assert abs(r.w_spec_norm - ref.w_spec_norm) <= 2e-11 * norm
+
+    def test_uncertified_params_keep_the_cold_certificate(self, monkeypatch):
+        # an uncertified p0, and a p0 certified from a supplied bound, both
+        # run step 0's cold Lanczos at CERT_TOL, with the same records
+        p, ds = setup(m=300, n=20, d=10, seed=14)
+        cfg = TrainConfig(eta=1e-3, steps=5)
+        tols = self.cold_certificates(monkeypatch)
+        _, plain = train(p, ds, cfg)
+        assert tols == [train_module.CERT_TOL]
+        q = DeqParams(w=p.w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        well_posedness(q, plain.records[0].w_spec_norm)
+        _, trace = train(q, ds, cfg)
+        assert tols == [train_module.CERT_TOL] * 2
+        assert trace.records == plain.records
+
+    def test_step_zero_takes_one_gram(self, monkeypatch):
+        p, ds = setup(seed=7)
+        grams = []
+        product = train_module.gram
+        monkeypatch.setattr(train_module, "gram",
+                            lambda z: grams.append(z) or product(z))
+        _, trace = train(p, ds, TrainConfig(eta=1e-3, steps=3))
+        assert len(grams) == len(trace.records) == 4
+        assert trace.records[0].lambda_tau == trace.lambda_0
+        # a resumed run's lambda_0 is its anchor's, its lambda_tau its own
+        anchor = {"eta": 1e-3, "lambda_0": 123.0, "phi_0": 1.0}
+        _, resumed = train(p, ds, TrainConfig(eta=1e-3, steps=3),
+                           anchor=anchor)
+        assert resumed.lambda_0 == 123.0
+        assert resumed.records[0].lambda_tau == trace.records[0].lambda_tau
+
     def test_adjoint_starts_from_last_m_seeded_with_its_product(self,
                                                                 monkeypatch):
         p, ds = setup(seed=7)
@@ -424,9 +487,13 @@ class TestAutoEta:
         losses = trace.column("loss")
         assert np.all(losses[1:] <= losses[:-1] * (1 + 1e-10))
 
-    def test_unconverged_curvature_raises(self):
+    def test_unconverged_curvature_raises(self, monkeypatch):
+        # from the closed-form start one sweep converges; a uniform start
+        # needs more than one
         p, ds = setup(seed=17)
         sol = solve_equilibrium(p, ds.x)
+        monkeypatch.setattr(train_module, "_top_eigenvector",
+                            lambda h: np.full(len(h), len(h) ** -0.5))
         with pytest.raises(ConvergenceError) as exc:
             ntk_max_eig(p, sol.z, ds.x, max_sweeps=1)
         assert exc.value.iterations == 1
@@ -436,7 +503,7 @@ class TestAutoEta:
         sol = solve_equilibrium(p, ds.x)
         adjoint = train_module.solve_adjoint
         sensitivity = train_module.solve_sensitivity
-        adjoint_calls, s0s, solutions = [], [], []
+        adjoint_calls, s0s = [], []
 
         def recorded_adjoint(p, mask, e, *args, **kwargs):
             adjoint_calls.append((np.array(e), kwargs))
@@ -444,8 +511,7 @@ class TestAutoEta:
 
         def recorded_sensitivity(*args, s0=None, **kwargs):
             s0s.append(s0)
-            solutions.append(sensitivity(*args, s0=s0, **kwargs))
-            return solutions[-1]
+            return sensitivity(*args, s0=s0, **kwargs)
         monkeypatch.setattr(train_module, "solve_adjoint", recorded_adjoint)
         monkeypatch.setattr(train_module, "solve_sensitivity",
                             recorded_sensitivity)
@@ -454,11 +520,9 @@ class TestAutoEta:
         e, kwargs = adjoint_calls[0]
         np.testing.assert_array_equal(e, np.ones(ds.n))
         assert kwargs.get("m0") is None and kwargs.get("seed") is None
-        # started at the closed-form kernel's top eigenvector, the second
-        # sweep meets the stop rule from the first sweep's S
-        assert len(s0s) == 2 and s0s[0] is None
-        assert s0s[1] is solutions[0].m
-        assert solutions[1].iterations <= 2
+        # started at the closed-form kernel's top eigenpair, the first
+        # sweep meets the stop rule: one cold sensitivity solve
+        assert s0s == [None]
 
     @staticmethod
     def dense_kernel(p, sol, x):
