@@ -123,8 +123,9 @@ class ModelConfig:
         widths = self.widths()
         if not widths or any(w < 1 for w in widths):
             raise ConfigError(f"model.m must be a positive int or list, got {self.m}")
-        if sorted(widths) != widths:
-            raise ConfigError("model.m list must be ascending")
+        if any(b <= a for a, b in zip(widths, widths[1:])):
+            raise ConfigError(f"model.m list must be strictly ascending, "
+                              f"got {self.m}")
         check_sigma_w2(self.sigma_w2)
 
     def widths(self) -> list:
@@ -190,14 +191,16 @@ class ConcentrationSection:
     def __post_init__(self):
         if not self.experiments:
             raise ConfigError("concentration.experiments is empty")
-        for name in self.experiments:
+        for i, name in enumerate(self.experiments):
             if name not in self.KNOWN:
                 raise ConfigError(f"unknown concentration experiment {name!r}; "
                                   f"known: {list(self.KNOWN)}")
-        if (not self.m_list or any(m < 1 for m in self.m_list)
-                or sorted(self.m_list) != self.m_list):
+            if name in self.experiments[:i]:
+                raise ConfigError(f"concentration.experiments repeats {name!r}")
+        ms = self.m_list
+        if not ms or ms[0] < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError("concentration.m_list must be non-empty, "
-                              "positive and ascending")
+                              "positive and strictly ascending")
         if min(self.trials, self.l, self.reconstruct_l, self.reconstruct_m) < 1:
             raise ConfigError("concentration.trials, .l, .reconstruct_l and "
                               ".reconstruct_m must be >= 1")

@@ -116,22 +116,22 @@ def _checked_start(x0, shape, name: str) -> np.ndarray:
     return x
 
 
-def _solve_masked(p: DeqParams, op, mask, source, x0, cfg: SolverConfig,
-                  what: str, x0_name: str, seed=None) -> AdjointSolution:
+def _solve_masked(p: DeqParams, op, mask, source, cfg: SolverConfig,
+                  what: str, x0=None, seed=None) -> AdjointSolution:
     """Picard iteration X = source + mask .* (op X) from `x0` (X = 0 if
     None, whose first application makes no product): the one body of the
     adjoint (op = W^T) and sensitivity (op = W) solves, after each has
-    checked its own operand shapes. `seed` is op @ x0 when already known
-    (see model._iterate)."""
+    checked its own operand shapes. Only the adjoint takes a start, as
+    `m0`. `seed` is op @ x0 when already known (see model._iterate)."""
     w_norm, ok = well_posedness(p)
     if not ok:
         raise WellPosednessError(
             f"||W||_2 = {w_norm:.6f} >= 1: {what} fixed point may not exist")
     if seed is not None:
         if x0 is None:
-            raise InputError(f"a seed needs the {x0_name} it was taken at")
+            raise InputError("a seed needs the m0 it was taken at")
         seed = _checked_start(seed, mask.shape, "seed")
-    x = None if x0 is None else _checked_start(x0, mask.shape, x0_name)
+    x = None if x0 is None else _checked_start(x0, mask.shape, "m0")
     step = _MaskedLinearMap(op, mask, source)
     x, res, k, history = _iterate(step, x, cfg, what, seed)
     return AdjointSolution(m=x, product=step.product, residual=res,
@@ -151,8 +151,8 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
     e = np.asarray(e, dtype=np.float64).ravel()
     if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
         raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
-    return _solve_masked(p, p.w.T, mask, mask * np.outer(p.a, e), m0, cfg,
-                         "adjoint", "m0", seed)
+    return _solve_masked(p, p.w.T, mask, mask * np.outer(p.a, e), cfg,
+                         "adjoint", m0, seed)
 
 
 def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
@@ -180,20 +180,21 @@ def grad_norm_sq(g: GradientTriple) -> float:
                  + np.vdot(g.ga, g.ga))
 
 
-def solve_sensitivity(p: DeqParams, mask, rhs, cfg: SolverConfig = SolverConfig(),
-                      s0=None) -> AdjointSolution:
-    """Directional derivative of the equilibrium: S = mask .* (W S + rhs).
+def solve_sensitivity(p: DeqParams, mask, rhs,
+                      cfg: SolverConfig = SolverConfig()) -> AdjointSolution:
+    """Directional derivative of the equilibrium: S = mask .* (W S + rhs),
+    from S = 0.
 
     `rhs` is dW Z + dU X for a parameter direction (dW, dU); the solution
     S is the first-order response of Z. Same contraction argument as the
-    adjoint solve.
+    adjoint solve. Its one caller, ntk_max_eig, makes one cold solve to
+    check the closed-form tangent kernel.
     """
     mask = as_matrix(mask, "mask")
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape != mask.shape:
         raise InputError(f"rhs shape {rhs.shape} != mask shape {mask.shape}")
-    return _solve_masked(p, p.w, mask, mask * rhs, s0, cfg, "sensitivity",
-                         "s0")
+    return _solve_masked(p, p.w, mask, mask * rhs, cfg, "sensitivity")
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:

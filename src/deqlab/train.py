@@ -62,6 +62,10 @@ __all__ = [
 # keep w_spec_norm within about 1e-11 of ||W||_2.
 CERT_TOL = 1e-11
 
+# Largest relative gap between the tangent kernel's matrix-free and
+# closed-form Rayleigh quotients that ntk_max_eig accepts.
+CHECK_TOL = 1e-3
+
 METRICS_HEADER = ("step,loss,w_spec_norm,lambda_tau,grad_norm_sq,"
                   "pl_ratio,rate_envelope,solver_iters,residual")
 SOLVER_TRACE_HEADER = ("step,forward_iters,adjoint_iters,forward_residual,"
@@ -139,24 +143,21 @@ def _top_eigenvector(h) -> np.ndarray:
 
 
 def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
-                tol: float = 1e-3, max_sweeps: int = 30, *, pre=None) -> float:
+                *, pre=None) -> float:
     """Top eigenvalue of the n x n tangent kernel H = (dyhat/dtheta)(..)^T.
 
-    Power iteration using only fixed-point solves: for a direction v,
-    H v = G v + S^T a where S is the equilibrium's first-order response
-    to the parameter direction (M(v) Z^T, M(v) X^T, Z v). Column i of the
-    adjoint M(v) = D .* (a v^T + W^T M(v)) is linear in v_i alone, so
-    M(v) = M~ diag(v) with M~ solved once at v = 1, and H has the closed
-    form (M~^T M~) .* (Z^T Z + X^T X) + Z^T Z. The iteration starts at
-    its top eigenvector v, and the stop test starts from its top
-    eigenvalue v^T H v, so the first sweep meets the stop rule with one
-    sensitivity solve. The value returned is still the iteration's own
-    Rayleigh quotient. A start that is not an eigenvector of the closed
-    form to within `tol` (a poor start) gives the stop test nothing to
-    start from: it costs sweeps, not accuracy. No mn x mn object is ever
-    formed. `pre` = W Z + U X, if the caller holds it, saves one m^2 n
-    product. Raises ConvergenceError if the estimate is not stable to a
-    relative change of `tol` within `max_sweeps` sweeps.
+    For a direction v, H v = G v + S^T a, where G = Z^T Z and S is the
+    equilibrium's first-order response to the parameter direction
+    (M(v) Z^T, M(v) X^T, Z v). Column i of the adjoint
+    M(v) = D .* (a v^T + W^T M(v)) is linear in v_i alone, so
+    M(v) = M~ diag(v) with M~ from one adjoint solve at v = 1, and H has
+    the closed form (M~^T M~) .* (Z^T Z + X^T X) + Z^T Z. Its top
+    eigenvector v gives the returned value v^T (G v + S^T a), with S from
+    one cold sensitivity solve: the matrix-free Rayleigh quotient, which
+    checks the closed form's. Both use the same M~, so they differ only
+    by solver error; ConvergenceError is raised if that exceeds
+    CHECK_TOL relative. No mn x mn object is ever formed. `pre` = W Z +
+    U X, if the caller holds it, saves one m^2 n product.
     """
     z = np.asarray(z, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -169,26 +170,15 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     m_tilde = solve_adjoint(p, mask, np.ones(n), solver).m
     h = (m_tilde.T @ m_tilde) * k + g
     v = _top_eigenvector(h)
-    hv = h @ v
-    lam = float(v @ hv)
-    if np.linalg.norm(hv - lam * v) > tol * abs(lam):
-        lam = 0.0
-    s_warm = None
-    for _ in range(max_sweeps):
-        rhs = m_tilde @ (v[:, None] * k)  # M(v) Z^T Z + M(v) X^T X
-        s_warm = solve_sensitivity(p, mask, rhs, solver, s0=s_warm).m
-        hv = g @ v + s_warm.T @ p.a
-        norm_hv = float(np.linalg.norm(hv))
-        if norm_hv == 0.0:
-            return 0.0
-        lam_new = float(v @ hv)
-        v = hv / norm_hv
-        if abs(lam_new - lam) <= tol * max(abs(lam_new), 1e-300):
-            return lam_new
-        lam = lam_new
-    raise ConvergenceError(
-        f"tangent-kernel power iteration did not reach tol={tol:.1e} in "
-        f"{max_sweeps} sweeps", residual=None, iterations=max_sweeps)
+    lam_closed = float(v @ (h @ v))
+    rhs = m_tilde @ (v[:, None] * k)  # M(v) Z^T Z + M(v) X^T X
+    s = solve_sensitivity(p, mask, rhs, solver).m
+    lam = float(v @ (g @ v + s.T @ p.a))
+    if abs(lam - lam_closed) > CHECK_TOL * abs(lam):
+        raise ConvergenceError(
+            f"tangent kernel: matrix-free v.Hv = {lam:.6e} and closed-form "
+            f"{lam_closed:.6e} differ by more than {CHECK_TOL:.0e} relative")
+    return lam
 
 
 def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,

@@ -182,8 +182,7 @@ def test_criterion_7_training_guarantees():
 
         # Linear-rate envelope: recorded always; asserted only if the
         # initialization condition holds (not expected at desk scale).
-        sol0 = solve_equilibrium(p0, ds.x, solver)
-        r0 = float(np.linalg.norm(predict(p0, sol0.z) - ds.y))
+        r0 = float(np.sqrt(2.0 * trace.phi_0))  # phi = ||yhat - y||^2 / 2
         cond = check_condition(init_bounds(p0), trace.lambda_0, ds.x, r0)
         envelopes = trace.column("rate_envelope")
         if not np.all(np.isfinite(envelopes)):

@@ -146,9 +146,22 @@ class TestSections:
         assert f"unknown keys in section {section!r}" in result.output
 
 
+class TestModelSection:
+    @pytest.mark.parametrize("item", [
+        "model.m=[40, 20]",
+        "model.m=[20, 20]",
+        "model.m=[0]",
+    ])
+    def test_rejected_at_load(self, item):
+        with pytest.raises(ConfigError, match=item.split("=")[0]):
+            load_config(None, [item])
+
+
 class TestConcentrationSection:
     @pytest.mark.parametrize("item", [
         "concentration.m_list=[40, 20]",
+        "concentration.m_list=[20, 20]",
+        "concentration.experiments=[reconstruct, reconstruct]",
         "concentration.reconstruct_l=0",
         "concentration.reconstruct_m=0",
         "concentration.reconstruct_i=-1",

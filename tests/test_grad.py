@@ -8,6 +8,7 @@ from deqlab.errors import ConvergenceError, InputError, WellPosednessError
 from deqlab.grad import (
     GradientTriple,
     _MaskedLinearMap,
+    _solve_masked,
     activation_mask,
     dense_gradients_reference,
     finite_difference_gradients,
@@ -153,20 +154,20 @@ class TestAdjointColumnSeparability:
         assert_columns_separate(p, mask, e, self.CFG)
 
 
-class TestSolveSensitivity:
-    def test_nonfinite_s0_rejected(self):
+class TestAdjointStart:
+    def test_nonfinite_m0_rejected(self):
         p, ds, sol = instance(10, 4, 5, seed=8)
         mask = activation_mask(sol.pre)
-        s0 = np.zeros((10, 4))
-        s0[3, 1] = np.nan
-        with pytest.raises(InputError, match="s0"):
-            solve_sensitivity(p, mask, np.ones((10, 4)), s0=s0)
+        m0 = np.zeros((10, 4))
+        m0[3, 1] = np.nan
+        with pytest.raises(InputError, match="m0"):
+            solve_adjoint(p, mask, np.ones(4), m0=m0)
 
-    def test_wrong_shape_s0_rejected(self):
+    def test_wrong_shape_m0_rejected(self):
         p, ds, sol = instance(10, 4, 5, seed=8)
         mask = activation_mask(sol.pre)
-        with pytest.raises(InputError, match="s0"):
-            solve_sensitivity(p, mask, np.ones((10, 4)), s0=np.zeros((10, 1)))
+        with pytest.raises(InputError, match="m0"):
+            solve_adjoint(p, mask, np.ones(4), m0=np.zeros((10, 1)))
 
 
 class TestGradients:
@@ -301,8 +302,11 @@ class Problem:
             return sol.z, sol
         if kind == "adjoint":
             sol = solve_adjoint(p, self.mask, self.e, cfg, m0=x0)
-        else:
-            sol = solve_sensitivity(p, self.mask, self.rhs, cfg, s0=x0)
+        elif x0 is None:
+            sol = solve_sensitivity(p, self.mask, self.rhs, cfg)
+        else:  # solve_sensitivity takes no start; the engine it runs does
+            sol = _solve_masked(p, p.w, self.mask, self.mask * self.rhs, cfg,
+                                "sensitivity", x0)
         return sol.m, sol
 
     def apply(self, kind, x):
