@@ -6,8 +6,8 @@ Every command takes `-c config.yaml` plus repeatable
 manifest) land in the configured output directory.
 
 Exit codes: 0 success, 2 configuration or input error, 3 numerical
-non-convergence, 4 assumption or well-posedness violation, 5 assertion
-or verification failure, 1 anything unexpected.
+non-convergence, 4 assumption or well-posedness violation, 5 a failed
+grad-check, 1 anything unexpected.
 """
 
 from __future__ import annotations
@@ -82,6 +82,15 @@ EXIT_ASSERTION = 5
 # difference of a loss Phi (an exactly zero gradient entry reads about
 # 0.4 of it on the desk config).
 FD_ROUNDING_MULTIPLE = 2
+
+# Depth of `kernel`'s depth-decay series. On the desk config the error
+# falls below the fixed point's 1e-14 tolerance at level 15 and stays
+# there.
+DEPTH_DECAY_LEVELS = 60
+
+# `concentration`'s reconstruct experiment rebuilds Gram entry (i, j) at
+# layer l of a width-m model; equilibrium_depth_decay draws the same model.
+RECONSTRUCT_I, RECONSTRUCT_J, RECONSTRUCT_L, RECONSTRUCT_M = 0, 1, 3, 200
 
 
 def _exit_code(exc: Exception) -> int:
@@ -169,11 +178,9 @@ def cmd_kernel(cfg, doc, started):
     """Population kernel: K, lambda*, suggested width/depth, depth decay."""
     ds = build_dataset(cfg)
     out = _out_dir(cfg)
-    pk = kernel_fixed_point(ds.x, cfg.model.sigma_w2, tol=cfg.kernel.tol)
-    summary = export_kernel(pk, out, t=cfg.kernel.failure_prob,
-                            width_c=cfg.kernel.width_constant,
-                            depth_c=cfg.kernel.depth_constant)
-    series = kernel_depth_decay(pk, ds.x, cfg.kernel.l_max)
+    pk = kernel_fixed_point(ds.x, cfg.model.sigma_w2)
+    summary = export_kernel(pk, out)
+    series = kernel_depth_decay(pk, ds.x, DEPTH_DECAY_LEVELS)
     write_csv(out / "kernel_depth_decay.csv", "l,error", enumerate(series, start=1))
     line_plot_svg(out / "kernel_depth_decay.svg",
                   {"||K - K^(l)||_F": (list(range(1, len(series) + 1)), series)},
@@ -297,11 +304,11 @@ def cmd_concentration(cfg, doc, started):
     ds = build_dataset(cfg)
     c = cfg.concentration
     # the one bound the config section cannot check: it depends on the data
-    if ("reconstruct" in c.experiments
-            and max(c.reconstruct_i, c.reconstruct_j) >= ds.n):
+    if "reconstruct" in c.experiments and RECONSTRUCT_J >= ds.n:
         raise ConfigError(
-            f"concentration.reconstruct_i = {c.reconstruct_i} and "
-            f".reconstruct_j = {c.reconstruct_j} must be < n = {ds.n}")
+            f"concentration experiment reconstruct rebuilds Gram entry "
+            f"({RECONSTRUCT_I}, {RECONSTRUCT_J}), so it needs data.n >= "
+            f"{RECONSTRUCT_J + 1}, got n = {ds.n}")
     out = _out_dir(cfg)
     sigma_w2 = cfg.model.sigma_w2
     outputs = []
@@ -334,16 +341,8 @@ def cmd_concentration(cfg, doc, started):
             for m in c.m_list:
                 click.echo(f"lambda0_vs_width m={m}: "
                            f"fraction(lambda0 >= m*lambda*/2) = {fr[m]:.3g}")
-        elif name == "kernel_depth_decay":
-            pk = kernel_fixed_point(ds.x, sigma_w2, tol=cfg.kernel.tol)
-            series = kernel_depth_decay(pk, ds.x, cfg.kernel.l_max)
-            write_csv(out / "kernel_depth_decay.csv", "l,error",
-                      enumerate(series, start=1))
-            outputs.append("kernel_depth_decay.csv")
-            click.echo(f"kernel_depth_decay: first {series[0]:.4g} "
-                       f"last {series[-1]:.4g}")
         elif name == "equilibrium_depth_decay":
-            p = init_params(c.reconstruct_m, ds.d, sigma_w2, c.base_seed)
+            p = init_params(RECONSTRUCT_M, ds.d, sigma_w2, c.base_seed)
             series = equilibrium_depth_decay(p, ds.x, c.l, cfg.solver)
             write_csv(out / "equilibrium_depth_decay.csv", "l,error",
                       enumerate(series, start=1))
@@ -351,16 +350,16 @@ def cmd_concentration(cfg, doc, started):
             click.echo(f"equilibrium_depth_decay: first {series[0]:.4g} "
                        f"last {series[-1]:.4g}")
         elif name == "reconstruct":
-            p = init_params(c.reconstruct_m, ds.d, sigma_w2, c.base_seed)
+            p = init_params(RECONSTRUCT_M, ds.d, sigma_w2, c.base_seed)
             id_err, ip_err = fresh_randomness_reconstruct(
-                p, ds.x, c.reconstruct_i, c.reconstruct_j, c.reconstruct_l)
+                p, ds.x, RECONSTRUCT_I, RECONSTRUCT_J, RECONSTRUCT_L)
             write_csv(out / "reconstruct.csv",
                       "i,j,l,m,identity_error,inner_product_error",
-                      [(c.reconstruct_i, c.reconstruct_j, c.reconstruct_l,
-                        c.reconstruct_m, id_err, ip_err)])
+                      [(RECONSTRUCT_I, RECONSTRUCT_J, RECONSTRUCT_L,
+                        RECONSTRUCT_M, id_err, ip_err)])
             outputs.append("reconstruct.csv")
-            click.echo(f"reconstruct (i={c.reconstruct_i}, j={c.reconstruct_j}, "
-                       f"l={c.reconstruct_l}): identity error {id_err:.3e}, "
+            click.echo(f"reconstruct (i={RECONSTRUCT_I}, j={RECONSTRUCT_J}, "
+                       f"l={RECONSTRUCT_L}): identity error {id_err:.3e}, "
                        f"inner-product error {ip_err:.3e}")
 
     write_run_manifest(out, doc,

@@ -24,7 +24,6 @@ __all__ = [
     "DataConfig",
     "ModelConfig",
     "TrainSection",
-    "KernelSection",
     "ConcentrationSection",
     "OutputSection",
     "ExperimentConfig",
@@ -151,28 +150,6 @@ class TrainSection(TrainConfig):
 
 
 @dataclass(frozen=True)
-class KernelSection:
-    l_max: int = 60
-    tol: float = 1e-14
-    width_constant: float = 1.0
-    depth_constant: float = 1.0
-    failure_prob: float = 0.01
-
-    def __post_init__(self):
-        if self.l_max < 1:
-            raise ConfigError("kernel.l_max must be >= 1")
-        if not 0.0 < self.tol < math.inf:  # also refuses nan
-            raise ConfigError(f"kernel.tol must be positive and finite, "
-                              f"got {self.tol}")
-        if not (0 < self.failure_prob < 1):
-            raise ConfigError("kernel.failure_prob must lie in (0, 1)")
-        if not (0.0 < self.width_constant < math.inf
-                and 0.0 < self.depth_constant < math.inf):
-            raise ConfigError("kernel.width_constant and kernel.depth_constant "
-                              "must be positive and finite")
-
-
-@dataclass(frozen=True)
 class ConcentrationSection:
     experiments: list = field(default_factory=lambda: [
         "tied_vs_population", "lambda0_vs_width"])
@@ -180,12 +157,8 @@ class ConcentrationSection:
     l: int = 6
     trials: int = 20
     base_seed: int = 123
-    reconstruct_i: int = 0
-    reconstruct_j: int = 1
-    reconstruct_l: int = 3
-    reconstruct_m: int = 200
 
-    KNOWN = ("tied_vs_population", "lambda0_vs_width", "kernel_depth_decay",
+    KNOWN = ("tied_vs_population", "lambda0_vs_width",
              "equilibrium_depth_decay", "reconstruct")
 
     def __post_init__(self):
@@ -201,12 +174,8 @@ class ConcentrationSection:
         if not ms or ms[0] < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
             raise ConfigError("concentration.m_list must be non-empty, "
                               "positive and strictly ascending")
-        if min(self.trials, self.l, self.reconstruct_l, self.reconstruct_m) < 1:
-            raise ConfigError("concentration.trials, .l, .reconstruct_l and "
-                              ".reconstruct_m must be >= 1")
-        if min(self.reconstruct_i, self.reconstruct_j) < 0:
-            raise ConfigError("concentration.reconstruct_i and .reconstruct_j "
-                              "must be >= 0")
+        if min(self.trials, self.l) < 1:
+            raise ConfigError("concentration.trials and .l must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -222,7 +191,6 @@ class ExperimentConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
     train: TrainSection = field(default_factory=TrainSection)
-    kernel: KernelSection = field(default_factory=KernelSection)
     concentration: ConcentrationSection = field(default_factory=ConcentrationSection)
     output: OutputSection = field(default_factory=OutputSection)
 
@@ -238,8 +206,8 @@ class ExperimentConfig:
             raise ConfigError("config root must be a mapping")
         sections = {
             "data": DataConfig, "model": ModelConfig, "solver": SolverConfig,
-            "train": TrainSection, "kernel": KernelSection,
-            "concentration": ConcentrationSection, "output": OutputSection,
+            "train": TrainSection, "concentration": ConcentrationSection,
+            "output": OutputSection,
         }
         unknown = set(doc) - set(sections)
         if unknown:

@@ -38,4 +38,5 @@ class AssumptionError(DeqlabError, ValueError):
 
 
 class TrainingAssertionError(DeqlabError, RuntimeError):
-    """A fail-fast training monitor detected a guarantee violation."""
+    """A verification check failed: `deqlab grad-check` found a gradient
+    off its reference constructions."""

@@ -132,8 +132,8 @@ def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
     Picard iteration c <- sigma_w^2 Q(c) + (1 - sigma_w^2) x^T x'/d from
     c = x^T x'/d; a contraction with factor at most sigma_w^2 < 1/8.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also refuses nan
+        raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     target = _check_inputs(x, sigma_w2)
@@ -154,26 +154,24 @@ def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
                             sigma_w2=sigma_w2, depth=None)
 
 
-def suggested_width(n: int, lambda_star: float, t: float, c: float = 1.0) -> int:
-    """ceil(c * (n^2 / lambda_star^2) * log(n / (lambda_star t))).
+def suggested_width(n: int, lambda_star: float, t: float) -> int:
+    """ceil((n^2 / lambda_star^2) * log(n / (lambda_star t))).
 
-    A report, never an enforced gate: the constant in front is unknown,
-    so `c` is exposed and defaults to 1.
+    A report, never an enforced gate: the paper leaves the constant in
+    front unknown, and it is taken as 1.
     """
     if lambda_star <= 0:
         raise InputError(f"lambda_star must be positive, got {lambda_star}")
     if not (0.0 < t < 1.0):
         raise InputError(f"failure probability t must lie in (0, 1), got {t}")
-    if c <= 0:
-        raise InputError(f"constant c must be positive, got {c}")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
-    return math.ceil(c * (n**2 / lambda_star**2) * math.log(n / (lambda_star * t)))
+    return math.ceil((n**2 / lambda_star**2) * math.log(n / (lambda_star * t)))
 
 
-def suggested_depth(n: int, lambda_star: float, sigma_w2: float,
-                    c: float = 1.0) -> int:
-    """ceil(c * log(n / lambda_star) / log(sqrt(2) / (4 sigma_w))).
+def suggested_depth(n: int, lambda_star: float, sigma_w2: float) -> int:
+    """ceil(log(n / lambda_star) / log(sqrt(2) / (4 sigma_w))), with the
+    paper's unknown constant in front taken as 1.
 
     The denominator is positive exactly when sigma_w^2 < 1/8; it tends to
     zero (and the suggestion diverges) as sigma_w^2 approaches 1/8.
@@ -181,17 +179,16 @@ def suggested_depth(n: int, lambda_star: float, sigma_w2: float,
     if lambda_star <= 0:
         raise InputError(f"lambda_star must be positive, got {lambda_star}")
     check_sigma_w2(sigma_w2)
-    if c <= 0:
-        raise InputError(f"constant c must be positive, got {c}")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     denom = math.log(math.sqrt(2.0) / (4.0 * math.sqrt(sigma_w2)))
-    return math.ceil(c * math.log(n / lambda_star) / denom)
+    return math.ceil(math.log(n / lambda_star) / denom)
 
 
-def export_kernel(pk: PopulationKernel, out_dir, t: float = 0.01,
-                  width_c: float = 1.0, depth_c: float = 1.0) -> dict:
-    """Write K and cos_theta CSVs plus a summary record; returns the summary."""
+def export_kernel(pk: PopulationKernel, out_dir) -> dict:
+    """Write K and cos_theta CSVs plus a summary record; returns the
+    summary. The suggested width is taken at failure probability
+    t = 0.01."""
     from pathlib import Path
 
     from .data import save_matrix_csv
@@ -207,9 +204,9 @@ def export_kernel(pk: PopulationKernel, out_dir, t: float = 0.01,
         "lambda_star": pk.lambda_star,
     }
     if pk.lambda_star > 0:
-        summary["suggested_width"] = suggested_width(pk.n, pk.lambda_star, t, width_c)
+        summary["suggested_width"] = suggested_width(pk.n, pk.lambda_star, 0.01)
         summary["suggested_depth"] = suggested_depth(pk.n, pk.lambda_star,
-                                                     pk.sigma_w2, depth_c)
+                                                     pk.sigma_w2)
     else:
         summary["warning"] = ("lambda_star <= 0: data violates the "
                               "no-parallel-pairs assumption")

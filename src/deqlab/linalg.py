@@ -61,8 +61,8 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
     alongside, suitable as the next call's `v0`.
     """
     a = as_matrix(a, "A")
-    if tol <= 0:
-        raise InputError("tol must be positive")
+    if not 0.0 < tol < np.inf:  # also refuses nan
+        raise InputError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise InputError("max_iter must be >= 1")
     n = a.shape[1]

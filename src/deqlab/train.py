@@ -16,12 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .errors import (
-    ConvergenceError,
-    InputError,
-    TrainingAssertionError,
-    WellPosednessError,
-)
+from .errors import ConvergenceError, InputError, WellPosednessError
 from .grad import (
     AdjointSolution,
     GradientTriple,
@@ -81,7 +76,6 @@ class TrainConfig:
     steps: int = 500
     monitor_every: int = 1
     solver: SolverConfig = field(default_factory=SolverConfig)
-    assert_mode: str = "record"  # "record" or "fail-fast"
 
     def __post_init__(self):
         if isinstance(self.eta, str):
@@ -94,8 +88,6 @@ class TrainConfig:
             raise InputError("steps must be >= 1")
         if self.monitor_every < 1:
             raise InputError("monitor_every must be >= 1")
-        if self.assert_mode not in ("record", "fail-fast"):
-            raise InputError(f"unknown assert_mode {self.assert_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -254,11 +246,10 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
     phi_0. A `p0` that well_posedness certified by its own Lanczos run
     brings that run's norm and Ritz vector to step 0, which makes no
     Lanczos run of its own; any other p0 gets a cold one at CERT_TOL.
-    Records are written at step 0,
-    every `monitor_every`-th step, and the final step. In fail-fast mode
-    a step after 0 aborts if ||W||_2 >= 1 or, under auto eta, if the loss
-    increases by more than 1e-8 relative. Warm starts change iteration
-    counts, never results beyond the solver tolerances: the certificate
+    Records are written at step 0, every `monitor_every`-th step, and
+    the final step. A W with ||W||_2 >= 1 at any step raises
+    WellPosednessError. Warm starts change iteration counts, never
+    results beyond the solver tolerances: the certificate
     starts from the secant of the last two Ritz vectors, the forward
     solve from the secant of the last two Z, and the adjoint from the
     last M, seeded with W^T M updated by the rank-n step. A step holds
@@ -288,11 +279,9 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                 w_norm, ok = well_posedness(p, w_norm)
             v0, v_prev = _certificate_start(v, v_prev), v
             if not ok:
-                message = (f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
-                           f"equilibrium existence lost")
-                if cfg.assert_mode == "fail-fast" and tau > 0:
-                    raise TrainingAssertionError(message)
-                raise WellPosednessError(message)
+                raise WellPosednessError(
+                    f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
+                    f"equilibrium existence lost")
             sol = solve_equilibrium(p, data.x, cfg.solver, z0=z0)
             phi = loss(predict(p, sol.z), data.y)
             lambda_tau = None
@@ -311,12 +300,6 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                 else:
                     eta = float(cfg.eta)
                     eta_mode = "explicit"
-            elif (cfg.assert_mode == "fail-fast" and eta_mode == "auto"
-                    and phi > phi_prev * (1.0 + 1e-8)):
-                raise TrainingAssertionError(
-                    f"step {step}: loss increased from {phi_prev:.6e} to "
-                    f"{phi:.6e} under auto eta")
-            phi_prev = phi
             grads, adj = gradients(p, sol, data.x, data.y, cfg.solver,
                                    m0=m0, seed=wtm0)
             if tau % cfg.monitor_every == 0 or tau == cfg.steps:

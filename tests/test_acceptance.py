@@ -258,7 +258,7 @@ def test_criterion_9_determinism(tmp_path):
                        "--set", "data.seed=3"]
         for cmd in (["gen-data"],
                     ["train", "--set", "model.m=25", "--set", "train.steps=5"],
-                    ["kernel", "--set", "kernel.l_max=10"],
+                    ["kernel"],
                     ["concentration",
                      "--set", "concentration.m_list=[20, 40]",
                      "--set", "concentration.trials=3",

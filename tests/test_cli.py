@@ -206,36 +206,15 @@ class TestKernelCommand:
         out = tmp_path / "o"
         result = run_ok(runner, ["kernel", "--set", "data.n=6",
                                  "--set", "data.d=8",
-                                 "--set", "kernel.l_max=8",
                                  "--set", f"output.directory={out}"])
         assert "lambda_star" in result.output
         assert (out / "kernel.csv").exists()
         assert (out / "cos_theta.csv").exists()
         assert (out / "kernel_depth_decay.svg").exists()
+        rows = (out / "kernel_depth_decay.csv").read_text().splitlines()
+        assert len(rows) == 1 + 60
         text = (out / "kernel_summary.txt").read_text()
         assert "suggested_width" in text and "suggested_depth" in text
-
-
-    def test_depth_decay_against_the_exported_kernel(self, runner, tmp_path):
-        # at a loose kernel.tol the decay's floor is that K's own error
-        out = tmp_path / "o"
-        run_ok(runner, ["kernel", "--set", "data.n=6", "--set", "data.d=8",
-                        "--set", "kernel.l_max=40", "--set", "kernel.tol=1e-4",
-                        "--set", f"output.directory={out}"])
-        rows = (out / "kernel_depth_decay.csv").read_text().splitlines()
-        assert float(rows[-1].split(",")[1]) > 1e-7
-
-    def test_concentration_writes_the_same_depth_decay(self, runner, tmp_path):
-        # both commands write kernel_depth_decay.csv, at depth kernel.l_max
-        args = ["--set", "data.n=6", "--set", "data.d=8",
-                "--set", "kernel.l_max=12", "--set", "concentration.l=3",
-                "--set", f"output.directory={tmp_path}"]
-        run_ok(runner, ["kernel", *args])
-        written = (tmp_path / "kernel_depth_decay.csv").read_bytes()
-        assert len(written.splitlines()) == 1 + 12
-        run_ok(runner, ["concentration", *args, "--set",
-                        "concentration.experiments=[kernel_depth_decay]"])
-        assert (tmp_path / "kernel_depth_decay.csv").read_bytes() == written
 
 
 class TestCheckCommand:
@@ -435,7 +414,6 @@ class TestConcentrationCommand:
                         "--set", "concentration.m_list=[20, 40]",
                         "--set", "concentration.trials=3",
                         "--set", "concentration.l=2",
-                        "--set", "concentration.reconstruct_m=30",
                         "--set", ("concentration.experiments="
                                   "[tied_vs_population, reconstruct]"),
                         "--set", f"output.directory={out}"])
@@ -472,15 +450,15 @@ class TestConcentrationCommand:
             self, runner, tmp_path):
         out = tmp_path / "o"
         out.mkdir()
+        # reconstruct rebuilds Gram entry (0, 1): n = 1 has no column 1
         result = runner.invoke(main, [
-            "concentration", "--set", "data.n=5", "--set", "data.d=8",
-            "--set", "concentration.reconstruct_i=7",
+            "concentration", "--set", "data.n=1", "--set", "data.d=8",
             "--set", ("concentration.experiments="
                       "[tied_vs_population, reconstruct]"),
             "--set", f"output.directory={out}"])
         assert result.exit_code == 2, result.output
         assert "error (ConfigError)" in result.output
-        assert "reconstruct_i = 7" in result.output
+        assert "needs data.n >= 2, got n = 1" in result.output
         assert list(out.iterdir()) == []
 
 
@@ -558,3 +536,16 @@ class TestConfigFile:
         cfg, doc = load_config(example)
         assert cfg.model.widths() == [100, 500, 2000]
         assert cfg.train.eta == "auto"
+
+    @pytest.mark.parametrize("command", ["gen-data", "kernel", "check",
+                                         "train", "concentration"])
+    def test_shipped_example_config_runs(self, runner, tmp_path, command):
+        # every key in the shipped file reaches a run: a stale one exits 2
+        out = tmp_path / "o"
+        run_ok(runner, [command, "-c", DESK, "--set", "data.n=8",
+                        "--set", "data.d=8", "--set", "model.m=[10, 20]",
+                        "--set", "train.steps=2",
+                        "--set", "concentration.m_list=[10, 20]",
+                        "--set", "concentration.trials=2",
+                        "--set", f"output.directory={out}"])
+        assert (out / "run.json").exists()

@@ -37,9 +37,9 @@ class TestExponentFloats:
 
     def test_from_override(self):
         cfg, doc = load_config(None, ["solver.tol=1e-8", "train.eta=1e-3",
-                                      "kernel.width_constant=1.5e3"])
+                                      "data.y_cap=1.5e3"])
         assert cfg.solver.tol == 1e-8 and cfg.train.eta == 1e-3
-        assert cfg.kernel.width_constant == 1500.0
+        assert cfg.data.y_cap == 1500.0
         assert doc["solver"]["tol"] == 1e-8
 
     def test_override_reaches_a_run(self, runner, tmp_path):
@@ -81,7 +81,6 @@ class TestSections:
     @pytest.mark.parametrize("item, section", [
         ("model.m=abc", "model"),
         ("data.n=abc", "data"),
-        ("kernel.l_max=x", "kernel"),
         ("concentration.trials=x", "concentration"),
         ("train.steps=x", "train"),
         ("solver.tol=abc", "solver"),
@@ -114,7 +113,7 @@ class TestSections:
     @pytest.mark.parametrize("value", [".nan", ".inf", "-.inf", "0", "-1"])
     @pytest.mark.parametrize("key, command", [
         ("solver.tol", "train"), ("train.eta", "train"),
-        ("kernel.tol", "kernel"), ("data.y_cap", "gen-data")])
+        ("data.y_cap", "gen-data")])
     def test_non_finite_value_exits_2(self, runner, tmp_path, key, command,
                                       value):
         # a nan tolerance never stops a solve, and an infinite one stops
@@ -132,18 +131,36 @@ class TestSections:
         assert "positive and finite" in result.output
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("item", ["train.warm_start=true",
-                                      "train.auto_eta_safety=0.5",
-                                      "data.images=x.idx", "data.path=x.bin",
-                                      "data.per_class=5"])
+    @pytest.mark.parametrize("item", [
+        "train.warm_start=true", "train.auto_eta_safety=0.5",
+        "data.images=x.idx", "data.path=x.bin", "data.per_class=5",
+        "train.assert_mode=record",
+        "concentration.reconstruct_i=0", "concentration.reconstruct_j=1",
+        "concentration.reconstruct_l=3", "concentration.reconstruct_m=200",
+        "kernel.l_max=60", "kernel.tol=1e-14", "kernel.width_constant=1.0",
+        "kernel.depth_constant=1.0", "kernel.failure_prob=0.01",
+        "concentration.experiments=[kernel_depth_decay]"])
     def test_removed_train_keys_exit_2(self, runner, tmp_path, item):
-        # train always warm-starts, auto eta is 1 / lambda_max(H), and
-        # image data enters through data.kind: file, which reads no such key
+        # train always warm-starts and raises WellPosednessError on an
+        # ill-posed W; auto eta is 1 / lambda_max(H); image data enters
+        # through data.kind: file, which reads no such key; the kernel
+        # command and the reconstruct experiment run at fixed settings;
+        # and `deqlab kernel` writes the depth-decay series. The values
+        # are the old defaults, so only the key itself can be refused.
+        out = tmp_path / "o"
         result = runner.invoke(main, ["gen-data", "--set", item,
-                                      "--set", f"output.directory={tmp_path}"])
+                                      "--set", f"output.directory={out}"])
         assert result.exit_code == 2, result.output
-        section = item.split(".")[0]
-        assert f"unknown keys in section {section!r}" in result.output
+        section, key = item.split("=")[0].split(".")
+        if section == "kernel":
+            assert "unknown config sections: ['kernel']" in result.output
+        elif key == "experiments":
+            assert ("unknown concentration experiment 'kernel_depth_decay'"
+                    in result.output)
+        else:
+            assert (f"unknown keys in section {section!r}: [{key!r}]"
+                    in result.output)
+        assert not out.exists()
 
 
 class TestModelSection:
@@ -162,6 +179,7 @@ class TestConcentrationSection:
         "concentration.m_list=[40, 20]",
         "concentration.m_list=[20, 20]",
         "concentration.experiments=[reconstruct, reconstruct]",
+        # removed keys, refused at load whatever their value
         "concentration.reconstruct_l=0",
         "concentration.reconstruct_m=0",
         "concentration.reconstruct_i=-1",
@@ -198,7 +216,7 @@ class TestConfigHash:
     checkpoint sidecar."""
 
     def test_desk_config(self):
-        assert config_hash(load_config(DESK)[1]) == "6d9a8cf7c901"
+        assert config_hash(load_config(DESK)[1]) == "cb9fdce51c1e"
 
     def test_no_config(self):
-        assert config_hash(load_config(None)[1]) == "b828b0f7eefa"
+        assert config_hash(load_config(None)[1]) == "0edeb3b40a1a"

@@ -206,6 +206,14 @@ class TestKernelFixedPoint:
         pk = kernel_fixed_point(gen_sphere_data(7, 5, seed=7).x, 0.08)
         assert pk.lambda_star == pytest.approx(min_eig_sym(pk.k), abs=1e-12)
 
+    def test_bad_tol_rejected(self):
+        # a nan tol never stops the iteration, and an infinite one stops
+        # it after one step
+        x = orthogonal_inputs()
+        for tol in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="positive and finite"):
+                kernel_fixed_point(x, 0.08, tol=tol)
+
 
 class TestSuggestions:
     def test_width_frozen_example(self):
@@ -216,8 +224,6 @@ class TestSuggestions:
     def test_width_errors(self):
         with pytest.raises(InputError):
             suggested_width(100, 0.0, 0.01)
-        with pytest.raises(InputError):
-            suggested_width(100, 0.36, 0.01, c=0.0)
         with pytest.raises(InputError):
             suggested_width(100, 0.36, 1.5)
 
@@ -230,10 +236,6 @@ class TestSuggestions:
 
     def test_depth_diverges_near_eighth(self):
         assert suggested_depth(100, 0.36, 0.1249999) > 10000
-
-    def test_depth_constant_doubles_up_to_ceiling(self):
-        raw = math.log(100 / 0.36) / math.log(math.sqrt(2) / (4 * math.sqrt(0.08)))
-        assert suggested_depth(100, 0.36, 0.08, c=2.0) == math.ceil(2 * raw)
 
     def test_depth_errors(self):
         with pytest.raises(InputError):

@@ -62,8 +62,11 @@ class TestSpectralNorm:
             spectral_norm(np.zeros((0, 3)))
 
     def test_bad_tol_rejected(self):
-        with pytest.raises(InputError):
-            spectral_norm(np.eye(2), tol=0.0)
+        # a nan tol never stops the iteration, and an infinite one stops
+        # it after one step with a low estimate
+        for tol in (0.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(InputError, match="positive and finite"):
+                spectral_norm(np.eye(2), tol=tol)
 
     def test_max_iter_exhaustion(self):
         rng = np.random.default_rng(1)

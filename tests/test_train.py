@@ -7,12 +7,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from deqlab.data import Dataset, gen_sphere_data
-from deqlab.errors import (
-    ConvergenceError,
-    InputError,
-    TrainingAssertionError,
-    WellPosednessError,
-)
+from deqlab.errors import ConvergenceError, InputError, WellPosednessError
 from deqlab.grad import grad_norm_sq, gradients
 from deqlab.linalg import gram, min_eig_sym
 from deqlab.model import (
@@ -61,8 +56,6 @@ class TestTrainConfig:
             TrainConfig(eta="fast")
         with pytest.raises(InputError):
             TrainConfig(steps=0)
-        with pytest.raises(InputError):
-            TrainConfig(assert_mode="explode")
 
 
 class TestTrain:
@@ -231,16 +224,10 @@ class TestTrain:
         assert exact == [(200, 200)] * 5
         assert np.all(1 - trace.column("w_spec_norm") < 1e-5)
 
-    def test_fail_fast_on_blowup(self):
-        p, ds = setup(seed=9)
-        cfg = TrainConfig(eta=50.0, steps=200, assert_mode="fail-fast")
-        with pytest.raises(TrainingAssertionError):
-            train(p, ds, cfg)
-
     def test_record_mode_blowup_raises_well_posedness(self):
         p, ds = setup(seed=9)
-        cfg = TrainConfig(eta=50.0, steps=200, assert_mode="record")
-        with pytest.raises(WellPosednessError):
+        cfg = TrainConfig(eta=50.0, steps=200)
+        with pytest.raises(WellPosednessError, match=r"^step [1-9]\d*: "):
             train(p, ds, cfg)
 
     def test_solver_failure_carries_step_index(self):
@@ -250,12 +237,11 @@ class TestTrain:
         with pytest.raises(ConvergenceError, match="training step"):
             train(p, ds, cfg)
 
-    @pytest.mark.parametrize("assert_mode", ["record", "fail-fast"])
-    def test_ill_posed_initial_w_raises_well_posedness(self, assert_mode):
+    def test_ill_posed_initial_w_raises_well_posedness(self):
         p, ds = setup(seed=21)
         w = p.w * (1.01 / np.linalg.norm(p.w, 2))
         p = DeqParams(w=w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
-        cfg = TrainConfig(eta=1e-3, steps=2, assert_mode=assert_mode)
+        cfg = TrainConfig(eta=1e-3, steps=2)
         with pytest.raises(WellPosednessError, match=r"^step 0: "):
             train(p, ds, cfg)
 
@@ -284,7 +270,7 @@ class TestTrain:
             calls.append(1)
             return evaluate(*args, **kwargs)
         monkeypatch.setattr(train_module, "loss", counted)
-        cfg = TrainConfig(eta="auto", steps=5, assert_mode="fail-fast")
+        cfg = TrainConfig(eta="auto", steps=5)
         _, trace = train(p, ds, cfg)
         assert len(calls) == len(trace.records) == 6
 
