@@ -237,7 +237,12 @@ class TestTrain:
         with pytest.raises(ConvergenceError, match="training step"):
             train(p, ds, cfg)
 
-    def test_ill_posed_initial_w_raises_well_posedness(self):
+    @pytest.mark.parametrize("former_mode", ["record", "fail-fast"])
+    def test_ill_posed_initial_w_raises_well_posedness(self, former_mode):
+        # Both former assert modes raised WellPosednessError at step 0;
+        # that is now the only behaviour, and the mode cannot be set.
+        with pytest.raises(TypeError, match="assert_mode"):
+            TrainConfig(assert_mode=former_mode)
         p, ds = setup(seed=21)
         w = p.w * (1.01 / np.linalg.norm(p.w, 2))
         p = DeqParams(w=w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
