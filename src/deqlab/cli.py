@@ -24,7 +24,6 @@ import numpy as np
 
 from . import __version__
 from .concentration import (
-    equilibrium_depth_decay,
     fresh_randomness_reconstruct,
     kernel_depth_decay,
     lambda0_vs_width,
@@ -46,6 +45,7 @@ from .errors import (
     AssumptionError,
     ConfigError,
     ConvergenceError,
+    DeqlabError,
     InputError,
     TrainingAssertionError,
     WellPosednessError,
@@ -89,11 +89,11 @@ FD_ROUNDING_MULTIPLE = 2
 DEPTH_DECAY_LEVELS = 60
 
 # `concentration`'s reconstruct experiment rebuilds Gram entry (i, j) at
-# layer l of a width-m model; equilibrium_depth_decay draws the same model.
+# layer l of a width-m model.
 RECONSTRUCT_I, RECONSTRUCT_J, RECONSTRUCT_L, RECONSTRUCT_M = 0, 1, 3, 200
 
 
-def _exit_code(exc: Exception) -> int:
+def _exit_code(exc: DeqlabError) -> int:
     if isinstance(exc, (ConfigError, InputError)):
         return EXIT_CONFIG
     if isinstance(exc, ConvergenceError):
@@ -120,8 +120,7 @@ def _command(fn):
         try:
             cfg, doc = load_config(config_path, overrides)
             fn(cfg, doc, started, **kwargs)
-        except (ConfigError, InputError, ConvergenceError, AssumptionError,
-                WellPosednessError, TrainingAssertionError) as exc:
+        except DeqlabError as exc:
             click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
             sys.exit(_exit_code(exc))
 
@@ -341,14 +340,6 @@ def cmd_concentration(cfg, doc, started):
             for m in c.m_list:
                 click.echo(f"lambda0_vs_width m={m}: "
                            f"fraction(lambda0 >= m*lambda*/2) = {fr[m]:.3g}")
-        elif name == "equilibrium_depth_decay":
-            p = init_params(RECONSTRUCT_M, ds.d, sigma_w2, c.base_seed)
-            series = equilibrium_depth_decay(p, ds.x, c.l, cfg.solver)
-            write_csv(out / "equilibrium_depth_decay.csv", "l,error",
-                      enumerate(series, start=1))
-            outputs.append("equilibrium_depth_decay.csv")
-            click.echo(f"equilibrium_depth_decay: first {series[0]:.4g} "
-                       f"last {series[-1]:.4g}")
         elif name == "reconstruct":
             p = init_params(RECONSTRUCT_M, ds.d, sigma_w2, c.base_seed)
             id_err, ip_err = fresh_randomness_reconstruct(

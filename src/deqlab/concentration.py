@@ -1,9 +1,8 @@
 """Monte Carlo checks of the finite-model-to-population-kernel story.
 
-Three comparisons, all at desk scale:
+Two comparisons, both at desk scale:
 
 - depth decay of the population kernel toward its infinite limit,
-- depth decay of the layer iterates' Gram matrix toward the equilibrium's,
 - width concentration of the tied model's normalized Gram matrix around
   the population kernel, plus the induced lower bound on the least
   eigenvalue at initialization.
@@ -22,8 +21,7 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, InputError
-from .kernel import (PopulationKernel, kernel_fixed_point,
-                     kernel_layer_sequence, kernel_recursion)
+from .kernel import PopulationKernel, kernel_fixed_point, kernel_layer_sequence
 from .linalg import as_matrix, gram, gram_schmidt, min_eig_sym
 from .model import DeqParams, SolverConfig, forward_layer, init_params, solve_equilibrium
 from .reporting import write_csv
@@ -34,7 +32,6 @@ __all__ = [
     "derive_seed",
     "layer_iterates",
     "kernel_depth_decay",
-    "equilibrium_depth_decay",
     "tied_vs_population",
     "lambda0_vs_width",
     "fresh_randomness_reconstruct",
@@ -102,29 +99,27 @@ def layer_iterates(p: DeqParams, x, depth: int) -> list:
 def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
     """||K - K^(l)||_F for l = 1..l_max, where K is `pk`, the caller's
     kernel_fixed_point of the same x; deterministic."""
-    ks, _ = kernel_layer_sequence(x, pk.sigma_w2, l_max)
+    ks = kernel_layer_sequence(x, pk.sigma_w2, l_max)
     return [float(np.linalg.norm(pk.k - k)) for k in ks]
 
 
-def equilibrium_depth_decay(p: DeqParams, x, l_max: int,
-                            solver: SolverConfig = SolverConfig()) -> list:
-    """(1/m) ||G - G^(l)||_F for l = 1..l_max, G from the converged solve."""
-    zs = layer_iterates(p, x, l_max)
-    g_star = gram(solve_equilibrium(p, x, solver).z)
-    return [float(np.linalg.norm(g_star - gram(z))) / p.m for z in zs]
+def _check_grid(m_list, trials: int) -> None:
+    """The Monte Carlo grid: widths non-empty and strictly ascending (a
+    repeated width would redraw the same seeds), at least one trial."""
+    if not m_list:
+        raise InputError("m_list is empty")
+    if any(b <= a for a, b in zip(m_list, m_list[1:])):
+        raise InputError(f"m_list must be strictly ascending, got {list(m_list)}")
+    if trials < 1:
+        raise InputError("trials must be >= 1")
 
 
 def tied_vs_population(x, sigma_w2: float, m_list, l: int, trials: int,
                        base_seed: int) -> ConcentrationReport:
     """Per (m, trial): fresh init, l layer steps, ||G^(l)/m - K^(l)||_F."""
     x = as_matrix(x, "X")
-    if not m_list:
-        raise InputError("m_list is empty")
-    if sorted(m_list) != list(m_list):
-        raise InputError("m_list must be ascending")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
-    k_l = kernel_recursion(x, sigma_w2, l).k
+    _check_grid(m_list, trials)
+    k_l = kernel_layer_sequence(x, sigma_w2, l)[-1]
     d = x.shape[0]
     cells = []
     for m in m_list:
@@ -147,10 +142,7 @@ def lambda0_vs_width(x, sigma_w2: float, m_list, trials: int, base_seed: int,
     of trials with ratio >= 1/2.
     """
     x = as_matrix(x, "X")
-    if not m_list:
-        raise InputError("m_list is empty")
-    if trials < 1:
-        raise InputError("trials must be >= 1")
+    _check_grid(m_list, trials)
     pk = kernel_fixed_point(x, sigma_w2)
     if pk.lambda_star <= 0:
         raise AssumptionError(

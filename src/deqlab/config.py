@@ -158,16 +158,16 @@ class ConcentrationSection:
     trials: int = 20
     base_seed: int = 123
 
-    KNOWN = ("tied_vs_population", "lambda0_vs_width",
-             "equilibrium_depth_decay", "reconstruct")
+    KNOWN = ("tied_vs_population", "lambda0_vs_width", "reconstruct")
 
     def __post_init__(self):
         if not self.experiments:
             raise ConfigError("concentration.experiments is empty")
         for i, name in enumerate(self.experiments):
             if name not in self.KNOWN:
-                raise ConfigError(f"unknown concentration experiment {name!r}; "
-                                  f"known: {list(self.KNOWN)}")
+                raise ConfigError(f"unknown concentration experiment {name!r} in "
+                                  f"concentration.experiments; known: "
+                                  f"{list(self.KNOWN)}")
             if name in self.experiments[:i]:
                 raise ConfigError(f"concentration.experiments repeats {name!r}")
         ms = self.m_list

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -30,7 +31,6 @@ __all__ = [
     "PopulationKernel",
     "q_func",
     "kernel_layer_sequence",
-    "kernel_recursion",
     "kernel_fixed_point",
     "suggested_width",
     "suggested_depth",
@@ -40,9 +40,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PopulationKernel:
-    """Kernel matrix K with its pairwise cosines and least eigenvalue.
+    """Infinite-depth kernel matrix K with its pairwise cosines and least
+    eigenvalue.
 
-    `depth` is the layer index, or None for the infinite-depth limit.
     `lambda_star` may legitimately come out <= 0 for data violating the
     no-parallel-pairs assumption; it is reported, never clamped, and
     downstream consumers decide whether that is fatal.
@@ -52,7 +52,6 @@ class PopulationKernel:
     cos_theta: np.ndarray
     lambda_star: float
     sigma_w2: float
-    depth: int | None
 
     @property
     def n(self) -> int:
@@ -93,8 +92,8 @@ def rho(sigma_w2: float, depth: int) -> float:
     return (1.0 - sigma_w2**depth) / (1.0 - sigma_w2)
 
 
-def kernel_layer_sequence(x, sigma_w2: float, depth: int):
-    """K^(1), ..., K^(depth) together with the final cosine matrix."""
+def kernel_layer_sequence(x, sigma_w2: float, depth: int) -> list:
+    """K^(1), ..., K^(depth)."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     cos = _check_inputs(x, sigma_w2)
@@ -114,15 +113,7 @@ def kernel_layer_sequence(x, sigma_w2: float, depth: int):
         k = r * q
         np.fill_diagonal(k, r)
         ks.append(k)
-    return ks, cos
-
-
-def kernel_recursion(x, sigma_w2: float, depth: int) -> PopulationKernel:
-    """Depth-L population kernel by running the layer recursion."""
-    ks, cos = kernel_layer_sequence(x, sigma_w2, depth)
-    k = ks[-1]
-    return PopulationKernel(k=k, cos_theta=cos, lambda_star=min_eig_sym(k),
-                            sigma_w2=sigma_w2, depth=depth)
+    return ks
 
 
 def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
@@ -151,7 +142,7 @@ def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
     k = q_func(c) / (1.0 - sigma_w2)
     np.fill_diagonal(k, 1.0 / (1.0 - sigma_w2))
     return PopulationKernel(k=k, cos_theta=c, lambda_star=min_eig_sym(k),
-                            sigma_w2=sigma_w2, depth=None)
+                            sigma_w2=sigma_w2)
 
 
 def suggested_width(n: int, lambda_star: float, t: float) -> int:
@@ -171,7 +162,8 @@ def suggested_width(n: int, lambda_star: float, t: float) -> int:
 
 def suggested_depth(n: int, lambda_star: float, sigma_w2: float) -> int:
     """ceil(log(n / lambda_star) / log(sqrt(2) / (4 sigma_w))), with the
-    paper's unknown constant in front taken as 1.
+    paper's unknown constant in front taken as 1, and at least 1: the log
+    is negative once lambda_star > n, as at n = 1.
 
     The denominator is positive exactly when sigma_w^2 < 1/8; it tends to
     zero (and the suggestion diverges) as sigma_w^2 approaches 1/8.
@@ -182,15 +174,14 @@ def suggested_depth(n: int, lambda_star: float, sigma_w2: float) -> int:
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     denom = math.log(math.sqrt(2.0) / (4.0 * math.sqrt(sigma_w2)))
-    return math.ceil(math.log(n / lambda_star) / denom)
+    return max(1, math.ceil(math.log(n / lambda_star) / denom))
 
 
 def export_kernel(pk: PopulationKernel, out_dir) -> dict:
     """Write K and cos_theta CSVs plus a summary record; returns the
     summary. The suggested width is taken at failure probability
     t = 0.01."""
-    from pathlib import Path
-
+    # kept local: a module-level import is a traced binding the tracer lacks
     from .data import save_matrix_csv
 
     out = Path(out_dir)
@@ -200,7 +191,7 @@ def export_kernel(pk: PopulationKernel, out_dir) -> dict:
     summary = {
         "n": pk.n,
         "sigma_w2": pk.sigma_w2,
-        "depth": "infinite" if pk.depth is None else pk.depth,
+        "depth": "infinite",
         "lambda_star": pk.lambda_star,
     }
     if pk.lambda_star > 0:

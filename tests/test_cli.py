@@ -7,11 +7,25 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from deqlab import errors
 from deqlab.cli import main
 from deqlab.data import load_labels_csv, load_matrix_csv
 from deqlab.train import METRICS_HEADER, SOLVER_TRACE_HEADER
 
 DESK = str(Path(__file__).resolve().parents[1] / "configs" / "synthetic_desk.yaml")
+
+# The process exit code of every public error class; the base class is
+# the catch-all 1.
+EXIT_CODES = {
+    "DeqlabError": 1,
+    "InputError": 2,
+    "DegenerateInputError": 2,
+    "ConfigError": 2,
+    "ConvergenceError": 3,
+    "AssumptionError": 4,
+    "WellPosednessError": 4,
+    "TrainingAssertionError": 5,
+}
 
 
 @pytest.fixture
@@ -194,11 +208,16 @@ class TestExitCodes:
         assert result.exit_code == 2, result.output
         assert f"{tmp_path / 'x.csv'}: expected 2 values, found 0" in result.output
 
-    def test_well_posedness_maps_to_4(self):
+    @pytest.mark.parametrize("name,code", EXIT_CODES.items())
+    def test_error_class_maps_to_exit_code(self, name, code):
         from deqlab.cli import _exit_code
-        from deqlab.errors import WellPosednessError
 
-        assert _exit_code(WellPosednessError("||W|| >= 1")) == 4
+        assert _exit_code(getattr(errors, name)("message")) == code
+
+    def test_every_error_class_has_a_code(self):
+        assert EXIT_CODES.keys() == {
+            name for name, value in vars(errors).items()
+            if isinstance(value, type) and issubclass(value, errors.DeqlabError)}
 
 
 class TestKernelCommand:

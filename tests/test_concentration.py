@@ -3,7 +3,6 @@ import pytest
 
 from deqlab.concentration import (
     derive_seed,
-    equilibrium_depth_decay,
     fresh_randomness_reconstruct,
     kernel_depth_decay,
     lambda0_vs_width,
@@ -14,10 +13,9 @@ from deqlab.concentration import (
 )
 from deqlab.data import gen_sphere_data
 from deqlab.errors import AssumptionError, DegenerateInputError, InputError
-from deqlab.kernel import (kernel_fixed_point, kernel_layer_sequence,
-                           kernel_recursion, rho)
-from deqlab.linalg import gram, spectral_norm
-from deqlab.model import DeqParams, SolverConfig, init_params, solve_equilibrium
+from deqlab.kernel import kernel_fixed_point, kernel_layer_sequence, rho
+from deqlab.linalg import gram
+from deqlab.model import SolverConfig, init_params, solve_equilibrium
 
 
 class TestDeriveSeed:
@@ -67,35 +65,10 @@ class TestKernelDepthDecay:
         x = gen_sphere_data(8, 8, seed=5).x
         loose = kernel_fixed_point(x, 0.08, tol=1e-4)
         series = kernel_depth_decay(loose, x, 40)
-        ks, _ = kernel_layer_sequence(x, 0.08, 40)
+        ks = kernel_layer_sequence(x, 0.08, 40)
         assert series[-1] == float(np.linalg.norm(loose.k - ks[-1]))
         assert series[-1] > 1e-7
         assert kernel_depth_decay(kernel_fixed_point(x, 0.08), x, 40)[-1] < 1e-12
-
-
-class TestEquilibriumDepthDecay:
-    def test_deep_iterate_reaches_solver_tolerance(self):
-        p = init_params(60, 8, 0.08, seed=7)
-        x = gen_sphere_data(8, 8, seed=7).x
-        series = equilibrium_depth_decay(p, x, 80)
-        assert series[-1] <= 1e-8
-
-    def test_log_linear_tail_slope(self):
-        # Eventually log-error drops at least as fast as log ||W||_2 per level.
-        p = init_params(100, 8, 0.08, seed=8)
-        x = gen_sphere_data(8, 8, seed=8).x
-        series = np.array(equilibrium_depth_decay(p, x, 16))
-        w_norm = spectral_norm(p.w)
-        tail = np.log(series[5:12])
-        slopes = np.diff(tail)
-        assert np.max(slopes) <= np.log(w_norm) + 0.2
-
-    def test_w_zero_first_layer_exact(self):
-        p = init_params(15, 5, 0.08, seed=9)
-        p0 = DeqParams(w=np.zeros_like(p.w), u=p.u, a=p.a, sigma_w2=p.sigma_w2)
-        x = gen_sphere_data(4, 5, seed=9).x
-        series = equilibrium_depth_decay(p0, x, 3)
-        assert series[0] <= 1e-12
 
 
 class TestTiedVsPopulation:
@@ -132,7 +105,7 @@ class TestTiedVsPopulation:
         x = gen_sphere_data(6, 8, seed=11).x
         sigma_w2 = 1e-12
         report = tied_vs_population(x, sigma_w2, [80], l=5, trials=6, base_seed=2)
-        k1 = kernel_recursion(x, sigma_w2, 1).k
+        k1 = kernel_layer_sequence(x, sigma_w2, 1)[-1]
         for cell in report.cells:
             p = init_params(cell.m, 8, sigma_w2, cell.seed)
             z1 = np.maximum(p.u @ x, 0)
@@ -141,10 +114,11 @@ class TestTiedVsPopulation:
 
     def test_input_validation(self):
         x = gen_sphere_data(4, 6, seed=12).x
-        with pytest.raises(InputError):
-            tied_vs_population(x, 0.08, [], l=3, trials=5, base_seed=0)
-        with pytest.raises(InputError):
-            tied_vs_population(x, 0.08, [200, 100], l=3, trials=5, base_seed=0)
+        for m_list, trials in (([], 5), ([200, 100], 5), ([20, 20], 5),
+                               ([20], 0)):
+            with pytest.raises(InputError):
+                tied_vs_population(x, 0.08, m_list, l=3, trials=trials,
+                                   base_seed=0)
 
 
 class TestLambda0VsWidth:
@@ -174,6 +148,15 @@ class TestLambda0VsWidth:
             p = init_params(60, 20, 0.08, seed=derive_seed(13, 60, trial))
             z = solve_equilibrium(p, x).z
             assert ratio == np.linalg.eigvalsh(gram(z))[0] / (60 * lam_star)
+
+    def test_input_validation(self):
+        # a repeated width would redraw its seeds: [20, 20] at 2 trials
+        # gave 4 cells from 2 draws
+        x = gen_sphere_data(4, 6, seed=12).x
+        for m_list, trials in (([], 2), ([200, 100], 2), ([20, 20], 2),
+                               ([20], 0)):
+            with pytest.raises(InputError):
+                lambda0_vs_width(x, 0.08, m_list, trials=trials, base_seed=0)
 
     def test_degenerate_data_aborts(self):
         col = np.arange(1.0, 7.0)

@@ -179,6 +179,8 @@ class TestConcentrationSection:
         "concentration.m_list=[40, 20]",
         "concentration.m_list=[20, 20]",
         "concentration.experiments=[reconstruct, reconstruct]",
+        # removed experiment, refused by name
+        "concentration.experiments=[equilibrium_depth_decay]",
         # removed keys, refused at load whatever their value
         "concentration.reconstruct_l=0",
         "concentration.reconstruct_m=0",

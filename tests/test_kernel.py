@@ -10,7 +10,6 @@ from deqlab.kernel import (
     export_kernel,
     kernel_fixed_point,
     kernel_layer_sequence,
-    kernel_recursion,
     q_func,
     rho,
     suggested_depth,
@@ -85,38 +84,40 @@ class TestQFunc:
 
 
 class TestKernelRecursion:
+    """The layer recursion, run by kernel_layer_sequence."""
+
     def test_depth_one_orthogonal(self):
-        pk = kernel_recursion(orthogonal_inputs(), 0.08, depth=1)
-        assert pk.k[0, 1] == pytest.approx(1 / np.pi, abs=1e-15)
-        assert pk.k[0, 0] == 1.0
+        k = kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=1)[-1]
+        assert k[0, 1] == pytest.approx(1 / np.pi, abs=1e-15)
+        assert k[0, 0] == 1.0
 
     def test_depth_two_diagonal(self):
-        pk = kernel_recursion(orthogonal_inputs(), 0.08, depth=2)
-        assert pk.k[0, 0] == pytest.approx(1.08, abs=1e-12)
+        k = kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=2)[-1]
+        assert k[0, 0] == pytest.approx(1.08, abs=1e-12)
 
     def test_matches_monte_carlo_oracle(self):
         x = gen_sphere_data(3, 6, seed=5).x
         sigma_w2, depth = 0.08, 5
-        pk = kernel_recursion(x, sigma_w2, depth)
+        k = kernel_layer_sequence(x, sigma_w2, depth)[-1]
         k_mc, se = mc_definition_oracle(x, sigma_w2, depth, samples=10**6, seed=0)
         # Level-to-level error propagation multiplies by at most
         # sigma_w2 per level, so total SE <= SE / (1 - sigma_w2).
         tol = 3.0 * (se / (1.0 - sigma_w2) + 1e-6)
-        assert np.all(np.abs(pk.k - k_mc) <= tol)
+        assert np.all(np.abs(k - k_mc) <= tol)
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
-            kernel_recursion(np.eye(3), 0.08, depth=2)
+            kernel_layer_sequence(np.eye(3), 0.08, depth=2)
 
     def test_bad_depth(self):
         with pytest.raises(InputError):
-            kernel_recursion(orthogonal_inputs(), 0.08, depth=0)
+            kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=0)
 
     def test_recursion_inequality(self):
         # |K^(l+1) - K^(l)| <= sigma_w^2 |K^(l) - K^(l-1)| + 2 sigma_w^(2l)
         x = gen_sphere_data(8, 10, seed=1).x
         sigma_w2 = 0.08
-        ks, _ = kernel_layer_sequence(x, sigma_w2, depth=12)
+        ks = kernel_layer_sequence(x, sigma_w2, depth=12)
         for level in range(2, 12):  # l = level, needs K^(l+1), K^(l), K^(l-1)
             lhs = np.abs(ks[level] - ks[level - 1])
             rhs = sigma_w2 * np.abs(ks[level - 1] - ks[level - 2]) + 2 * sigma_w2**level
@@ -124,7 +125,7 @@ class TestKernelRecursion:
 
     def test_diag_strictly_increasing_to_limit(self):
         sigma_w2 = 0.08
-        ks, _ = kernel_layer_sequence(gen_sphere_data(4, 5, seed=2).x, sigma_w2, 30)
+        ks = kernel_layer_sequence(gen_sphere_data(4, 5, seed=2).x, sigma_w2, 30)
         diags = np.array([k[0, 0] for k in ks])
         # Strict growth while the increment sigma_w^(2l) is representable
         # in float64 next to rho ~ 1.09; non-decreasing beyond that.
@@ -133,7 +134,7 @@ class TestKernelRecursion:
         assert diags[-1] == pytest.approx(1 / (1 - sigma_w2), abs=1e-12)
 
     def test_psd_every_level(self):
-        ks, _ = kernel_layer_sequence(gen_sphere_data(10, 6, seed=3).x, 0.1, 8)
+        ks = kernel_layer_sequence(gen_sphere_data(10, 6, seed=3).x, 0.1, 8)
         for k in ks:
             assert min_eig_sym(k) >= -1e-10 * spectral_norm(k)
 
@@ -155,9 +156,8 @@ class TestKernelRecursion:
         calls = []
         monkeypatch.setattr(kernel, "q_func",
                             lambda c: calls.append(1) or q_func(c))
-        ks, cos_out = kernel_layer_sequence(x, sigma_w2, depth)
+        ks = kernel_layer_sequence(x, sigma_w2, depth)
         assert len(calls) == depth
-        assert np.array_equal(cos_out, cos)
         for k, k_ref in zip(ks, ref, strict=True):
             assert np.array_equal(k, k_ref)
 
@@ -188,9 +188,8 @@ class TestKernelFixedPoint:
 
     def test_recursion_consistency_at_depth_60(self):
         x = gen_sphere_data(16, 12, seed=4).x
-        a = kernel_recursion(x, 0.08, depth=60)
-        b = kernel_fixed_point(x, 0.08)
-        assert np.abs(a.k - b.k).max() <= 1e-10
+        k_60 = kernel_layer_sequence(x, 0.08, depth=60)[-1]
+        assert np.abs(k_60 - kernel_fixed_point(x, 0.08).k).max() <= 1e-10
 
     def test_lambda_star_positive_on_valid_data(self):
         for seed in range(5):
@@ -234,6 +233,10 @@ class TestSuggestions:
     def test_depth_frozen_example(self):
         assert suggested_depth(100, 0.36, 0.08) == 26
 
+    def test_depth_at_least_one(self):
+        # n = 1: lambda_star = 1/(1 - sigma_w^2) > n makes the log negative
+        assert suggested_depth(1, 1 / 0.92, 0.08) == 1
+
     def test_depth_diverges_near_eighth(self):
         assert suggested_depth(100, 0.36, 0.1249999) > 10000
 
@@ -255,10 +258,16 @@ class TestExport:
         assert summary["suggested_width"] >= 1
         assert summary["depth"] == "infinite"
 
+    def test_single_input_suggests_depth_one(self, tmp_path):
+        with pytest.warns(UserWarning, match="n=1"):
+            x = gen_sphere_data(1, 4, seed=8).x
+        pk = kernel_fixed_point(x, 0.08)
+        assert export_kernel(pk, tmp_path)["suggested_depth"] == 1
+
     def test_round_trip_kernel_csv(self, tmp_path):
         from deqlab.data import load_matrix_csv
 
-        pk = kernel_recursion(gen_sphere_data(4, 4, seed=9).x, 0.05, depth=3)
+        pk = kernel_fixed_point(gen_sphere_data(4, 4, seed=9).x, 0.05)
         export_kernel(pk, tmp_path)
         np.testing.assert_array_equal(load_matrix_csv(tmp_path / "kernel.csv"), pk.k)
 
