@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, WellPosednessError
+from .errors import InputError
 from .linalg import as_matrix
 from .model import (
     DeqParams,
@@ -83,11 +83,14 @@ def activation_mask(pre) -> np.ndarray:
 class _MaskedLinearMap:
     """The linear map x -> source + mask .* (op x) for model._iterate; its
     increment at any point is d -> mask .* (op d). The product op x of the
-    last application, or the one given in its place, is `product`."""
+    last application, or the one given in its place, is `product`. A mask
+    entry outside {0, 1} is refused: it can void the contraction."""
 
     clip = False
 
     def __init__(self, op, mask, source):
+        if not np.all((mask == 0.0) | (mask == 1.0)):
+            raise InputError("mask entries must be 0 or 1 (a ReLU derivative)")
         self.op, self.mask, self.source = op, mask, source
         self.shape = mask.shape
         self.apply32 = None
@@ -109,50 +112,25 @@ class _MaskedLinearMap:
         return self.apply32
 
 
-def _checked_start(x0, shape, name: str) -> np.ndarray:
-    x = np.asarray(x0, dtype=np.float64)
-    if x.shape != shape or not np.all(np.isfinite(x)):
-        raise InputError(f"{name} has wrong shape or non-finite entries")
-    return x
-
-
-def _solve_masked(p: DeqParams, op, mask, source, cfg: SolverConfig,
-                  what: str, x0=None, seed=None) -> AdjointSolution:
-    """Picard iteration X = source + mask .* (op X) from `x0` (X = 0 if
-    None, whose first application makes no product): the one body of the
-    adjoint (op = W^T) and sensitivity (op = W) solves, after each has
-    checked its own operand shapes. Only the adjoint takes a start, as
-    `m0`. `seed` is op @ x0 when already known (see model._iterate)."""
-    w_norm, ok = well_posedness(p)
-    if not ok:
-        raise WellPosednessError(
-            f"||W||_2 = {w_norm:.6f} >= 1: {what} fixed point may not exist")
-    if seed is not None:
-        if x0 is None:
-            raise InputError("a seed needs the m0 it was taken at")
-        seed = _checked_start(seed, mask.shape, "seed")
-    x = None if x0 is None else _checked_start(x0, mask.shape, "m0")
-    step = _MaskedLinearMap(op, mask, source)
-    x, res, k, history = _iterate(step, x, cfg, what, seed)
-    return AdjointSolution(m=x, product=step.product, residual=res,
-                           iterations=k, residuals=history)
-
-
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
                   m0=None, seed=None) -> AdjointSolution:
     """Picard iteration for M = mask .* (a e^T + W^T M), from M = 0.
 
-    Contraction at rate <= ||W||_2 since mask entries are at most 1.
-    `m0` warm-starts from a previous solution for nearby parameters, and
-    `seed`, if given, is W^T m0 known from elsewhere: the solve then makes
-    one product fewer.
+    Contraction at rate <= ||W||_2 for a 0/1 mask. `m0` warm-starts from
+    a previous solution for nearby parameters, and `seed`, if given, is
+    W^T m0 known from elsewhere: the solve then makes one product fewer.
+    A non-finite `e` is refused (InputError).
     """
     mask = as_matrix(mask, "mask")
     e = np.asarray(e, dtype=np.float64).ravel()
     if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
         raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
-    return _solve_masked(p, p.w.T, mask, mask * np.outer(p.a, e), cfg,
-                         "adjoint", m0, seed)
+    if not np.all(np.isfinite(e)):
+        raise InputError("e contains non-finite entries")
+    step = _MaskedLinearMap(p.w.T, mask, mask * np.outer(p.a, e))
+    m, res, k, history = _iterate(p, step, m0, cfg, "adjoint", seed)
+    return AdjointSolution(m=m, product=step.product, residual=res,
+                           iterations=k, residuals=history)
 
 
 def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
@@ -186,15 +164,18 @@ def solve_sensitivity(p: DeqParams, mask, rhs,
     from S = 0.
 
     `rhs` is dW Z + dU X for a parameter direction (dW, dU); the solution
-    S is the first-order response of Z. Same contraction argument as the
-    adjoint solve. Its one caller, ntk_max_eig, makes one cold solve to
+    S is the first-order response of Z, a contraction at rate <= ||W||_2
+    for a 0/1 mask. Its one caller, ntk_max_eig, makes one cold solve to
     check the closed-form tangent kernel.
     """
     mask = as_matrix(mask, "mask")
     rhs = as_matrix(rhs, "rhs")
     if rhs.shape != mask.shape:
         raise InputError(f"rhs shape {rhs.shape} != mask shape {mask.shape}")
-    return _solve_masked(p, p.w, mask, mask * rhs, cfg, "sensitivity")
+    step = _MaskedLinearMap(p.w, mask, mask * rhs)
+    s, res, k, history = _iterate(p, step, None, cfg, "sensitivity")
+    return AdjointSolution(m=s, product=step.product, residual=res,
+                           iterations=k, residuals=history)
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:

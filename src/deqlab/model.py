@@ -205,17 +205,24 @@ class _ReluMap:
         return apply
 
 
-def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
-    """Picard iteration x <- step(x) from x until
+def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
+             seed=None):
+    """Picard iteration x <- step(x) from x = x0 until
     ||x+ - x||_F / max(1, ||x||_F) <= cfg.tol; returns (x, residual,
     iterations, residuals) for the first x that meets the rule. The last
     application of `step` is the float64 one made at that x.
 
+    The one entry of the forward, adjoint and sensitivity solves. Before
+    any product with W it checks the certificate ||W||_2 < 1 of `p`
+    (WellPosednessError), a start of the map's shape with finite entries,
+    nonnegative for a map with `clip`, and a seed only with its start,
+    of the same shape and finite (InputError).
+
     `step(x, product)` takes the map's operator product at x in place of
-    computing it. A `seed` is that product at the start x, known from
-    elsewhere: the first application is then step(x, seed), which counts
+    computing it. A `seed` is that product at the start x0, known from
+    elsewhere: the first application is then step(x0, seed), which counts
     in no `iterations`, adds no residual and never stops the loop. A
-    wrong seed costs iterations, never accuracy. x = None is the zero
+    wrong seed costs iterations, never accuracy. x0 = None is the zero
     start of shape `step.shape`, whose product is zero: its first
     application is step(0, 0), which makes no product but otherwise is
     an application like any other (it counts, adds its residual and can
@@ -246,6 +253,21 @@ def _iterate(step, x, cfg: SolverConfig, what: str, seed=None):
     Every application but a seeded one counts in `iterations` and adds
     one residual; a float32 one is ||d+ - d||_F / max(1, ||x_b + d||_F).
     """
+    w_norm, ok = well_posedness(p)
+    if not ok:
+        raise WellPosednessError(f"||W||_2 = {w_norm:.6f} >= 1: the {what} "
+                                 f"map is not a contraction")
+    if seed is not None and x0 is None:
+        raise InputError(f"{what} seed given without its start")
+    x, seed = (None if a is None else np.asarray(a, dtype=np.float64)
+               for a in (x0, seed))
+    for name, a in (("start", x), ("seed", seed)):
+        if a is not None and (a.shape != step.shape
+                              or not np.all(np.isfinite(a))):
+            raise InputError(f"{what} {name} must be a finite {step.shape} "
+                             f"array, got shape {a.shape}")
+    if step.clip and x is not None and np.any(x < 0.0):
+        raise InputError(f"{what} start must be nonnegative (a ReLU image)")
     counted = seed is None
     if x is None:
         x, seed = np.zeros(step.shape), np.zeros(step.shape)
@@ -309,21 +331,8 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
     x = as_matrix(x, "X")
     if x.shape[0] != p.d:
         raise InputError(f"X has {x.shape[0]} rows, expected d={p.d}")
-    w_norm, ok = well_posedness(p)
-    if not ok:
-        raise WellPosednessError(
-            f"||W||_2 = {w_norm:.6f} >= 1: the layer map is not a contraction")
-    n = x.shape[1]
-    z = z0
-    if z is not None:
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (p.m, n):
-            raise InputError(f"z0 has shape {z.shape}, expected ({p.m}, {n})")
-        if not np.all(np.isfinite(z)) or np.any(z < 0.0):
-            raise InputError("z0 must be finite and nonnegative (a ReLU image)")
-
     relu_map = _ReluMap(p.w, p.u @ x)
-    z, res, k, history = _iterate(relu_map, z, cfg, "equilibrium")
+    z, res, k, history = _iterate(p, relu_map, z0, cfg, "equilibrium")
     return EquilibriumSolution(z=z, pre=relu_map.pre, residual=res,
                                iterations=k, residuals=history)
 

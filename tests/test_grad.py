@@ -6,9 +6,9 @@ from deqlab import model
 from deqlab.data import gen_sphere_data
 from deqlab.errors import ConvergenceError, InputError, WellPosednessError
 from deqlab.grad import (
+    AdjointSolution,
     GradientTriple,
     _MaskedLinearMap,
-    _solve_masked,
     activation_mask,
     dense_gradients_reference,
     finite_difference_gradients,
@@ -154,22 +154,6 @@ class TestAdjointColumnSeparability:
         assert_columns_separate(p, mask, e, self.CFG)
 
 
-class TestAdjointStart:
-    def test_nonfinite_m0_rejected(self):
-        p, ds, sol = instance(10, 4, 5, seed=8)
-        mask = activation_mask(sol.pre)
-        m0 = np.zeros((10, 4))
-        m0[3, 1] = np.nan
-        with pytest.raises(InputError, match="m0"):
-            solve_adjoint(p, mask, np.ones(4), m0=m0)
-
-    def test_wrong_shape_m0_rejected(self):
-        p, ds, sol = instance(10, 4, 5, seed=8)
-        mask = activation_mask(sol.pre)
-        with pytest.raises(InputError, match="m0"):
-            solve_adjoint(p, mask, np.ones(4), m0=np.zeros((10, 1)))
-
-
 class TestGradients:
     def test_interpolation_point_zero_gradients(self):
         p, ds, sol = instance(12, 5, 6, seed=8)
@@ -305,8 +289,10 @@ class Problem:
         elif x0 is None:
             sol = solve_sensitivity(p, self.mask, self.rhs, cfg)
         else:  # solve_sensitivity takes no start; the engine it runs does
-            sol = _solve_masked(p, p.w, self.mask, self.mask * self.rhs, cfg,
-                                "sensitivity", x0)
+            step = self.layer_map(kind)
+            x, res, k, history = _iterate(p, step, x0, cfg, kind)
+            sol = AdjointSolution(m=x, product=step.product, residual=res,
+                                  iterations=k, residuals=history)
         return sol.m, sol
 
     def apply(self, kind, x):
@@ -334,7 +320,8 @@ class Recorded:
     correction each application acts on."""
 
     def __init__(self, step):
-        self.step, self.clip, self.dtypes = step, step.clip, []
+        self.step, self.clip, self.shape = step, step.clip, step.shape
+        self.dtypes = []
 
     def __call__(self, x):
         self.dtypes.append(x.dtype)
@@ -429,7 +416,8 @@ class TestPicardEngineAtCut:
     def test_warm_solve_at_most_three_float64_applications(self, moved, kind):
         prob, warm = moved
         step = Recorded(prob.layer_map(kind))
-        x, res, k, history = _iterate(step, warm[kind], SolverConfig(), kind)
+        x, res, k, history = _iterate(prob.p, step, warm[kind],
+                                      SolverConfig(), kind)
         assert res <= SolverConfig().tol and len(history) == k
         # the returned residual is x's own float64 one
         assert res == pytest.approx(
@@ -561,9 +549,9 @@ class TestSeededAdjoint:
 
     def test_seed_needs_its_start_and_shape(self, warm):
         prob, m0 = warm
-        with pytest.raises(InputError, match="m0"):
+        with pytest.raises(InputError, match="adjoint seed given without"):
             self.solve(prob, None, m0)
-        with pytest.raises(InputError, match="seed"):
+        with pytest.raises(InputError, match="adjoint seed must be"):
             self.solve(prob, m0, m0[:, 1:])
 
 
@@ -642,7 +630,8 @@ class TestZeroStart:
         for x0 in (None, np.zeros_like(prob.z)):
             step = prob.layer_map(kind, CountingOperator)
             op = step.w if kind == "forward" else step.op
-            x, res, k, history = _iterate(step, x0, SolverConfig(), kind)
+            x, res, k, history = _iterate(prob.p, step, x0, SolverConfig(),
+                                          kind)
             product = step.pre if kind == "forward" else step.product
             runs.append((x, product, res, k, history))
             products.append(op.products)
@@ -656,3 +645,61 @@ class TestZeroStart:
         adj = solve_adjoint(prob.p, prob.mask, np.zeros(prob.ds.n))
         assert (adj.iterations, adj.residuals) == (1, (0.0,))
         assert not adj.m.any() and not adj.product.any()
+
+
+class TestSolvePreconditions:
+    """Each solve refuses what voids its contraction or its start with its
+    own error, where it would otherwise run all max_iter applications and
+    raise ConvergenceError. model._iterate checks the certificate, the
+    start and the seed of all three; the masked solves also refuse a mask
+    outside {0, 1}, and the adjoint a non-finite e."""
+
+    CASES = [(kind, case, WellPosednessError if case == "ill_posed"
+              else InputError)
+             for kind in KINDS
+             for case in ("ill_posed", "start_shape", "start_nonfinite",
+                          "seed_without_start")]
+    CASES += [("forward", "start_negative", InputError),
+              ("adjoint", "mask_times_3", InputError),
+              ("sensitivity", "mask_times_3", InputError),
+              ("adjoint", "e_nan", InputError),
+              ("adjoint", "y_inf", InputError)]
+
+    @pytest.fixture(scope="class")
+    def prob(self):
+        return Problem(40, 5, 6, seed=9)
+
+    @pytest.mark.parametrize("kind,case,error", CASES)
+    def test_refused(self, prob, kind, case, error):
+        p, mask, e, y = prob.p, prob.mask, prob.e.copy(), prob.ds.y.copy()
+        x0 = seed = None
+        start = np.zeros_like(prob.z)
+        if case == "ill_posed":
+            p = DeqParams(w=p.w * (1.2 / np.linalg.norm(p.w, 2)), u=p.u,
+                          a=p.a, sigma_w2=p.sigma_w2)
+        elif case == "start_shape":
+            x0 = start[:, 1:]
+        elif case in ("start_nonfinite", "start_negative"):
+            x0 = start
+            x0[3, 1] = np.nan if case == "start_nonfinite" else -1.0
+        elif case == "seed_without_start":
+            seed = start
+        elif case == "mask_times_3":
+            mask = 3 * mask
+        elif case == "e_nan":
+            e[1] = np.nan
+        elif case == "y_inf":
+            y[1] = np.inf
+        with pytest.raises(error):
+            if case == "y_inf":
+                gradients(p, prob.solve("forward")[1], prob.ds.x, y)
+            elif kind == "adjoint":
+                solve_adjoint(p, mask, e, m0=x0, seed=seed)
+            elif seed is not None or kind == "sensitivity" and x0 is not None:
+                # no public seed (forward, sensitivity) or start (sensitivity)
+                _iterate(p, prob.layer_map(kind), x0, SolverConfig(), kind,
+                         seed)
+            elif kind == "forward":
+                solve_equilibrium(p, prob.ds.x, z0=x0)
+            else:
+                solve_sensitivity(p, mask, prob.rhs)

@@ -191,12 +191,6 @@ class TestSolveEquilibrium:
             solve_equilibrium(p, x, SolverConfig(tol=1e-12, max_iter=3))
         assert exc.value.residual is not None and exc.value.iterations == 3
 
-    def test_bad_warm_start_rejected(self):
-        p = small_params()
-        x = gen_sphere_data(4, p.d, seed=8).x
-        with pytest.raises(InputError):
-            solve_equilibrium(p, x, z0=-np.ones((p.m, 4)))
-
 
 class TestPredictLoss:
     def test_zero_cases(self):
