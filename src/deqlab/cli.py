@@ -22,7 +22,7 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__
+from . import __version__, train
 from .concentration import (
     fresh_randomness_reconstruct,
     kernel_depth_decay,
@@ -65,12 +65,6 @@ from .model import (
     solve_equilibrium,
 )
 from .reporting import config_hash, line_plot_svg, write_csv, write_run_manifest
-from .train import (
-    gram_min_eig,
-    train,
-    write_metrics_csv,
-    write_solver_trace_csv,
-)
 
 EXIT_CONFIG = 2
 EXIT_CONVERGENCE = 3
@@ -203,7 +197,7 @@ def cmd_check(cfg, doc, started):
     m = widths[-1]
     p = init_params(m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
     sol = solve_equilibrium(p, ds.x, cfg.solver)
-    lam0 = gram_min_eig(sol.z)
+    lam0 = train.gram_min_eig(sol.z)
     r0 = float(np.linalg.norm(predict(p, sol.z) - ds.y))
     bounds = init_bounds(p)
     report = check_condition(bounds, lam0, ds.x, r0)
@@ -226,13 +220,12 @@ def cmd_train(cfg, doc, started):
     widths = cfg.model.widths()
     t = cfg.train
 
-    anchor, start_step = None, 0
+    resumed = train.TrainState()
     if t.resume is not None:  # one width and a sidecar, checked at load
         try:
-            state = json.loads(Path(t.resume).with_suffix(".json").read_text())
-            anchor = {key: float(state[key])
-                      for key in ("eta", "lambda_0", "phi_0")}
-            start_step = int(state["step"])
+            side = json.loads(Path(t.resume).with_suffix(".json").read_text())
+            resumed = train.TrainState(int(side["step"]), float(side["eta"]), "resumed",
+                                       float(side["lambda_0"]), float(side["phi_0"]))
         except (ValueError, KeyError, TypeError) as exc:
             raise ConfigError(f"train.resume: unreadable sidecar: {exc}") from exc
         p_resume = load_params(t.resume)
@@ -242,6 +235,7 @@ def cmd_train(cfg, doc, started):
                 f"train.resume: checkpoint has (m, d, sigma_w2) = {have}, "
                 f"the config asks for {(widths[0], ds.d, cfg.model.sigma_w2)}")
     out = _out_dir(cfg)
+    start = resumed.step if t.resume is not None else None
 
     outputs = []
     traces = {}
@@ -251,36 +245,33 @@ def cmd_train(cfg, doc, started):
         tag = f"m{m}"
         p0 = p_resume if t.resume is not None else init_params(
             m, ds.d, cfg.model.sigma_w2, cfg.model.seed)
+        records = []  # each step's rows and checkpoint are written as it ends
+        metrics = write_csv(out / f"metrics_{tag}.csv", train.METRICS_HEADER, start=start)
+        solver = write_csv(out / f"trace_{tag}.csv", train.SOLVER_TRACE_HEADER,
+                           start=start)
+        for tau, (record, params, state) in enumerate(
+                train.train_steps(p0, ds, t, resumed)):
+            if record is not None:
+                records.append(record)
+                metrics(train.metrics_row(record))
+                solver(train.solver_trace_row(record))
+            if t.checkpoint_every and train.checkpoint_due(tau, t.steps,
+                                                           t.checkpoint_every):
+                ck = out / f"ckpt_{tag}_{state.step:06d}.npz"
+                save_params(ck, params)
+                ck.with_suffix(".json").write_text(json.dumps({
+                    "step": state.step, "eta": state.eta, "lambda_0": state.lambda_0,
+                    "phi_0": state.phi_0, "config_hash": config_hash(doc),
+                    "artifact_version": __version__}, sort_keys=True) + "\n")
+                outputs.append(ck.name)
+        outputs += [f"metrics_{tag}.csv", f"trace_{tag}.csv"]
 
-        steps = []
-
-        def checkpoint(step, params):
-            save_params(out / f"ckpt_{tag}_{step:06d}.npz", params)
-            steps.append(step)
-
-        _, trace = train(p0, ds, t, start_step=start_step, anchor=anchor,
-                         on_checkpoint=checkpoint if t.checkpoint_every else None,
-                         checkpoint_every=t.checkpoint_every)
-
-        for step in steps:  # the sidecars need the run's eta and anchors
-            ck = out / f"ckpt_{tag}_{step:06d}.npz"
-            ck.with_suffix(".json").write_text(json.dumps({
-                "step": step, "eta": trace.eta, "lambda_0": trace.lambda_0,
-                "phi_0": trace.phi_0, "config_hash": config_hash(doc),
-                "artifact_version": __version__}, sort_keys=True) + "\n")
-            outputs.append(ck.name)
-
-        for name, write in ((f"metrics_{tag}.csv", write_metrics_csv),
-                            (f"trace_{tag}.csv", write_solver_trace_csv)):
-            write(out / name, trace, append=t.resume is not None)
-            outputs.append(name)
-
-        traces[m] = trace
-        click.echo(f"{tag}: eta={trace.eta:.6g} ({trace.eta_mode}) "
-                   f"phi0={trace.phi_0:.6g} final={trace.records[-1].loss:.6g} "
-                   f"max||W||={max(r.w_spec_norm for r in trace.records):.4f}")
+        traces[m] = train.TrainTrace(**vars(state), records=records)
+        click.echo(f"{tag}: eta={state.eta:.6g} ({state.eta_mode}) "
+                   f"phi0={state.phi_0:.6g} final={records[-1].loss:.6g} "
+                   f"max||W||={max(r.w_spec_norm for r in records):.4f}")
         if len(widths) > 1 and t.eta == "auto":
-            t = replace(t, eta=trace.eta)
+            t = replace(t, eta=state.eta)
             click.echo(f"shared eta (auto at m={m}): {t.eta:.6g}")
 
     for name, title, ylabel, logy in (

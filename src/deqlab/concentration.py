@@ -99,8 +99,8 @@ def layer_iterates(p: DeqParams, x, depth: int) -> list:
 def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
     """||K - K^(l)||_F for l = 1..l_max, where K is `pk`, the caller's
     kernel_fixed_point of the same x; deterministic."""
-    ks = kernel_layer_sequence(x, pk.sigma_w2, l_max)
-    return [float(np.linalg.norm(pk.k - k)) for k in ks]
+    return [float(np.linalg.norm(pk.k - k))
+            for k in kernel_layer_sequence(x, pk.sigma_w2, l_max)]
 
 
 def _check_grid(m_list, trials: int) -> None:
@@ -119,7 +119,8 @@ def tied_vs_population(x, sigma_w2: float, m_list, l: int, trials: int,
     """Per (m, trial): fresh init, l layer steps, ||G^(l)/m - K^(l)||_F."""
     x = as_matrix(x, "X")
     _check_grid(m_list, trials)
-    k_l = kernel_layer_sequence(x, sigma_w2, l)[-1]
+    for k_l in kernel_layer_sequence(x, sigma_w2, l):
+        pass  # keep the last level, K^(l)
     d = x.shape[0]
     cells = []
     for m in m_list:

@@ -92,19 +92,19 @@ def rho(sigma_w2: float, depth: int) -> float:
     return (1.0 - sigma_w2**depth) / (1.0 - sigma_w2)
 
 
-def kernel_layer_sequence(x, sigma_w2: float, depth: int) -> list:
-    """K^(1), ..., K^(depth)."""
+def kernel_layer_sequence(x, sigma_w2: float, depth: int):
+    """Yield K^(1), ..., K^(depth), checking the inputs at the first: a
+    caller that keeps only the level at hand holds a few n x n arrays."""
     if depth < 1:
         raise InputError(f"depth must be >= 1, got {depth}")
     cos = _check_inputs(x, sigma_w2)
     xtx_over_d = cos.copy()
-    ks = []
     # l = 1: rho = 1 and the cosine is the raw normalized inner product.
     # The cosine's diagonal is exactly 1 and Q(1) == 1.0, so q is K^(l)/rho
     # bit for bit, and the next level reuses it.
     q = q_func(cos)
     np.fill_diagonal(q, 1.0)
-    ks.append(q)
+    yield q
     for level in range(2, depth + 1):
         r = rho(sigma_w2, level)
         cos = (1.0 - 1.0 / r) * q + xtx_over_d / r
@@ -112,8 +112,7 @@ def kernel_layer_sequence(x, sigma_w2: float, depth: int) -> list:
         q = q_func(cos)
         k = r * q
         np.fill_diagonal(k, r)
-        ks.append(k)
-    return ks
+        yield k
 
 
 def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,

@@ -39,37 +39,38 @@ def _cell(value) -> str:
     return str(value)
 
 
-def write_csv(path, header: str, rows, append: bool = False) -> None:
-    """The table `header` (column names joined by commas) over `rows`,
-    lines ended by the csv module's default `\\r\\n`. Floats print as
-    `%.17g`, so they round-trip bit-exactly; bools as `true`/`false`;
-    anything else as `str`.
+def write_csv(path, header: str, rows=(), start=None):
+    """Write the table `header` (column names joined by commas) over
+    `rows` and return add(*rows), which appends more; each call closes
+    the file, so a run that fails keeps every row it added. Lines end
+    with `\\r\\n`, the csv module's default. Floats print as `%.17g`, so
+    they round-trip bit-exactly; bools as `true`/`false`; else `str`.
 
-    With `append`, rows are led by their step. An existing file is cut
-    after the row of the first new step, and then only rows after its
-    last step are added, so a resumed run continues the file
-    contiguously and replaces the rows the file had past its start; a
-    missing, empty or header-only file, or one whose rows all come after
-    the first new step, is rewritten."""
-    rows = list(rows)
-    first = rows[0][0] if rows else math.inf
+    With `start`, rows are led by their step and an existing file is
+    continued: it is cut once, after its row of step `start`, and rows up
+    to its last kept step are skipped. A missing, empty or header-only
+    file, or one whose rows all come after `start`, is rewritten."""
     after, keep = -1, 0  # the kept file's last step and its length in bytes
-    if append and Path(path).exists():
+    if start is not None and Path(path).exists():
         lines = Path(path).read_bytes().splitlines(keepends=True)
         size = sum(map(len, lines[:1]))
         for line in lines[1:]:
             step = line.split(b",")[0]
-            if not step.isdigit() or int(step) > first:
+            if not step.isdigit() or int(step) > start:
                 break
             size += len(line)
             after, keep = int(step), size
         os.truncate(path, keep)
-    with open(path, "a" if after >= 0 else "w", newline="") as f:
-        writer = csv.writer(f)
-        if after < 0:
-            writer.writerow(header.split(","))
-        writer.writerows([_cell(v) for v in row] for row in rows
-                         if after < 0 or row[0] > after)
+    if after < 0:
+        with open(path, "w", newline="") as f:
+            csv.writer(f).writerow(header.split(","))
+
+    def add(*rows):
+        with open(path, "a", newline="") as f:
+            csv.writer(f).writerows([_cell(v) for v in row] for row in rows
+                                    if after < 0 or row[0] > after)
+    add(*rows)
+    return add
 
 
 def _ticks(lo: float, hi: float, count: int = 6):

@@ -11,7 +11,7 @@ holds at desk scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,21 +35,23 @@ from .model import (
     solve_equilibrium,
     well_posedness,
 )
-from .reporting import write_csv
 
 __all__ = [
     "TrainConfig",
     "TrainRecord",
+    "TrainState",
     "TrainTrace",
     "METRICS_HEADER",
     "SOLVER_TRACE_HEADER",
     "auto_eta",
+    "checkpoint_due",
     "gram_min_eig",
     "ntk_max_eig",
+    "metrics_row",
     "monitors",
+    "solver_trace_row",
     "train",
-    "write_metrics_csv",
-    "write_solver_trace_csv",
+    "train_steps",
 ]
 
 # Relative stop tolerance of the per-step Lanczos certificate: a tenth of
@@ -105,13 +107,24 @@ class TrainRecord:
     adjoint_residual: float
 
 
-@dataclass
-class TrainTrace:
-    records: list
-    eta: float
-    eta_mode: str
-    lambda_0: float
-    phi_0: float
+@dataclass(frozen=True)
+class TrainState:
+    """Where a run stands: the step of the parameters it comes with, and
+    the anchors eta (with its mode), lambda_0 and phi_0, all four set or
+    none; a run's first step fixes them unless it resumes with them."""
+
+    step: int = 0
+    eta: float | None = None
+    eta_mode: str | None = None
+    lambda_0: float | None = None
+    phi_0: float | None = None
+
+
+@dataclass(frozen=True)
+class TrainTrace(TrainState):
+    """A run's records, with the state it ended in."""
+
+    records: list = field(default_factory=list)
 
     def column(self, name: str) -> np.ndarray:
         return np.array([getattr(r, name) for r in self.records])
@@ -235,41 +248,36 @@ def _certificate_start(v, v_prev):
     return _secant(v, np.copysign(1.0, v @ v_prev) * v_prev)
 
 
-def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
-          start_step: int = 0, anchor: dict | None = None,
-          on_checkpoint=None, checkpoint_every: int = 0):
-    """Run `cfg.steps` full-batch GD updates; returns (params, trace).
+def train_steps(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
+                state: TrainState = TrainState()):
+    """Run `cfg.steps` full-batch GD updates from `p0`, one step at a time.
 
-    Every step, step 0 included, certifies ||W||_2 < 1, solves the
-    equilibrium, evaluates the loss once and takes the gradients; step 0
-    also fixes eta, lambda_0 (which is also its record's lambda_tau) and
-    phi_0. A `p0` that well_posedness certified by its own Lanczos run
-    brings that run's norm and Ritz vector to step 0, which makes no
-    Lanczos run of its own; any other p0 gets a cold one at CERT_TOL.
-    Records are written at step 0, every `monitor_every`-th step, and
-    the final step. A W with ||W||_2 >= 1 at any step raises
-    WellPosednessError. Warm starts change iteration counts, never
-    results beyond the solver tolerances: the certificate
-    starts from the secant of the last two Ritz vectors, the forward
-    solve from the secant of the last two Z, and the adjoint from the
-    last M, seeded with W^T M updated by the rank-n step. A step holds
-    W(0), W(tau) and the gradient G_W, whose buffer becomes W(tau+1).
+    Every step, step 0 included, certifies ||W||_2 < 1 (WellPosednessError
+    otherwise), solves the equilibrium, evaluates the loss once and takes
+    the gradients; the first step of a `state` without anchors fixes them,
+    lambda_0 being its lambda_tau. A `p0` that well_posedness certified by
+    its own Lanczos run brings that run's norm and Ritz vector; any other
+    gets a cold run at CERT_TOL. Warm starts change iteration counts, never
+    results beyond the solver tolerances: the certificate starts from the
+    secant of the last two Ritz vectors, the forward solve from that of the
+    last two Z, the adjoint from the last M, seeded with W^T M updated by
+    the rank-n step.
 
-    Resuming: `start_step` offsets the recorded step indices, and
-    `anchor` = {"eta", "lambda_0", "phi_0"} pins the step size and the
-    rate-envelope reference to the original run's values so a resumed
-    trace continues the same envelope. `on_checkpoint(step, params)`
-    fires every `checkpoint_every` updates (0 disables) and at the end.
+    After each step's update it yields (record, params, state): the step's
+    TrainRecord, or None off the monitor cadence (the first step, every
+    `monitor_every`-th and the last); the updated parameters, or the last
+    step's own; and their TrainState. None of it is written to again, but
+    a consumer that keeps `params` past the next step holds one W more
+    than the step's W(0), W(tau) and the gradient that becomes W(tau+1).
     """
     if not isinstance(data, Dataset):
         raise InputError("train expects a Dataset (its constructor enforces "
                          "the data assumptions)")
     p = p0
-    records = []
     v0 = v_prev = z0 = z_prev = m0 = wtm0 = None
     try:
         for tau in range(cfg.steps + 1):
-            step = start_step + tau
+            step = state.step
             cert = p._certificate
             if cert is not None and cert[2] is not None:
                 w_norm, ok, v = cert
@@ -285,65 +293,65 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
             sol = solve_equilibrium(p, data.x, cfg.solver, z0=z0)
             phi = loss(predict(p, sol.z), data.y)
             lambda_tau = None
-            if tau == 0 and anchor is not None:
-                eta = float(anchor["eta"])
-                eta_mode = "resumed"
-                lambda_0 = float(anchor["lambda_0"])
-                phi0 = float(anchor["phi_0"])
-            elif tau == 0:
-                lambda_0 = lambda_tau = gram_min_eig(sol.z)
-                phi0 = phi
-                if cfg.eta == "auto":
-                    eta = auto_eta(p, sol.z, data.x, solver=cfg.solver,
-                                   pre=sol.pre)
-                    eta_mode = "auto"
-                else:
-                    eta = float(cfg.eta)
-                    eta_mode = "explicit"
+            if state.eta is None:  # the run's first step fixes its anchors
+                lambda_tau, auto = gram_min_eig(sol.z), cfg.eta == "auto"
+                eta = auto_eta(p, sol.z, data.x, solver=cfg.solver,
+                               pre=sol.pre) if auto else float(cfg.eta)
+                state = TrainState(step, eta, "auto" if auto else "explicit",
+                                   lambda_tau, phi)
+            eta = state.eta
             grads, adj = gradients(p, sol, data.x, data.y, cfg.solver,
                                    m0=m0, seed=wtm0)
-            if tau % cfg.monitor_every == 0 or tau == cfg.steps:
-                records.append(monitors(p, sol, adj, grads, phi, lambda_0,
-                                        eta, step, phi0, lambda_tau))
-            if tau == cfg.steps:
-                break
-
-            # next step's starts; a Z start must be >= 0
-            z0 = np.maximum(_secant(sol.z, z_prev), 0.0)
-            z_prev, m0 = sol.z, adj.m
-            # W+^T M = W^T M - eta Z (M^T M): two m n^2 products
-            wtm0 = adj.product - eta * (sol.z @ (adj.m.T @ adj.m))
-            # W - eta G_W in G_W's own buffer, without a W-sized
-            # temporary: negation is exact, so this is bitwise the same sum
-            w = grads.gw
-            w *= -eta
-            w += p.w
-            p = DeqParams(w=w, u=p.u - eta * grads.gu,
-                          a=p.a - eta * grads.ga, sigma_w2=p.sigma_w2)
-            if (on_checkpoint is not None and checkpoint_every > 0
-                    and (tau + 1) % checkpoint_every == 0 and tau + 1 < cfg.steps):
-                on_checkpoint(step + 1, p)
+            record = (monitors(p, sol, adj, grads, phi, state.lambda_0, eta, step,
+                               state.phi_0, lambda_tau)
+                      if tau % cfg.monitor_every == 0 or tau == cfg.steps else None)
+            if tau < cfg.steps:
+                # next step's starts; a Z start must be >= 0
+                z0 = np.maximum(_secant(sol.z, z_prev), 0.0)
+                z_prev, m0 = sol.z, adj.m
+                # W+^T M = W^T M - eta Z (M^T M): two m n^2 products
+                wtm0 = adj.product - eta * (sol.z @ (adj.m.T @ adj.m))
+                # W - eta G_W in G_W's own buffer, without a W-sized
+                # temporary: negation is exact, so this is bitwise the same sum
+                w = grads.gw
+                w *= -eta
+                w += p.w
+                p = DeqParams(w=w, u=p.u - eta * grads.gu,
+                              a=p.a - eta * grads.ga, sigma_w2=p.sigma_w2)
+                state = replace(state, step=step + 1)
+            yield record, p, state
     except ConvergenceError as exc:
         raise ConvergenceError(f"at training step {step}: {exc}",
                                residual=exc.residual,
                                iterations=exc.iterations) from exc
 
-    if on_checkpoint is not None:
-        on_checkpoint(start_step + cfg.steps, p)
-    return p, TrainTrace(records=records, eta=eta, eta_mode=eta_mode,
-                         lambda_0=lambda_0, phi_0=phi0)
+
+def checkpoint_due(tau: int, steps: int, every: int) -> bool:
+    """Whether yield `tau` checkpoints: every `every`-th update but the last; the end."""
+    return tau == steps or (every > 0 and (tau + 1) % every == 0 and tau + 1 < steps)
 
 
-def write_metrics_csv(path, trace: TrainTrace, append: bool = False) -> None:
-    """Metrics CSV with the exact header the experiment tooling expects."""
-    names = METRICS_HEADER.split(",")
-    write_csv(path, METRICS_HEADER,
-              ([getattr(r, name) for name in names] for r in trace.records), append)
+def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
+          state: TrainState = TrainState(), on_checkpoint=None,
+          checkpoint_every: int = 0):
+    """train_steps run to the end: the last params and their TrainTrace.
+    `on_checkpoint(step, params)` fires where checkpoint_due says: after
+    an update, before the next step's certificate, and at the end."""
+    records = []
+    for tau, (record, p, state) in enumerate(train_steps(p0, data, cfg, state)):
+        if record is not None:
+            records.append(record)
+        if on_checkpoint is not None and checkpoint_due(tau, cfg.steps, checkpoint_every):
+            on_checkpoint(state.step, p)
+    return p, TrainTrace(**vars(state), records=records)
 
 
-def write_solver_trace_csv(path, trace: TrainTrace, append: bool = False) -> None:
-    """Solver-effort sidecar: forward and adjoint iterations and final
-    residuals per recorded step, under SOLVER_TRACE_HEADER."""
-    write_csv(path, SOLVER_TRACE_HEADER,
-              ([r.step, r.solver_iters, r.adjoint_iters, r.residual,
-                r.adjoint_residual] for r in trace.records), append)
+def metrics_row(r: TrainRecord) -> list:
+    """r's row of the metrics CSV, under the exact METRICS_HEADER."""
+    return [getattr(r, name) for name in METRICS_HEADER.split(",")]
+
+
+def solver_trace_row(r: TrainRecord) -> list:
+    """r's row of the solver-effort sidecar, under SOLVER_TRACE_HEADER."""
+    return [r.step, r.solver_iters, r.adjoint_iters, r.residual,
+            r.adjoint_residual]

@@ -103,7 +103,7 @@ def test_criterion_4_kernel_self_consistency():
     """Depth-60 recursion meets the fixed point; contraction inequality holds."""
     sigma_w2 = 0.08
     x = gen_sphere_data(16, 16, seed=4).x
-    ks = kernel_layer_sequence(x, sigma_w2, 60)
+    ks = list(kernel_layer_sequence(x, sigma_w2, 60))
     k_inf = kernel_fixed_point(x, sigma_w2).k
     gap = float(np.abs(ks[-1] - k_inf).max())
 

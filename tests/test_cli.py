@@ -339,20 +339,73 @@ class TestTrainCommand:
 
     def test_checkpoint_written_when_it_fires(self, runner, tmp_path,
                                               monkeypatch):
-        import deqlab.cli
-        real, on_disk = deqlab.cli.train, []
+        # at each step's solve, every checkpoint of the steps before is on
+        # disk with its sidecar; the last one follows the last step
+        import deqlab.train
+        solve, on_disk = deqlab.train.solve_equilibrium, []
 
-        def train(*args, on_checkpoint=None, **kwargs):
-            def checkpoint(step, params):
-                on_checkpoint(step, params)
-                on_disk.append((tmp_path / f"ckpt_m20_{step:06d}.npz").exists())
-            return real(*args, on_checkpoint=checkpoint, **kwargs)
+        def recorded(*args, **kwargs):
+            on_disk.append(sorted(
+                int(ck.stem[-6:]) for ck in tmp_path.glob("ckpt_m20_*.npz")
+                if ck.with_suffix(".json").exists()))
+            return solve(*args, **kwargs)
 
-        monkeypatch.setattr(deqlab.cli, "train", train)
+        monkeypatch.setattr(deqlab.train, "solve_equilibrium", recorded)
         run_ok(runner, tiny_train_args(tmp_path, ["--set",
                                                   "train.checkpoint_every=1"]))
-        assert on_disk == [True] * 4
+        assert on_disk == [[], [1], [1, 2], [1, 2, 3], [1, 2, 3]]
         assert len(list(tmp_path.glob("ckpt_m20_*.json"))) == 4
+
+    def test_ill_posed_step_keeps_what_the_run_made(self, runner, tmp_path):
+        # eta = 0.01 pushes ||W||_2 past 1 at step 3: exit 4, with the
+        # rows of steps 0-2 and the checkpoints of steps 1-3 on disk, and
+        # a resume from step 2 takes the saved eta into the same failure
+        args = ["train", "-c", DESK, "--set", "model.m=[60]",
+                "--set", "data.n=12", "--set", "data.d=10",
+                "--set", "train.steps=60", "--set", "train.eta=0.01",
+                "--set", "train.checkpoint_every=1",
+                "--set", f"output.directory={tmp_path}"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert "step 3: ||W||_2 = " in result.output
+        for name in ("metrics_m60.csv", "trace_m60.csv"):
+            steps = [line.split(",")[0] for line in
+                     (tmp_path / name).read_text().splitlines()[1:]]
+            assert steps == ["0", "1", "2"]
+        for step in (1, 2, 3):
+            sidecar = json.loads((tmp_path / f"ckpt_m60_{step:06d}.json").read_text())
+            assert sidecar["step"] == step and sidecar["eta"] == 0.01
+        assert len(list(tmp_path.glob("ckpt_m60_*"))) == 6
+        ckpt = tmp_path / "ckpt_m60_000002.npz"
+        result = runner.invoke(main, args + ["--set", f"train.resume={ckpt}"])
+        assert result.exit_code == 4, result.output
+        assert "step 3: ||W||_2 = " in result.output
+
+    def test_unconverged_step_keeps_the_rows_before_it(self, runner, tmp_path,
+                                                      monkeypatch):
+        import deqlab.train
+        solve, calls = deqlab.train.solve_equilibrium, []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:  # the solve of step 2
+                raise errors.ConvergenceError("injected", residual=1.0,
+                                              iterations=10000)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(deqlab.train, "solve_equilibrium", failing)
+        result = runner.invoke(main, tiny_train_args(tmp_path, [
+            "--set", "train.checkpoint_every=1"]))
+        assert result.exit_code == 3, result.output
+        assert "at training step 2: injected" in result.output
+        for name in ("metrics_m20.csv", "trace_m20.csv"):
+            steps = [line.split(",")[0] for line in
+                     (tmp_path / name).read_text().splitlines()[1:]]
+            assert steps == ["0", "1"]
+        assert sorted(ck.name for ck in tmp_path.glob("ckpt_m20_*")) == [
+            "ckpt_m20_000001.json", "ckpt_m20_000001.npz",
+            "ckpt_m20_000002.json", "ckpt_m20_000002.npz"]
+        assert not (tmp_path / "run.json").exists()
 
     def test_resume_replaces_the_rows_past_its_start(self, runner, tmp_path):
         out, fresh = tmp_path / "o", tmp_path / "fresh"

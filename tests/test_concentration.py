@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -65,10 +67,23 @@ class TestKernelDepthDecay:
         x = gen_sphere_data(8, 8, seed=5).x
         loose = kernel_fixed_point(x, 0.08, tol=1e-4)
         series = kernel_depth_decay(loose, x, 40)
-        ks = kernel_layer_sequence(x, 0.08, 40)
-        assert series[-1] == float(np.linalg.norm(loose.k - ks[-1]))
+        k_40 = list(kernel_layer_sequence(x, 0.08, 40))[-1]
+        assert series[-1] == float(np.linalg.norm(loose.k - k_40))
         assert series[-1] > 1e-7
         assert kernel_depth_decay(kernel_fixed_point(x, 0.08), x, 40)[-1] < 1e-12
+
+    def test_holds_a_few_levels_at_a_time(self):
+        # the levels are measured as they come: the traced peak stays a
+        # few n x n arrays, not the 60 the whole sequence would take
+        x = gen_sphere_data(100, 20, seed=6).x
+        pk = kernel_fixed_point(x, 0.08)
+        tracemalloc.start()
+        try:
+            kernel_depth_decay(pk, x, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * pk.k.nbytes
 
 
 class TestTiedVsPopulation:
@@ -105,7 +120,7 @@ class TestTiedVsPopulation:
         x = gen_sphere_data(6, 8, seed=11).x
         sigma_w2 = 1e-12
         report = tied_vs_population(x, sigma_w2, [80], l=5, trials=6, base_seed=2)
-        k1 = kernel_layer_sequence(x, sigma_w2, 1)[-1]
+        k1 = next(kernel_layer_sequence(x, sigma_w2, 1))
         for cell in report.cells:
             p = init_params(cell.m, 8, sigma_w2, cell.seed)
             z1 = np.maximum(p.u @ x, 0)

@@ -87,18 +87,18 @@ class TestKernelRecursion:
     """The layer recursion, run by kernel_layer_sequence."""
 
     def test_depth_one_orthogonal(self):
-        k = kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=1)[-1]
+        k = list(kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=1))[-1]
         assert k[0, 1] == pytest.approx(1 / np.pi, abs=1e-15)
         assert k[0, 0] == 1.0
 
     def test_depth_two_diagonal(self):
-        k = kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=2)[-1]
+        k = list(kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=2))[-1]
         assert k[0, 0] == pytest.approx(1.08, abs=1e-12)
 
     def test_matches_monte_carlo_oracle(self):
         x = gen_sphere_data(3, 6, seed=5).x
         sigma_w2, depth = 0.08, 5
-        k = kernel_layer_sequence(x, sigma_w2, depth)[-1]
+        k = list(kernel_layer_sequence(x, sigma_w2, depth))[-1]
         k_mc, se = mc_definition_oracle(x, sigma_w2, depth, samples=10**6, seed=0)
         # Level-to-level error propagation multiplies by at most
         # sigma_w2 per level, so total SE <= SE / (1 - sigma_w2).
@@ -107,17 +107,17 @@ class TestKernelRecursion:
 
     def test_unnormalized_rejected(self):
         with pytest.raises(InputError):
-            kernel_layer_sequence(np.eye(3), 0.08, depth=2)
+            next(kernel_layer_sequence(np.eye(3), 0.08, depth=2))
 
     def test_bad_depth(self):
         with pytest.raises(InputError):
-            kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=0)
+            next(kernel_layer_sequence(orthogonal_inputs(), 0.08, depth=0))
 
     def test_recursion_inequality(self):
         # |K^(l+1) - K^(l)| <= sigma_w^2 |K^(l) - K^(l-1)| + 2 sigma_w^(2l)
         x = gen_sphere_data(8, 10, seed=1).x
         sigma_w2 = 0.08
-        ks = kernel_layer_sequence(x, sigma_w2, depth=12)
+        ks = list(kernel_layer_sequence(x, sigma_w2, depth=12))
         for level in range(2, 12):  # l = level, needs K^(l+1), K^(l), K^(l-1)
             lhs = np.abs(ks[level] - ks[level - 1])
             rhs = sigma_w2 * np.abs(ks[level - 1] - ks[level - 2]) + 2 * sigma_w2**level
@@ -156,7 +156,7 @@ class TestKernelRecursion:
         calls = []
         monkeypatch.setattr(kernel, "q_func",
                             lambda c: calls.append(1) or q_func(c))
-        ks = kernel_layer_sequence(x, sigma_w2, depth)
+        ks = list(kernel_layer_sequence(x, sigma_w2, depth))
         assert len(calls) == depth
         for k, k_ref in zip(ks, ref, strict=True):
             assert np.array_equal(k, k_ref)
@@ -188,7 +188,7 @@ class TestKernelFixedPoint:
 
     def test_recursion_consistency_at_depth_60(self):
         x = gen_sphere_data(16, 12, seed=4).x
-        k_60 = kernel_layer_sequence(x, 0.08, depth=60)[-1]
+        k_60 = list(kernel_layer_sequence(x, 0.08, depth=60))[-1]
         assert np.abs(k_60 - kernel_fixed_point(x, 0.08).k).max() <= 1e-10
 
     def test_lambda_star_positive_on_valid_data(self):

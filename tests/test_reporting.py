@@ -48,8 +48,7 @@ class TestWriteCsv:
     def test_append_skips_rows_up_to_the_last_step(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, "step,loss", [(0, 1.0), (1, 0.5), (2, 0.25)])
-        write_csv(path, "step,loss", [(2, 9.0), (3, 0.125), (4, 0.0625)],
-                  append=True)
+        write_csv(path, "step,loss", [(2, 9.0), (3, 0.125), (4, 0.0625)], start=2)
         assert rows_of(path) == [["step", "loss"], ["0", "1"], ["1", "0.5"],
                                  ["2", "0.25"], ["3", "0.125"],
                                  ["4", "0.0625"]]
@@ -57,7 +56,7 @@ class TestWriteCsv:
     def test_append_cuts_the_file_after_the_first_new_step(self, tmp_path):
         path = tmp_path / "t.csv"
         write_csv(path, "step,loss", [(0, 1.0), (1, 0.5), (2, 0.25), (3, 0.125)])
-        write_csv(path, "step,loss", [(1, 9.0), (2, 8.0), (3, 7.0)], append=True)
+        write_csv(path, "step,loss", [(1, 9.0), (2, 8.0), (3, 7.0)], start=1)
         assert rows_of(path) == [["step", "loss"], ["0", "1"], ["1", "0.5"],
                                  ["2", "8"], ["3", "7"]]
 
@@ -67,8 +66,22 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         if existing is not None:
             path.write_bytes(existing)
-        write_csv(path, "step,loss", [(2, 0.25), (3, 0.125)], append=True)
+        write_csv(path, "step,loss", [(2, 0.25), (3, 0.125)], start=2)
         assert path.read_bytes() == b"step,loss\r\n2,0.25\r\n3,0.125\r\n"
+
+    def test_each_add_reaches_the_disk(self, tmp_path):
+        # a resumed table is cut once, by write_csv, and each row is on
+        # disk as soon as it is added, before the next one comes
+        path = tmp_path / "t.csv"
+        write_csv(path, "step,loss", [(0, 1.0), (1, 0.5), (2, 0.25)])
+        add = write_csv(path, "step,loss", start=1)
+        assert path.read_bytes() == b"step,loss\r\n0,1\r\n1,0.5\r\n"
+        add((1, 9.0))
+        add((2, 8.0))
+        assert path.read_bytes() == b"step,loss\r\n0,1\r\n1,0.5\r\n2,8\r\n"
+        path.write_bytes(b"step,loss\r\n")  # add never reads the file back
+        add((3, 7.0))
+        assert path.read_bytes() == b"step,loss\r\n3,7\r\n"
 
     def test_without_append_overwrites(self, tmp_path):
         path = tmp_path / "t.csv"

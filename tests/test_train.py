@@ -26,13 +26,16 @@ from deqlab.train import (
     SOLVER_TRACE_HEADER,
     TrainConfig,
     TrainRecord,
+    TrainState,
     auto_eta,
+    metrics_row,
     monitors,
     ntk_max_eig,
+    solver_trace_row,
     train,
-    write_metrics_csv,
-    write_solver_trace_csv,
+    train_steps,
 )
+from deqlab.reporting import write_csv
 
 TIGHT = SolverConfig(tol=1e-12)
 
@@ -369,10 +372,10 @@ class TestTrain:
         _, trace = train(p, ds, TrainConfig(eta=1e-3, steps=3))
         assert len(grams) == len(trace.records) == 4
         assert trace.records[0].lambda_tau == trace.lambda_0
-        # a resumed run's lambda_0 is its anchor's, its lambda_tau its own
-        anchor = {"eta": 1e-3, "lambda_0": 123.0, "phi_0": 1.0}
-        _, resumed = train(p, ds, TrainConfig(eta=1e-3, steps=3),
-                           anchor=anchor)
+        # a resumed run's lambda_0 is its state's, its lambda_tau its own
+        state = TrainState(step=0, eta=1e-3, eta_mode="resumed",
+                           lambda_0=123.0, phi_0=1.0)
+        _, resumed = train(p, ds, TrainConfig(eta=1e-3, steps=3), state)
         assert resumed.lambda_0 == 123.0
         assert resumed.records[0].lambda_tau == trace.records[0].lambda_tau
 
@@ -398,6 +401,48 @@ class TestTrain:
         p, _ = setup(seed=11)
         with pytest.raises(InputError):
             train(p, (np.zeros((8, 3)), np.zeros(3)), TrainConfig(steps=1))
+
+
+class TestTrainSteps:
+    def test_train_is_its_steps_run_to_the_end(self):
+        # one yield per step, after its update; train keeps the records
+        # and fires each checkpoint with the params of its yield
+        p, ds = setup(seed=7)
+        cfg = TrainConfig(eta="auto", steps=5, monitor_every=2)
+        fired = []
+        _, trace = train(p, ds, cfg, checkpoint_every=2,
+                         on_checkpoint=lambda step, q: fired.append((step, q)))
+        steps = list(train_steps(p, ds, cfg))
+        assert [r for r, _, _ in steps if r is not None] == trace.records
+        assert [r.step for r in trace.records] == [0, 2, 4, 5]
+        assert [state.step for _, _, state in steps] == [1, 2, 3, 4, 5, 5]
+        assert {(state.eta, state.eta_mode, state.lambda_0, state.phi_0)
+                for _, _, state in steps} == {
+            (trace.eta, "auto", trace.lambda_0, trace.phi_0)}
+        assert [step for step, _ in fired] == [2, 4, 5]
+        for (step, q), tau in zip(fired, (1, 3, 5), strict=True):
+            assert np.array_equal(q.w, steps[tau][1].w)
+        assert steps[5][1] is steps[4][1]  # the last step's own, W(5)
+
+    def test_a_stopped_run_resumes_from_its_state(self):
+        # a consumer that stops after step 2's update resumes from the
+        # params and state it was given: the records continue the step
+        # count and the rate envelope of the run that was not stopped
+        p, ds = setup(seed=8)
+        cfg = TrainConfig(eta="auto", steps=6, solver=TIGHT)
+        _, whole = train(p, ds, cfg)
+        steps = train_steps(p, ds, cfg)
+        for _ in range(3):
+            _, q, state = next(steps)
+        steps.close()
+        assert state.step == 3
+        _, rest = train(q, ds, dataclasses.replace(cfg, steps=3), state)
+        assert (rest.eta, rest.lambda_0, rest.phi_0) == (
+            whole.eta, whole.lambda_0, whole.phi_0)
+        assert [r.step for r in rest.records] == [3, 4, 5, 6]
+        for r, ref in zip(rest.records, whole.records[3:], strict=True):
+            assert r.rate_envelope == ref.rate_envelope
+            assert r.loss == pytest.approx(ref.loss, rel=1e-9)
 
 
 class TestWidthEffect:
@@ -617,7 +662,7 @@ class TestMetricsCsv:
         p, ds = setup(seed=19)
         _, trace = train(p, ds, TrainConfig(eta="auto", steps=5))
         path = tmp_path / "metrics.csv"
-        write_metrics_csv(path, trace)
+        write_csv(path, METRICS_HEADER, map(metrics_row, trace.records))
         lines = path.read_text().splitlines()
         assert lines[0] == METRICS_HEADER
         assert len(lines) == 1 + len(trace.records)
@@ -631,8 +676,8 @@ class TestMetricsCsv:
         _, t1 = train(p, ds, cfg)
         _, t2 = train(p, ds, cfg)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_metrics_csv(p1, t1)
-        write_metrics_csv(p2, t2)
+        write_csv(p1, METRICS_HEADER, map(metrics_row, t1.records))
+        write_csv(p2, METRICS_HEADER, map(metrics_row, t2.records))
         assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -641,7 +686,7 @@ class TestSolverTraceCsv:
         p, ds = setup(seed=22)
         _, trace = train(p, ds, TrainConfig(eta="auto", steps=4, monitor_every=2))
         path = tmp_path / "trace.csv"
-        write_solver_trace_csv(path, trace)
+        write_csv(path, SOLVER_TRACE_HEADER, map(solver_trace_row, trace.records))
         lines = path.read_text().splitlines()
         assert lines[0] == SOLVER_TRACE_HEADER
         rows = [line.split(",") for line in lines[1:]]
