@@ -10,7 +10,8 @@ Library layout:
 - kernel: population Gram matrices, their infinite-depth limit, and the
   width/depth suggestions they imply
 - condition: over-parameterization condition and norm-inequality checks
-- train: full-batch gradient descent with convergence-theory monitors
+- train: full-batch gradient descent with convergence-theory monitors,
+  and its checkpoints
 - concentration: Monte Carlo experiments comparing finite models to the
   population kernel
 - reporting: the one result-table writer, SVG plots and the run.json

@@ -13,7 +13,6 @@ grad-check, 1 anything unexpected.
 from __future__ import annotations
 
 import functools
-import json
 import sys
 import time
 from dataclasses import replace
@@ -56,14 +55,7 @@ from .grad import (
     gradients,
 )
 from .kernel import export_kernel, kernel_fixed_point
-from .model import (
-    init_params,
-    load_params,
-    loss,
-    predict,
-    save_params,
-    solve_equilibrium,
-)
+from .model import init_params, loss, predict, solve_equilibrium
 from .reporting import config_hash, line_plot_svg, write_csv, write_run_manifest
 
 EXIT_CONFIG = 2
@@ -153,15 +145,8 @@ def cmd_gen_data(cfg, doc, started):
     out = _out_dir(cfg)
     save_matrix_csv(out / "data.csv", ds.x)
     save_labels_csv(out / "labels.csv", ds.y)
-    meta = {
-        "provenance": ds.provenance, "d": ds.d, "n": ds.n,
-        "seed": cfg.data.seed, "y_cap": ds.y_cap,
-        "config_hash": config_hash(doc), "artifact_version": __version__,
-    }
-    (out / "data.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True)
-                                        + "\n")
     write_run_manifest(out, doc, {"data": cfg.data.seed},
-                       ["data.csv", "labels.csv", "data.meta.json"], started)
+                       ["data.csv", "labels.csv"], started)
     click.echo(f"wrote dataset d={ds.d} n={ds.n} ({ds.provenance}) to {out}")
 
 
@@ -221,14 +206,8 @@ def cmd_train(cfg, doc, started):
     t = cfg.train
 
     resumed = train.TrainState()
-    if t.resume is not None:  # one width and a sidecar, checked at load
-        try:
-            side = json.loads(Path(t.resume).with_suffix(".json").read_text())
-            resumed = train.TrainState(int(side["step"]), float(side["eta"]), "resumed",
-                                       float(side["lambda_0"]), float(side["phi_0"]))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise ConfigError(f"train.resume: unreadable sidecar: {exc}") from exc
-        p_resume = load_params(t.resume)
+    if t.resume is not None:  # one width, checked at load
+        p_resume, resumed = train.load_checkpoint(t.resume)
         have = (p_resume.m, p_resume.d, p_resume.sigma_w2)
         if have != (widths[0], ds.d, cfg.model.sigma_w2):
             raise ConfigError(
@@ -258,11 +237,7 @@ def cmd_train(cfg, doc, started):
             if t.checkpoint_every and train.checkpoint_due(tau, t.steps,
                                                            t.checkpoint_every):
                 ck = out / f"ckpt_{tag}_{state.step:06d}.npz"
-                save_params(ck, params)
-                ck.with_suffix(".json").write_text(json.dumps({
-                    "step": state.step, "eta": state.eta, "lambda_0": state.lambda_0,
-                    "phi_0": state.phi_0, "config_hash": config_hash(doc),
-                    "artifact_version": __version__}, sort_keys=True) + "\n")
+                train.save_checkpoint(ck, params, state, config_hash(doc))
                 outputs.append(ck.name)
         outputs += [f"metrics_{tag}.csv", f"trace_{tag}.csv"]
 

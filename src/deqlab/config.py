@@ -143,10 +143,8 @@ class TrainSection(TrainConfig):
         super().__post_init__()
         if self.checkpoint_every < 0:
             raise ConfigError("train.checkpoint_every must be >= 0")
-        if self.resume is not None:
-            for path in (Path(self.resume), Path(self.resume).with_suffix(".json")):
-                if not path.exists():
-                    raise ConfigError(f"train.resume: {path} does not exist")
+        if self.resume is not None and not Path(self.resume).exists():
+            raise ConfigError(f"train.resume: {self.resume} does not exist")
 
 
 @dataclass(frozen=True)

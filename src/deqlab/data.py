@@ -53,6 +53,8 @@ class Dataset:
         if y.shape != (x.shape[1],):
             raise AssumptionError(
                 f"y has shape {y.shape}, expected ({x.shape[1]},)")
+        if not 0.0 < self.y_cap < np.inf:  # also refuses nan
+            raise InputError(f"y_cap must be positive and finite, got {self.y_cap}")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise AssumptionError("dataset contains non-finite values")
         d = x.shape[0]

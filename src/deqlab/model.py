@@ -8,7 +8,6 @@ map a contraction with high probability.
 
 from __future__ import annotations
 
-import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
     "predict",
     "loss",
     "well_posedness",
-    "save_params",
-    "load_params",
 ]
 
 SIGMA_W2_MAX = 0.125  # the theory's standing assumption: sigma_w^2 < 1/8
@@ -47,8 +44,6 @@ CERT_MARGIN = 1e-5
 F32_MIN_MADDS = 2**22
 # The float32 rounding floor of a correction round, relative to ||r||.
 _ROUND_FLOOR = 2.0 * float(np.finfo(np.float32).eps)
-
-CHECKPOINT_VERSION = 1
 
 
 def check_sigma_w2(sigma_w2: float) -> None:
@@ -377,28 +372,3 @@ def well_posedness(p: DeqParams, w_norm: float | None = None):
         object.__setattr__(p, "_certificate", (w_norm, w_norm < 1.0, ritz))
     return p._certificate[:2]
 
-
-def save_params(path, p: DeqParams) -> None:
-    """Versioned binary checkpoint; round-trips bit-exactly."""
-    np.savez(path, format_version=np.int64(CHECKPOINT_VERSION),
-             m=np.int64(p.m), d=np.int64(p.d),
-             sigma_w2=np.float64(p.sigma_w2), w=p.w, u=p.u, a=p.a)
-
-
-def load_params(path) -> DeqParams:
-    """Read a save_params checkpoint; InputError if `path` is not one."""
-    try:
-        with np.load(path) as npz:
-            ckpt = {key: npz[key] for key in ("format_version", "m", "d",
-                                              "sigma_w2", "w", "u", "a")}
-    except (OSError, EOFError, KeyError, TypeError, ValueError,
-            zipfile.BadZipFile) as exc:
-        raise InputError(f"{path} is not a deqlab checkpoint: {exc}") from exc
-    version = int(ckpt["format_version"])
-    if version != CHECKPOINT_VERSION:
-        raise InputError(f"unsupported checkpoint version {version}")
-    p = DeqParams(w=ckpt["w"], u=ckpt["u"], a=ckpt["a"],
-                  sigma_w2=float(ckpt["sigma_w2"]))
-    if p.m != int(ckpt["m"]) or p.d != int(ckpt["d"]):
-        raise InputError("checkpoint dimensions are inconsistent")
-    return p

@@ -11,10 +11,15 @@ holds at desk scale.
 
 from __future__ import annotations
 
+import json
+import operator
 from dataclasses import dataclass, field, replace
+from pathlib import Path
+from zipfile import BadZipFile
 
 import numpy as np
 
+from . import __version__
 from .data import Dataset
 from .errors import ConvergenceError, InputError, WellPosednessError
 from .grad import (
@@ -46,9 +51,11 @@ __all__ = [
     "auto_eta",
     "checkpoint_due",
     "gram_min_eig",
+    "load_checkpoint",
     "ntk_max_eig",
     "metrics_row",
     "monitors",
+    "save_checkpoint",
     "solver_trace_row",
     "train",
     "train_steps",
@@ -67,6 +74,8 @@ METRICS_HEADER = ("step,loss,w_spec_norm,lambda_tau,grad_norm_sq,"
                   "pl_ratio,rate_envelope,solver_iters,residual")
 SOLVER_TRACE_HEADER = ("step,forward_iters,adjoint_iters,forward_residual,"
                        "adjoint_residual")
+
+CHECKPOINT_VERSION = 2  # format 1 kept the state in a JSON sidecar
 
 
 @dataclass(frozen=True)
@@ -118,6 +127,14 @@ class TrainState:
     eta_mode: str | None = None
     lambda_0: float | None = None
     phi_0: float | None = None
+
+    def __post_init__(self):
+        anchors = (self.eta, self.lambda_0, self.phi_0)
+        unset = (*anchors, self.eta_mode).count(None)
+        if not (isinstance(self.step, int) and self.step >= 0 and (unset == 4 or not unset
+                and self.eta > 0 and min(anchors) >= 0 and np.isfinite(anchors).all())):
+            raise InputError(f"TrainState needs an int step >= 0 and all four anchors or "
+                             f"none, eta > 0 and lambda_0, phi_0 >= 0 finite; got {self}")
 
 
 @dataclass(frozen=True)
@@ -344,6 +361,42 @@ def train(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
         if on_checkpoint is not None and checkpoint_due(tau, cfg.steps, checkpoint_every):
             on_checkpoint(state.step, p)
     return p, TrainTrace(**vars(state), records=records)
+
+
+def save_checkpoint(path, p: DeqParams, state: TrainState, config_hash: str) -> None:
+    """p and its anchored `state` as one format-2 `.npz` at `path`, written
+    to a temporary name and renamed: `path` holds all of it or what it held."""
+    tmp = Path(path).with_suffix(".tmp.npz")
+    try:
+        np.savez(tmp, format_version=CHECKPOINT_VERSION, m=p.m, d=p.d,
+                 sigma_w2=p.sigma_w2, w=p.w, u=p.u, a=p.a, step=state.step,
+                 eta=float(state.eta), lambda_0=float(state.lambda_0),
+                 phi_0=float(state.phi_0), config_hash=config_hash,
+                 artifact_version=__version__)
+        tmp.replace(path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def load_checkpoint(path) -> tuple[DeqParams, TrainState]:
+    """(params, TrainState(..., "resumed")) of a format-2 checkpoint, or of a
+    format-1 one and its JSON sidecar; InputError for anything else, a
+    state TrainState refuses or a non-integer step included."""
+    try:
+        with np.load(path) as npz:
+            ckpt = {key: npz[key] for key in npz.files}
+        version = operator.index(ckpt["format_version"])
+        if version == 1:
+            ckpt.update(json.loads(Path(path).with_suffix(".json").read_text()))
+        elif version != CHECKPOINT_VERSION:
+            raise InputError(f"unsupported checkpoint version {version}")
+        p = DeqParams(ckpt["w"], ckpt["u"], ckpt["a"], float(ckpt["sigma_w2"]))
+        state = TrainState(operator.index(ckpt["step"]), float(ckpt["eta"]), "resumed",
+                           float(ckpt["lambda_0"]), float(ckpt["phi_0"]))
+    except (OSError, EOFError, KeyError, TypeError, ValueError, BadZipFile) as exc:
+        raise InputError(f"{path} is not a deqlab checkpoint: "
+                         f"{type(exc).__name__}: {exc}") from exc
+    return p, state
 
 
 def metrics_row(r: TrainRecord) -> list:

@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from deqlab import errors
 from deqlab.cli import main
 from deqlab.data import load_labels_csv, load_matrix_csv
-from deqlab.train import METRICS_HEADER, SOLVER_TRACE_HEADER
+from deqlab.train import METRICS_HEADER, SOLVER_TRACE_HEADER, load_checkpoint
 
 DESK = str(Path(__file__).resolve().parents[1] / "configs" / "synthetic_desk.yaml")
 
@@ -63,6 +63,27 @@ def tiny_train_args(out, extra=()):
             *extra]
 
 
+@pytest.fixture(scope="module")
+def checkpoint_at_2(tmp_path_factory):
+    """The step-2 checkpoint of a tiny_train_args run."""
+    out = tmp_path_factory.mktemp("checkpointed")
+    run_ok(CliRunner(), tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
+    return out / "ckpt_m20_000002.npz"
+
+
+def write_v1_pair(ckpt, path, **edits):
+    """The format-1 form of checkpoint `ckpt` at `path`: its parameters,
+    and beside them the JSON sidecar of its state with `edits` applied
+    (an edit to None drops the key)."""
+    with np.load(ckpt) as npz:
+        params = {key: npz[key] for key in ("m", "d", "sigma_w2", "w", "u", "a")}
+        state = {key: npz[key].item() for key in npz.files if key not in params}
+    np.savez(path, **params, format_version=np.int64(1))
+    state = {key: value for key, value in {**state, **edits}.items()
+             if key != "format_version" and value is not None}
+    path.with_suffix(".json").write_text(json.dumps(state, sort_keys=True) + "\n")
+
+
 class TestGenData:
     def test_writes_dataset_and_manifest(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -71,10 +92,11 @@ class TestGenData:
         x = load_matrix_csv(out / "data.csv")
         y = load_labels_csv(out / "labels.csv")
         assert x.shape == (5, 6) and y.shape == (6,)
-        meta = json.loads((out / "data.meta.json").read_text())
-        assert meta["provenance"] == "synthetic"
         manifest = json.loads((out / "run.json").read_text())
         assert manifest["artifact_version"]
+        assert manifest["config"]["data"]["kind"] == "synthetic"
+        assert sorted(manifest["outputs"]) == ["data.csv", "labels.csv"]
+        assert not (out / "data.meta.json").exists()
 
     def test_manifest_environment_block(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
@@ -119,8 +141,8 @@ class TestGenData:
                         "--set", f"output.directory={dst}"])
         for name in ("data.csv", "labels.csv"):
             assert (dst / name).read_bytes() == (src / name).read_bytes()
-        meta = json.loads((dst / "data.meta.json").read_text())
-        assert meta["provenance"] == "file"
+        manifest = json.loads((dst / "run.json").read_text())
+        assert manifest["config"]["data"]["kind"] == "file"
 
 
 class TestExitCodes:
@@ -340,21 +362,21 @@ class TestTrainCommand:
     def test_checkpoint_written_when_it_fires(self, runner, tmp_path,
                                               monkeypatch):
         # at each step's solve, every checkpoint of the steps before is on
-        # disk with its sidecar; the last one follows the last step
+        # disk with its state; the last one follows the last step
         import deqlab.train
         solve, on_disk = deqlab.train.solve_equilibrium, []
 
         def recorded(*args, **kwargs):
-            on_disk.append(sorted(
-                int(ck.stem[-6:]) for ck in tmp_path.glob("ckpt_m20_*.npz")
-                if ck.with_suffix(".json").exists()))
+            on_disk.append([load_checkpoint(ck)[1].step
+                            for ck in sorted(tmp_path.glob("ckpt_m20_*"))])
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(deqlab.train, "solve_equilibrium", recorded)
         run_ok(runner, tiny_train_args(tmp_path, ["--set",
                                                   "train.checkpoint_every=1"]))
         assert on_disk == [[], [1], [1, 2], [1, 2, 3], [1, 2, 3]]
-        assert len(list(tmp_path.glob("ckpt_m20_*.json"))) == 4
+        assert [ck.name for ck in sorted(tmp_path.glob("ckpt_*"))] == [
+            f"ckpt_m20_{step:06d}.npz" for step in (1, 2, 3, 4)]
 
     def test_ill_posed_step_keeps_what_the_run_made(self, runner, tmp_path):
         # eta = 0.01 pushes ||W||_2 past 1 at step 3: exit 4, with the
@@ -373,9 +395,9 @@ class TestTrainCommand:
                      (tmp_path / name).read_text().splitlines()[1:]]
             assert steps == ["0", "1", "2"]
         for step in (1, 2, 3):
-            sidecar = json.loads((tmp_path / f"ckpt_m60_{step:06d}.json").read_text())
-            assert sidecar["step"] == step and sidecar["eta"] == 0.01
-        assert len(list(tmp_path.glob("ckpt_m60_*"))) == 6
+            _, state = load_checkpoint(tmp_path / f"ckpt_m60_{step:06d}.npz")
+            assert state.step == step and state.eta == 0.01
+        assert len(list(tmp_path.glob("ckpt_m60_*"))) == 3
         ckpt = tmp_path / "ckpt_m60_000002.npz"
         result = runner.invoke(main, args + ["--set", f"train.resume={ckpt}"])
         assert result.exit_code == 4, result.output
@@ -403,8 +425,9 @@ class TestTrainCommand:
                      (tmp_path / name).read_text().splitlines()[1:]]
             assert steps == ["0", "1"]
         assert sorted(ck.name for ck in tmp_path.glob("ckpt_m20_*")) == [
-            "ckpt_m20_000001.json", "ckpt_m20_000001.npz",
-            "ckpt_m20_000002.json", "ckpt_m20_000002.npz"]
+            "ckpt_m20_000001.npz", "ckpt_m20_000002.npz"]
+        assert [load_checkpoint(tmp_path / f"ckpt_m20_00000{step}.npz")[1].step
+                for step in (1, 2)] == [1, 2]
         assert not (tmp_path / "run.json").exists()
 
     def test_resume_replaces_the_rows_past_its_start(self, runner, tmp_path):
@@ -427,7 +450,7 @@ class TestTrainCommand:
         out = tmp_path / "o"
         run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
         ckpt = out / "ckpt_m20_000002.npz"
-        assert ckpt.exists() and ckpt.with_suffix(".json").exists()
+        assert ckpt.exists() and [f.name for f in out.glob("*.json")] == ["run.json"]
         run_ok(runner, tiny_train_args(out, ["--set", "train.steps=3",
                                              "--set", f"train.resume={ckpt}"]))
         steps = [int(line.split(",")[0]) for line in
@@ -446,25 +469,55 @@ class TestTrainCommand:
         assert steps == [0, 1, 2, 3, 4, 5]
         assert not list(out.glob("*.part.csv"))
 
-    def test_resume_from_a_non_checkpoint_is_2(self, runner, tmp_path):
-        out = tmp_path / "o"
-        run_ok(runner, tiny_train_args(out, ["--set", "train.checkpoint_every=2"]))
-        sidecar = (out / "ckpt_m20_000002.json").read_text()
+    def test_resume_from_a_non_checkpoint_is_2(self, runner, tmp_path, checkpoint_at_2):
         unversioned = tmp_path / "unversioned.npz"
         np.savez(unversioned, w=np.zeros((20, 20)))
         text = tmp_path / "text.npz"
         text.write_text("not an archive\n")
-        for ckpt in (unversioned, text):
-            ckpt.with_suffix(".json").write_text(sidecar)
+        empty_sidecar = tmp_path / "v1.npz"
+        write_v1_pair(checkpoint_at_2, empty_sidecar)
+        empty_sidecar.with_suffix(".json").write_text("{}\n")
+        for ckpt in (unversioned, text, empty_sidecar):
             result = runner.invoke(main, tiny_train_args(
                 tmp_path / "resumed", ["--set", f"train.resume={ckpt}"]))
             assert result.exit_code == 2, result.output
             assert "not a deqlab checkpoint" in result.output
-        (out / "ckpt_m20_000002.json").write_text("{}\n")
-        result = runner.invoke(main, tiny_train_args(tmp_path / "resumed", [
-            "--set", f"train.resume={out / 'ckpt_m20_000002.npz'}"]))
+            assert not (tmp_path / "resumed").exists()
+
+    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("edit", [
+        {"eta": -0.2}, {"eta": float("nan")}, {"step": -3}, {"step": 2.7},
+        {"lambda_0": -1.0}, {"phi_0": None},
+    ], ids=["negated-eta", "nan-eta", "step-3", "step-2.7", "lambda_0-1",
+            "no-phi_0"])
+    def test_resume_from_an_edited_state_is_2(self, runner, tmp_path,
+                                              checkpoint_at_2, edit, version):
+        # each would resume on a state a run cannot have: exit 2 before
+        # any row or output directory is written
+        ckpt = tmp_path / "edited.npz"
+        if version == 1:
+            write_v1_pair(checkpoint_at_2, ckpt, **edit)
+        else:
+            with np.load(checkpoint_at_2) as npz:
+                state = {**npz, **edit}
+            np.savez(ckpt, **{k: v for k, v in state.items() if v is not None})
+        resumed = tmp_path / "resumed"
+        result = runner.invoke(main, tiny_train_args(resumed, [
+            "--set", f"train.resume={ckpt}"]))
         assert result.exit_code == 2, result.output
-        assert "unreadable sidecar" in result.output
+        assert "not a deqlab checkpoint" in result.output
+        assert not resumed.exists()
+
+    def test_a_version_1_pair_resumes_as_its_version_2_file(self, runner, tmp_path,
+                                                            checkpoint_at_2):
+        v1 = tmp_path / "v1.npz"
+        write_v1_pair(checkpoint_at_2, v1)
+        for name, ckpt in (("v1", v1), ("v2", checkpoint_at_2)):
+            run_ok(runner, tiny_train_args(tmp_path / name, [
+                "--set", "train.steps=3", "--set", f"train.resume={ckpt}"]))
+        for name in ("metrics_m20.csv", "trace_m20.csv", "loss.svg"):
+            assert (tmp_path / "v1" / name).read_bytes() == \
+                (tmp_path / "v2" / name).read_bytes()
 
     def test_resume_at_another_width_is_2(self, runner, tmp_path):
         out = tmp_path / "o"

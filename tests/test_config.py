@@ -7,13 +7,14 @@ any computation starts.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from deqlab.cli import main
 from deqlab.config import load_config
 from deqlab.errors import ConfigError
-from deqlab.model import SolverConfig
+from deqlab.model import SolverConfig, init_params
 from deqlab.reporting import config_hash
 from deqlab.train import TrainConfig
 
@@ -196,7 +197,6 @@ class TestResumeChecks:
     def test_width_list_fails_at_load(self, runner, tmp_path):
         ckpt = tmp_path / "ckpt.npz"
         ckpt.write_bytes(b"")
-        ckpt.with_suffix(".json").write_text("{}\n")
         result = runner.invoke(main, [
             "train", "--set", "data.n=6", "--set", "data.d=5",
             "--set", "model.m=[8, 12]", "--set", f"train.resume={ckpt}",
@@ -205,17 +205,30 @@ class TestResumeChecks:
         assert "single model.m" in result.output
         assert "shared eta" not in result.output
 
-    def test_missing_sidecar_fails_at_load(self, tmp_path):
+    def test_missing_sidecar_fails_at_load(self, runner, tmp_path):
+        # a format-1 checkpoint kept its state in a JSON sidecar
+        p = init_params(8, 5, 0.08, seed=0)
         ckpt = tmp_path / "ckpt.npz"
-        ckpt.write_bytes(b"")
-        with pytest.raises(ConfigError, match="ckpt.json"):
-            load_config(None, [f"train.resume={ckpt}"])
+        np.savez(ckpt, format_version=np.int64(1), m=np.int64(8), d=np.int64(5),
+                 sigma_w2=np.float64(0.08), w=p.w, u=p.u, a=p.a)
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            "train", "--set", "data.n=6", "--set", "data.d=5",
+            "--set", "model.m=8", "--set", f"train.resume={ckpt}",
+            "--set", f"output.directory={out}"])
+        assert result.exit_code == 2, result.output
+        assert "ckpt.json" in result.output
+        assert not out.exists()
+
+    def test_missing_checkpoint_fails_at_load(self, tmp_path):
+        with pytest.raises(ConfigError, match="ckpt.npz does not exist"):
+            load_config(None, [f"train.resume={tmp_path / 'ckpt.npz'}"])
 
 
 class TestConfigHash:
     """The config echo, and so its hash, is pinned: a key added to or
     removed from a section changes the config_hash of every run.json and
-    checkpoint sidecar."""
+    checkpoint."""
 
     def test_desk_config(self):
         assert config_hash(load_config(DESK)[1]) == "cb9fdce51c1e"

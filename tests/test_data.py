@@ -37,6 +37,15 @@ class TestDatasetInvariants:
         with pytest.raises(AssumptionError):
             Dataset(x=ds.x, y=np.array([0.0, 11.0, 0.0]))
 
+    @pytest.mark.parametrize("y_cap", [np.nan, np.inf, 0.0, -1.0])
+    def test_cap_not_positive_and_finite_rejected(self, y_cap):
+        # a nan cap would turn the bounded-label check off
+        ds = gen_sphere_data(3, 4, seed=1)
+        with pytest.raises(InputError, match="y_cap must be positive and finite"):
+            Dataset(x=ds.x, y=100 * ds.y, y_cap=y_cap)
+        with pytest.raises(InputError, match="y_cap"):
+            gen_sphere_data(3, 4, seed=1, y_cap=y_cap)
+
     def test_nan_rejected(self):
         ds = gen_sphere_data(3, 4, seed=2)
         x = ds.x.copy()

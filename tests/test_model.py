@@ -12,10 +12,8 @@ from deqlab.model import (
     SolverConfig,
     forward_layer,
     init_params,
-    load_params,
     loss,
     predict,
-    save_params,
     solve_equilibrium,
     well_posedness,
 )
@@ -280,25 +278,3 @@ class TestWellPosedness:
         hits = sum(well_posedness(init_params(500, 10, 0.08, seed=s))[1]
                    for s in range(20))
         assert hits == 20
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        p = small_params(seed=21)
-        path = tmp_path / "ckpt.npz"
-        save_params(path, p)
-        q = load_params(path)
-        assert np.array_equal(p.w, q.w)
-        assert np.array_equal(p.u, q.u)
-        assert np.array_equal(p.a, q.a)
-        assert p.sigma_w2 == q.sigma_w2
-
-    def test_not_a_checkpoint_is_input_error(self, tmp_path):
-        p = small_params()
-        unversioned = tmp_path / "unversioned.npz"
-        np.savez(unversioned, w=p.w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
-        text = tmp_path / "text.npz"
-        text.write_text("not an archive\n")
-        for path in (unversioned, text, tmp_path / "missing.npz"):
-            with pytest.raises(InputError, match="not a deqlab checkpoint"):
-                load_params(path)

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -28,9 +30,11 @@ from deqlab.train import (
     TrainRecord,
     TrainState,
     auto_eta,
+    load_checkpoint,
     metrics_row,
     monitors,
     ntk_max_eig,
+    save_checkpoint,
     solver_trace_row,
     train,
     train_steps,
@@ -443,6 +447,110 @@ class TestTrainSteps:
         for r, ref in zip(rest.records, whole.records[3:], strict=True):
             assert r.rate_envelope == ref.rate_envelope
             assert r.loss == pytest.approx(ref.loss, rel=1e-9)
+
+
+ANCHORED = TrainState(step=3, eta=1e-3, eta_mode="auto", lambda_0=0.25, phi_0=7.5)
+
+
+class TestTrainState:
+    @pytest.mark.parametrize("anchors", [
+        dict(eta=1e-3),
+        dict(eta=1e-3, eta_mode="auto", lambda_0=0.25),
+        dict(eta_mode="resumed", lambda_0=0.25, phi_0=7.5),
+    ])
+    def test_refuses_partial_anchors(self, anchors):
+        with pytest.raises(InputError, match="all four anchors or none"):
+            TrainState(**anchors)
+
+    @pytest.mark.parametrize("edit", [
+        dict(step=-3), dict(step=2.7), dict(step=np.int64(2)),
+        dict(eta=-1e-3), dict(eta=0.0), dict(eta=np.nan), dict(eta=np.inf),
+        dict(lambda_0=-1.0), dict(lambda_0=np.inf), dict(phi_0=np.nan),
+    ])
+    def test_refuses_out_of_range_values(self, edit):
+        with pytest.raises(InputError):
+            dataclasses.replace(ANCHORED, **edit)
+
+    def test_accepts_a_start_without_anchors_and_zero_anchors(self):
+        assert TrainState(step=5).eta is None
+        assert dataclasses.replace(ANCHORED, lambda_0=0.0, phi_0=0.0).phi_0 == 0.0
+
+
+def write_v1(path, p, sidecar):
+    """A format-1 checkpoint of p at `path`, with `sidecar`, if given, as
+    the JSON beside it."""
+    np.savez(path, format_version=np.int64(1), m=np.int64(p.m), d=np.int64(p.d),
+             sigma_w2=np.float64(p.sigma_w2), w=p.w, u=p.u, a=p.a)
+    if sidecar is not None:
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+
+
+class TestCheckpoint:
+    def assert_same_params(self, p, q):
+        assert np.array_equal(p.w, q.w)
+        assert np.array_equal(p.u, q.u)
+        assert np.array_equal(p.a, q.a)
+        assert p.sigma_w2 == q.sigma_w2
+
+    def test_round_trip_bit_exact(self, tmp_path):
+        p = init_params(12, 5, 0.08, seed=21)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, p, ANCHORED, "cafe")
+        q, state = load_checkpoint(path)
+        self.assert_same_params(p, q)
+        assert state == dataclasses.replace(ANCHORED, eta_mode="resumed")
+        assert type(state.step) is int
+        with np.load(path) as npz:
+            assert int(npz["format_version"]) == 2
+            assert str(npz["config_hash"]) == "cafe"
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
+
+    def test_version_1_takes_its_state_from_the_sidecar(self, tmp_path):
+        p = init_params(12, 5, 0.08, seed=21)
+        path = tmp_path / "ckpt.npz"
+        write_v1(path, p, {"step": 3, "eta": 1e-3, "lambda_0": 0.25, "phi_0": 7.5,
+                           "config_hash": "cafe", "artifact_version": "0.1.0"})
+        q, state = load_checkpoint(path)
+        self.assert_same_params(p, q)
+        assert state == dataclasses.replace(ANCHORED, eta_mode="resumed")
+        path.with_suffix(".json").unlink()
+        with pytest.raises(InputError, match="ckpt.json"):
+            load_checkpoint(path)
+
+    def test_not_a_checkpoint_is_input_error(self, tmp_path):
+        p = init_params(12, 5, 0.08, seed=0)
+        unversioned = tmp_path / "unversioned.npz"
+        np.savez(unversioned, w=p.w, u=p.u, a=p.a, sigma_w2=p.sigma_w2)
+        text = tmp_path / "text.npz"
+        text.write_text("not an archive\n")
+        save_checkpoint(tmp_path / "ckpt.npz", p, ANCHORED, "cafe")
+        with np.load(tmp_path / "ckpt.npz") as npz:
+            ckpt = dict(npz)
+        future, stateless = tmp_path / "future.npz", tmp_path / "stateless.npz"
+        np.savez(future, **{**ckpt, "format_version": 3})
+        np.savez(stateless, **{key: ckpt[key] for key in ckpt if key != "phi_0"})
+        for path in (unversioned, text, tmp_path / "missing.npz", future, stateless):
+            with pytest.raises(InputError, match="not a deqlab checkpoint"):
+                load_checkpoint(path)
+
+    def test_a_failed_write_keeps_what_the_name_held(self, tmp_path, monkeypatch):
+        # the write dies after its first bytes: the last checkpoint is
+        # intact, a new name gets no file, and no temporary is left
+        p = init_params(12, 5, 0.08, seed=21)
+        path = tmp_path / "ckpt.npz"
+        save_checkpoint(path, p, ANCHORED, "cafe")
+        before = path.read_bytes()
+
+        def torn(file, **arrays):
+            file.write_bytes(before[:100])
+            raise OSError("disk full")
+        monkeypatch.setattr(train_module.np, "savez", torn)
+        later = dataclasses.replace(ANCHORED, step=4)
+        for target in (path, tmp_path / "new.npz"):
+            with pytest.raises(OSError, match="disk full"):
+                save_checkpoint(target, p, later, "cafe")
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ckpt.npz"]
 
 
 class TestWidthEffect:
