@@ -5,9 +5,8 @@ Every command takes `-c config.yaml` plus repeatable
 `--set section.key=value` overrides. Outputs (CSVs, SVG plots, run.json
 manifest) land in the configured output directory.
 
-Exit codes: 0 success, 2 configuration or input error, 3 numerical
-non-convergence, 4 assumption or well-posedness violation, 5 a failed
-grad-check, 1 anything unexpected.
+A deqlab error ends the process with its class's `exit_code` (see
+deqlab.errors); success is 0.
 """
 
 from __future__ import annotations
@@ -40,15 +39,7 @@ from .data import (
     save_labels_csv,
     save_matrix_csv,
 )
-from .errors import (
-    AssumptionError,
-    ConfigError,
-    ConvergenceError,
-    DeqlabError,
-    InputError,
-    TrainingAssertionError,
-    WellPosednessError,
-)
+from .errors import ConfigError, DeqlabError, InputError, TrainingAssertionError
 from .grad import (
     dense_gradients_reference,
     finite_difference_gradients,
@@ -56,12 +47,13 @@ from .grad import (
 )
 from .kernel import export_kernel, kernel_fixed_point
 from .model import init_params, loss, predict, solve_equilibrium
-from .reporting import config_hash, line_plot_svg, write_csv, write_run_manifest
-
-EXIT_CONFIG = 2
-EXIT_CONVERGENCE = 3
-EXIT_ASSUMPTION = 4
-EXIT_ASSERTION = 5
+from .reporting import (
+    config_hash,
+    kept_rows,
+    line_plot_svg,
+    write_csv,
+    write_run_manifest,
+)
 
 # A finite-difference entry also matches when it lies within this many
 # eps * Phi / step of the implicit one: the rounding floor of a central
@@ -77,18 +69,6 @@ DEPTH_DECAY_LEVELS = 60
 # `concentration`'s reconstruct experiment rebuilds Gram entry (i, j) at
 # layer l of a width-m model.
 RECONSTRUCT_I, RECONSTRUCT_J, RECONSTRUCT_L, RECONSTRUCT_M = 0, 1, 3, 200
-
-
-def _exit_code(exc: DeqlabError) -> int:
-    if isinstance(exc, (ConfigError, InputError)):
-        return EXIT_CONFIG
-    if isinstance(exc, ConvergenceError):
-        return EXIT_CONVERGENCE
-    if isinstance(exc, (AssumptionError, WellPosednessError)):
-        return EXIT_ASSUMPTION
-    if isinstance(exc, TrainingAssertionError):
-        return EXIT_ASSERTION
-    return 1
 
 
 def _command(fn):
@@ -108,7 +88,7 @@ def _command(fn):
             fn(cfg, doc, started, **kwargs)
         except DeqlabError as exc:
             click.echo(f"error ({type(exc).__name__}): {exc}", err=True)
-            sys.exit(_exit_code(exc))
+            sys.exit(exc.exit_code)
 
     return wrapper
 
@@ -213,6 +193,13 @@ def cmd_train(cfg, doc, started):
             raise ConfigError(
                 f"train.resume: checkpoint has (m, d, sigma_w2) = {have}, "
                 f"the config asks for {(widths[0], ds.d, cfg.model.sigma_w2)}")
+        # the rows a resume keeps must reach its checkpoint's cadence
+        for name in (f"metrics_m{widths[0]}.csv", f"trace_m{widths[0]}.csv"):
+            path = Path(cfg.output.directory) / name
+            last = kept_rows(path, resumed.step)[0] if path.exists() else -1
+            if 0 <= last < resumed.step - t.monitor_every:
+                raise ConfigError(f"train.resume: {path} holds rows up to step {last}, "
+                                  f"so resuming at step {resumed.step} leaves a gap")
     out = _out_dir(cfg)
     start = resumed.step if t.resume is not None else None
 

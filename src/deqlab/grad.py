@@ -112,6 +112,19 @@ class _MaskedLinearMap:
         return self.apply32
 
 
+def _masked_solve(p: DeqParams, op, mask, source, cfg: SolverConfig, kind: str,
+                  x0=None, seed=None) -> AdjointSolution:
+    """The fixed point of x = mask .* (source + op x) by model._iterate."""
+    mask = as_matrix(mask, "mask")
+    if mask.shape != source.shape or mask.shape[0] != p.m:
+        raise InputError(f"{kind}: mask {mask.shape} must match its source "
+                         f"{source.shape}, with m = {p.m} rows")
+    step = _MaskedLinearMap(op, mask, mask * source)
+    x, res, k, history = _iterate(p, step, x0, cfg, kind, seed)
+    return AdjointSolution(m=x, product=step.product, residual=res,
+                           iterations=k, residuals=history)
+
+
 def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
                   m0=None, seed=None) -> AdjointSolution:
     """Picard iteration for M = mask .* (a e^T + W^T M), from M = 0.
@@ -121,16 +134,10 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
     W^T m0 known from elsewhere: the solve then makes one product fewer.
     A non-finite `e` is refused (InputError).
     """
-    mask = as_matrix(mask, "mask")
     e = np.asarray(e, dtype=np.float64).ravel()
-    if mask.shape[0] != p.m or mask.shape[1] != e.shape[0]:
-        raise InputError(f"shape mismatch: mask {mask.shape}, e {e.shape}")
     if not np.all(np.isfinite(e)):
         raise InputError("e contains non-finite entries")
-    step = _MaskedLinearMap(p.w.T, mask, mask * np.outer(p.a, e))
-    m, res, k, history = _iterate(p, step, m0, cfg, "adjoint", seed)
-    return AdjointSolution(m=m, product=step.product, residual=res,
-                           iterations=k, residuals=history)
+    return _masked_solve(p, p.w.T, mask, np.outer(p.a, e), cfg, "adjoint", m0, seed)
 
 
 def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
@@ -147,8 +154,7 @@ def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
     _check_shapes(p, z, x)
     y = np.asarray(y, dtype=np.float64).ravel()
     e = predict(p, z) - y
-    mask = activation_mask(sol.pre)
-    adj = solve_adjoint(p, mask, e, cfg, m0=m0, seed=seed)
+    adj = solve_adjoint(p, activation_mask(sol.pre), e, cfg, m0=m0, seed=seed)
     return GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e), adj
 
 
@@ -168,14 +174,7 @@ def solve_sensitivity(p: DeqParams, mask, rhs,
     for a 0/1 mask. Its one caller, ntk_max_eig, makes one cold solve to
     check the closed-form tangent kernel.
     """
-    mask = as_matrix(mask, "mask")
-    rhs = as_matrix(rhs, "rhs")
-    if rhs.shape != mask.shape:
-        raise InputError(f"rhs shape {rhs.shape} != mask shape {mask.shape}")
-    step = _MaskedLinearMap(p.w, mask, mask * rhs)
-    s, res, k, history = _iterate(p, step, None, cfg, "sensitivity")
-    return AdjointSolution(m=s, product=step.product, residual=res,
-                           iterations=k, residuals=history)
+    return _masked_solve(p, p.w, mask, as_matrix(rhs, "rhs"), cfg, "sensitivity")
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:

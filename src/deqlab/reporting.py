@@ -22,8 +22,8 @@ import numpy as np
 from . import __version__
 from .errors import InputError
 
-__all__ = ["write_csv", "line_plot_svg", "config_hash", "environment",
-           "write_run_manifest"]
+__all__ = ["write_csv", "kept_rows", "line_plot_svg", "config_hash",
+           "environment", "write_run_manifest"]
 
 _PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
@@ -50,16 +50,9 @@ def write_csv(path, header: str, rows=(), start=None):
     continued: it is cut once, after its row of step `start`, and rows up
     to its last kept step are skipped. A missing, empty or header-only
     file, or one whose rows all come after `start`, is rewritten."""
-    after, keep = -1, 0  # the kept file's last step and its length in bytes
+    after = -1  # the kept file's last step
     if start is not None and Path(path).exists():
-        lines = Path(path).read_bytes().splitlines(keepends=True)
-        size = sum(map(len, lines[:1]))
-        for line in lines[1:]:
-            step = line.split(b",")[0]
-            if not step.isdigit() or int(step) > start:
-                break
-            size += len(line)
-            after, keep = int(step), size
+        after, keep = kept_rows(path, start)
         os.truncate(path, keep)
     if after < 0:
         with open(path, "w", newline="") as f:
@@ -71,6 +64,22 @@ def write_csv(path, header: str, rows=(), start=None):
                                     if after < 0 or row[0] > after)
     add(*rows)
     return add
+
+
+def kept_rows(path, start: int) -> tuple[int, int]:
+    """What write_csv(path, ..., start=start) keeps of the file `path`: the
+    rows before the first past step `start` or not led by a step, as (their
+    last step, their length in bytes with the header); (-1, 0) if none."""
+    after, keep = -1, 0
+    lines = Path(path).read_bytes().splitlines(keepends=True)
+    size = sum(map(len, lines[:1]))
+    for line in lines[1:]:
+        step = line.split(b",")[0]
+        if not step.isdigit() or int(step) > start:
+            break
+        size += len(line)
+        after, keep = int(step), size
+    return after, keep
 
 
 def _ticks(lo: float, hi: float, count: int = 6):

@@ -131,8 +131,9 @@ class TrainState:
     def __post_init__(self):
         anchors = (self.eta, self.lambda_0, self.phi_0)
         unset = (*anchors, self.eta_mode).count(None)
-        if not (isinstance(self.step, int) and self.step >= 0 and (unset == 4 or not unset
-                and self.eta > 0 and min(anchors) >= 0 and np.isfinite(anchors).all())):
+        if not (type(self.step) is int and self.step >= 0 and (unset == 4 or not unset
+                and self.eta > 0 and min(anchors) >= 0 and np.isfinite(anchors).all()
+                and not any(isinstance(a, (bool, np.bool_)) for a in anchors))):
             raise InputError(f"TrainState needs an int step >= 0 and all four anchors or "
                              f"none, eta > 0 and lambda_0, phi_0 >= 0 finite; got {self}")
 
@@ -181,15 +182,13 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     CHECK_TOL relative. No mn x mn object is ever formed. `pre` = W Z +
     U X, if the caller holds it, saves one m^2 n product.
     """
-    z = np.asarray(z, dtype=np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    if pre is None:
-        pre = p.w @ z + p.u @ x
-    mask = (pre >= 0.0).astype(np.float64)
-    g = z.T @ z
-    k = g + x.T @ x
-    n = z.shape[1]
-    m_tilde = solve_adjoint(p, mask, np.ones(n), solver).m
+    # kept local: a module-level import is a traced binding the tracer lacks
+    from .grad import activation_mask
+
+    g = gram(z)
+    k = g + gram(x)
+    mask = activation_mask(p.w @ z + p.u @ x if pre is None else pre)
+    m_tilde = solve_adjoint(p, mask, np.ones(g.shape[0]), solver).m
     h = (m_tilde.T @ m_tilde) * k + g
     v = _top_eigenvector(h)
     lam_closed = float(v @ (h @ v))

@@ -232,9 +232,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("name,code", EXIT_CODES.items())
     def test_error_class_maps_to_exit_code(self, name, code):
-        from deqlab.cli import _exit_code
-
-        assert _exit_code(getattr(errors, name)("message")) == code
+        assert getattr(errors, name).exit_code == code
+        assert getattr(errors, name)("message").exit_code == code
 
     def test_every_error_class_has_a_code(self):
         assert EXIT_CODES.keys() == {
@@ -468,6 +467,49 @@ class TestTrainCommand:
                  (out / "trace_m20.csv").read_text().splitlines()[1:]]
         assert steps == [0, 1, 2, 3, 4, 5]
         assert not list(out.glob("*.part.csv"))
+
+    @pytest.mark.parametrize("ckpt_step,target_steps,monitor_every,last", [
+        (4, 2, 1, 2), (5, 1, 3, 1)], ids=["every-step", "monitor_every-3"])
+    def test_resume_into_a_file_short_of_its_checkpoint_is_2(
+            self, runner, tmp_path, ckpt_step, target_steps, monitor_every, last):
+        # the kept rows must reach step S - monitor_every of the step-S
+        # checkpoint; the target is refused before any of it is touched
+        src, target = tmp_path / "src", tmp_path / "target"
+        run_ok(runner, tiny_train_args(src, ["--set", f"train.steps={ckpt_step}",
+                                             "--set", f"train.checkpoint_every={ckpt_step}"]))
+        run_ok(runner, tiny_train_args(target, ["--set", f"train.steps={target_steps}"]))
+        before = {f.name: f.read_bytes() for f in target.iterdir()}
+        result = runner.invoke(main, tiny_train_args(target, [
+            "--set", "train.steps=2", "--set", f"train.monitor_every={monitor_every}",
+            "--set", f"train.resume={src / f'ckpt_m20_{ckpt_step:06d}.npz'}"]))
+        assert result.exit_code == 2, result.output
+        assert f"metrics_m20.csv holds rows up to step {last}," in result.output
+        assert {f.name: f.read_bytes() for f in target.iterdir()} == before
+
+    @pytest.mark.parametrize("case,every,ckpt_step,monitor_every,steps", [
+        pytest.param("ci", 1, 4, 1, [0, 1, 2, 3, 4, 5, 6], id="ci"),
+        pytest.param("header-only", 4, 4, 1, [4, 5, 6], id="header-only"),
+        pytest.param("rows-0-2", 5, 5, 3, [0, 1, 2, 5, 7], id="monitor_every-3"),
+    ])
+    def test_resume_into_a_file_that_reaches_its_checkpoint(
+            self, runner, tmp_path, case, every, ckpt_step, monitor_every, steps):
+        src, target = tmp_path / "src", tmp_path / "target"
+        run_ok(runner, tiny_train_args(src, ["--set", f"train.steps={ckpt_step}",
+                                             "--set", f"train.checkpoint_every={every}"]))
+        if case == "ci":  # CI's resume: into the run's own outputs
+            target = src
+        elif case == "header-only":
+            target.mkdir()
+            (target / "metrics_m20.csv").write_text(METRICS_HEADER + "\n")
+            (target / "trace_m20.csv").write_text(SOLVER_TRACE_HEADER + "\n")
+        else:  # rows 0-2 reach step 5 - 3, no further
+            run_ok(runner, tiny_train_args(target, ["--set", "train.steps=2"]))
+        run_ok(runner, tiny_train_args(target, [
+            "--set", "train.steps=2", "--set", f"train.monitor_every={monitor_every}",
+            "--set", f"train.resume={src / f'ckpt_m20_{ckpt_step:06d}.npz'}"]))
+        for name in ("metrics_m20.csv", "trace_m20.csv"):
+            assert [int(line.split(",")[0]) for line in
+                    (target / name).read_text().splitlines()[1:]] == steps
 
     def test_resume_from_a_non_checkpoint_is_2(self, runner, tmp_path, checkpoint_at_2):
         unversioned = tmp_path / "unversioned.npz"

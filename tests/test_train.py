@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from deqlab.data import Dataset, gen_sphere_data
 from deqlab.errors import ConvergenceError, InputError, WellPosednessError
-from deqlab.grad import grad_norm_sq, gradients
+from deqlab.grad import activation_mask, grad_norm_sq, gradients
 from deqlab.linalg import gram, min_eig_sym
 from deqlab.model import (
     F32_MIN_MADDS,
@@ -22,7 +22,7 @@ from deqlab.model import (
     solve_equilibrium,
     well_posedness,
 )
-from deqlab import train as train_module
+from deqlab import grad as grad_module, train as train_module
 from deqlab.train import (
     METRICS_HEADER,
     SOLVER_TRACE_HEADER,
@@ -466,10 +466,18 @@ class TestTrainState:
         dict(step=-3), dict(step=2.7), dict(step=np.int64(2)),
         dict(eta=-1e-3), dict(eta=0.0), dict(eta=np.nan), dict(eta=np.inf),
         dict(lambda_0=-1.0), dict(lambda_0=np.inf), dict(phi_0=np.nan),
+        dict(step=True), dict(step=False), dict(eta=True), dict(lambda_0=True),
+        dict(phi_0=np.False_),
     ])
     def test_refuses_out_of_range_values(self, edit):
         with pytest.raises(InputError):
             dataclasses.replace(ANCHORED, **edit)
+
+    def test_refuses_a_bool_step_or_eta_as_given(self):
+        with pytest.raises(InputError):
+            TrainState(step=True)
+        with pytest.raises(InputError):
+            TrainState(0, True, "auto", 0.0, 0.0)
 
     def test_accepts_a_start_without_anchors_and_zero_anchors(self):
         assert TrainState(step=5).eta is None
@@ -757,6 +765,32 @@ class TestAutoEta:
         monkeypatch.setattr(train_module, "ntk_max_eig", recorded)
         train(p, ds, TrainConfig(eta="auto", steps=1))
         assert len(pres) == 1 and pres[0] is not None
+
+    def test_one_tie_rule_for_the_kernel_and_the_gradient(self, monkeypatch):
+        # ties at +0.0 and -0.0 are active in the mask ntk_max_eig hands
+        # both of its solves, and in the one gradients hands its adjoint
+        p, ds = setup(seed=17)
+        sol = solve_equilibrium(p, ds.x)
+        pre = sol.pre.copy()
+        pre[0, :3] = 0.0
+        pre[1, :3] = -0.0
+        masks = []
+
+        def recorded(solve):
+            def solve_and_record(p, mask, *args, **kwargs):
+                masks.append(np.array(mask))
+                return solve(p, mask, *args, **kwargs)
+            return solve_and_record
+        for module, name in ((train_module, "solve_adjoint"),
+                             (train_module, "solve_sensitivity"),
+                             (grad_module, "solve_adjoint")):
+            monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+        ntk_max_eig(p, sol.z, ds.x, pre=pre)
+        gradients(p, dataclasses.replace(sol, pre=pre), ds.x, ds.y)
+        assert len(masks) == 3
+        assert np.all(activation_mask(pre)[:2, :3] == 1.0)
+        for mask in masks:
+            np.testing.assert_array_equal(mask, activation_mask(pre))
 
     def test_safety_scales_linearly(self):
         p, ds = setup(seed=18)
