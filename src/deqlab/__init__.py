@@ -3,7 +3,7 @@
 Library layout:
 
 - linalg: dense matrix kernels (spectral norm, least symmetric eigenvalue,
-  Gram products, Gram-Schmidt)
+  Gram products)
 - data: dataset generation, normalization, and the CSV schemas
 - model: DEQ parameters, initialization, fixed-point forward solver
 - grad: implicit-differentiation gradients via an adjoint fixed point

@@ -20,9 +20,9 @@ from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
-from .errors import AssumptionError, InputError
+from .errors import AssumptionError, DegenerateInputError, InputError
 from .kernel import PopulationKernel, kernel_fixed_point, kernel_layer_sequence
-from .linalg import as_matrix, gram, gram_schmidt, min_eig_sym
+from .linalg import as_matrix, gram, min_eig_sym
 from .model import DeqParams, SolverConfig, forward_layer, init_params, solve_equilibrium
 from .reporting import write_csv
 
@@ -175,10 +175,14 @@ def lambda0_vs_width(x, sigma_w2: float, m_list, trials: int, base_seed: int,
 def fresh_randomness_reconstruct(p: DeqParams, x, i: int, j: int, l: int):
     """Rebuild G^(l+1)_ij as relu(M h)^T relu(M h') and report both errors.
 
-    M packs W's action on the orthonormalized history of columns i and j
-    (plus the scaled input map), so that M h = W z_i^(l) + U x_i exactly;
-    the construction makes M's entries conditionally fresh N(0, 2) draws.
-    Returns (identity_error, inner_product_error):
+    One Householder QR of the columns [z_i^(1..l-1), z_j^(1..l-1), z_i^(l),
+    z_j^(l)] (j's only when j != i) is Gram-Schmidt in that order (Golub &
+    Van Loan, ch. 5): C = QR. M = [(sqrt(m)/sigma_w) W Q, sqrt(d) U] and
+    h = [(sigma_w/sqrt(m)) R e_i, x_i/sqrt(d)], with R e_i the column of R
+    that rebuilds z_i^(l), so that M h = W z_i^(l) + U x_i exactly, whatever
+    signs QR gives Q's columns; the construction makes M's entries
+    conditionally fresh N(0, 2) draws. Returns (identity_error,
+    inner_product_error):
 
         identity_error = |relu(Mh)^T relu(Mh') - G^(l+1)_ij|,
         inner_product_error = |h^T h' - (sigma_w^2/m G^(l)_ij + x_i^T x_j / d)|.
@@ -193,54 +197,34 @@ def fresh_randomness_reconstruct(p: DeqParams, x, i: int, j: int, l: int):
     if l < 1:
         raise InputError("l must be >= 1")
     zs = layer_iterates(p, x, l + 1)
-    sigma_w = np.sqrt(p.sigma_w2)
-    sqrt_m = np.sqrt(p.m)
-    sqrt_d = np.sqrt(p.d)
-
-    zi, zj = zs[l - 1][:, i], zs[l - 1][:, j]
-    history = [zs[level][:, i] for level in range(l - 1)]
-    if j != i:  # for i == j the two column histories coincide
-        history += [zs[level][:, j] for level in range(l - 1)]
-    if history:
-        v = gram_schmidt(history)
-        proj = lambda vec: vec - v @ (v.T @ vec)
-    else:
-        v = np.zeros((p.m, 0))
-        proj = lambda vec: vec
-    pvec = proj(zi)
-    qvec = proj(zj)
-    p_norm = float(np.linalg.norm(pvec))
-    if p_norm < 1e-12:
+    cols = [i] if j == i else [i, j]  # for i == j the histories coincide
+    c = np.column_stack([zs[level][:, k] for k in cols for level in range(l - 1)]
+                        + [zs[l - 1][:, k] for k in cols])
+    q, r = np.linalg.qr(c)
+    # A column past the m-th has no pivot: it depends on its predecessors.
+    pivots = np.pad(np.abs(np.diag(r)), (0, c.shape[1] - r.shape[0]))
+    hist = len(cols) * (l - 1)
+    small = np.flatnonzero(pivots[:hist] < 1e-12)
+    if small.size:
+        raise DegenerateInputError(
+            f"history column {small[0]} is linearly dependent on its "
+            f"predecessors (|R_kk| = {pivots[small[0]]:.3e} < 1e-12)")
+    if pivots[hist] < 1e-12:
         raise InputError(
-            f"residual of z_i^({l}) against the history has norm {p_norm:.3e}; "
-            f"the parallel/orthogonal split is undefined")
-    q_par_coeff = float(pvec @ qvec) / p_norm**2
-    q_perp = qvec - q_par_coeff * pvec
-    q_perp_norm = float(np.linalg.norm(q_perp))
-    # For i == j the orthogonal part vanishes; its M column is multiplied
-    # by a zero entry of h and h', so any unit filler keeps the identity.
-    q_perp_dir = q_perp / q_perp_norm if q_perp_norm > 1e-12 else np.zeros(p.m)
+            f"residual of z_i^({l}) against the history has norm "
+            f"{pivots[hist]:.3e}; the fresh direction is undefined")
 
-    m_mat = np.column_stack([
-        (sqrt_m / sigma_w) * (p.w @ v) if v.shape[1] else np.zeros((p.m, 0)),
-        (sqrt_m / sigma_w) * (p.w @ (pvec / p_norm)),
-        (sqrt_m / sigma_w) * (p.w @ q_perp_dir),
-        sqrt_d * p.u,
-    ])
-    scale = sigma_w / sqrt_m
-    h = np.concatenate([scale * (v.T @ zi), [scale * p_norm], [0.0],
-                        x[:, i] / sqrt_d])
-    h_prime = np.concatenate([scale * (v.T @ zj),
-                              [scale * (float(pvec @ qvec) / p_norm)],
-                              [scale * q_perp_norm],
-                              x[:, j] / sqrt_d])
+    sigma_w, sqrt_m, sqrt_d = np.sqrt(p.sigma_w2), np.sqrt(p.m), np.sqrt(p.d)
+    m_mat = np.hstack([(sqrt_m / sigma_w) * (p.w @ q), sqrt_d * p.u])
+    h = np.concatenate([sigma_w / sqrt_m * r[:, hist], x[:, i] / sqrt_d])
+    h_prime = np.concatenate([sigma_w / sqrt_m * r[:, -1], x[:, j] / sqrt_d])
 
     lhs = float(np.maximum(m_mat @ h, 0) @ np.maximum(m_mat @ h_prime, 0))
     g_next = float(zs[l][:, i] @ zs[l][:, j])
     identity_error = abs(lhs - g_next)
 
-    g_cur = float(zi @ zj)
-    target = p.sigma_w2 / p.m * g_cur + float(x[:, i] @ x[:, j]) / p.d
+    target = (p.sigma_w2 / p.m * float(zs[l - 1][:, i] @ zs[l - 1][:, j])
+              + float(x[:, i] @ x[:, j]) / p.d)
     inner_error = abs(float(h @ h_prime) - target)
     return identity_error, inner_error
 

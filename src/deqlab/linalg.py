@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConvergenceError, DegenerateInputError, InputError
+from .errors import ConvergenceError, InputError
 
 __all__ = [
     "as_matrix",
     "spectral_norm",
     "min_eig_sym",
     "gram",
-    "gram_schmidt",
 ]
 
 
@@ -156,35 +155,3 @@ def gram(z) -> np.ndarray:
     g = z.T @ z
     return 0.5 * (g + g.T)
 
-
-def gram_schmidt(vectors, drop_tol: float = 1e-12) -> np.ndarray:
-    """Column-orthonormalize an ordered collection of equal-length vectors.
-
-    Modified Gram-Schmidt with one re-orthogonalization pass. Raises
-    DegenerateInputError if any vector's residual after projection onto
-    the previous columns has norm below `drop_tol` (the caller decides
-    whether to drop such vectors and retry).
-    """
-    vecs = [np.asarray(v, dtype=np.float64).ravel() for v in vectors]
-    if not vecs:
-        raise InputError("no vectors given")
-    m = vecs[0].shape[0]
-    for k, v in enumerate(vecs):
-        if v.shape[0] != m:
-            raise InputError(f"vector {k} has length {v.shape[0]}, expected {m}")
-        if not np.all(np.isfinite(v)):
-            raise InputError(f"vector {k} has non-finite entries")
-    cols = []
-    for k, v in enumerate(vecs):
-        w = v.copy()
-        for c in cols:
-            w -= (c @ w) * c
-        for c in cols:  # second pass: twice is enough
-            w -= (c @ w) * c
-        norm = np.linalg.norm(w)
-        if norm < drop_tol:
-            raise DegenerateInputError(
-                f"vector {k} is linearly dependent on its predecessors "
-                f"(residual norm {norm:.3e} < drop_tol {drop_tol:.1e})")
-        cols.append(w / norm)
-    return np.column_stack(cols)

@@ -149,7 +149,9 @@ def test_criterion_7_training_guarantees():
     initialization condition. That branch cannot run at init_bounds'
     default delta: inequality 3 as transcribed has lambda_0 / rhs_3 <=
     1/(16n) for every W, U, a and X (TestInequalityThreeBound in
-    test_condition.py; ROADMAP item 7), so the condition never holds."""
+    test_condition.py), so the condition never holds here;
+    TestTheoremInItsRegime, in the same file, asserts the envelope in the
+    theorem's own regime."""
     t0 = time.time()
     ds = gen_sphere_data(200, 100, seed=7)
     solver = SolverConfig(tol=1e-8)

@@ -10,16 +10,17 @@ from deqlab.condition import (
     init_bounds,
     write_condition_csv,
 )
-from deqlab.data import gen_sphere_data
+from deqlab.data import Dataset, gen_sphere_data
 from deqlab.errors import InputError
 from deqlab.linalg import gram, min_eig_sym, spectral_norm
 from deqlab.model import (
     DeqParams,
+    SolverConfig,
     init_params,
     predict,
     solve_equilibrium,
 )
-from deqlab.train import gram_min_eig
+from deqlab.train import TrainConfig, gram_min_eig, train_steps
 
 
 def bounds_from(c_w, c_u, c_a, delta=0.1, rho_w=0.9, rho_u=1.0, rho_a=1.0):
@@ -172,6 +173,45 @@ class TestInequalityThreeBound:
         report = check_condition(init_bounds(p), lam0, x, residual_norm_0=0.0)
         rhs3 = lam0 - report.margins[2]
         assert lam0 / rhs3 <= (1 + 1e-6) / (16 * n)
+
+
+class TestTheoremInItsRegime:
+    """The convergence theorem where its initialization condition holds.
+    Inequality 3's cap grows as delta -> 0, and c_w, c_u carry rho_a =
+    ||a(0)|| + delta, so a(0) scaled by 1e-3 with delta = 1e-3 brings it
+    within reach; inequalities 1 and 2 are linear in r0 = ||yhat(0) - y||,
+    so labels 1e-5 from yhat(0) bring them within reach. This is the
+    regime in which criterion 7's envelope branch would run."""
+
+    def test_conditions_hold_and_training_stays_under_the_envelope(self):
+        solver = SolverConfig(tol=1e-12)
+        x = gen_sphere_data(8, 16, seed=7).x
+        p = init_params(400, 16, 0.08, seed=11)
+        p0 = DeqParams(w=p.w, u=p.u, a=1e-3 * p.a, sigma_w2=p.sigma_w2)
+        z0 = solve_equilibrium(p0, x, solver).z
+        yhat0 = predict(p0, z0)
+        y = yhat0 + 1e-5 * np.random.default_rng(0).standard_normal(8)
+        lam0 = gram_min_eig(z0)
+
+        def condition(q, delta):
+            r0 = float(np.linalg.norm(predict(q, z0) - y))
+            return check_condition(init_bounds(q, delta), lam0, x, r0)
+
+        delta = 1e-3
+        report = condition(p0, delta)
+        assert all(report.satisfied)  # lhs/rhs measured 2.33, 288 and 1.032
+        # the unscaled a(0) at the default delta fails all three
+        assert not any(condition(p, None).satisfied)
+
+        cfg = TrainConfig(eta=report.eta_max, steps=200, solver=solver)
+        steps = 0
+        for record, q, _ in train_steps(p0, Dataset(x, y), cfg):
+            # the loss is resolved to the solver's tolerance, as in criterion 7
+            assert record.loss <= record.rate_envelope * (1 + 1e-8)
+            assert record.w_spec_norm < 1.0
+            assert np.linalg.norm(q.w - p0.w) <= delta
+            steps += 1
+        assert steps == 201
 
 
 def test_write_condition_csv(tmp_path):

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from deqlab.errors import ConvergenceError, DegenerateInputError, InputError
-from deqlab.linalg import gram, gram_schmidt, min_eig_sym, spectral_norm
+from deqlab.errors import ConvergenceError, InputError
+from deqlab.linalg import gram, min_eig_sym, spectral_norm
 from deqlab.model import init_params
 
 
@@ -144,34 +144,6 @@ class TestGram:
         assert np.array_equal(g, g.T)
 
 
-class TestGramSchmidt:
-    def test_standard_basis_unchanged(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        e2 = np.array([0.0, 1.0, 0.0])
-        v = gram_schmidt([e1, e2])
-        np.testing.assert_allclose(v, np.column_stack([e1, e2]), atol=1e-15)
-
-    def test_orthonormality(self):
-        v = gram_schmidt([np.array([1.0, 1.0, 0.0]), np.array([1.0, 0.0, 0.0])])
-        np.testing.assert_allclose(v.T @ v, np.eye(2), atol=1e-10)
-
-    def test_parallel_vectors_degenerate(self):
-        with pytest.raises(DegenerateInputError):
-            gram_schmidt([np.array([1.0, 0.0]), np.array([2.0, 0.0])])
-
-    def test_span_preserved(self):
-        rng = np.random.default_rng(23)
-        vecs = [rng.standard_normal(10) for _ in range(4)]
-        v = gram_schmidt(vecs)
-        b = np.column_stack(vecs)
-        # Every original vector is reproduced by its projection onto V.
-        np.testing.assert_allclose(v @ (v.T @ b), b, atol=1e-9)
-
-    def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            gram_schmidt([])
-
-
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 15), cols=st.integers(1, 15))
 def test_spectral_le_frobenius(seed, rows, cols):
@@ -186,13 +158,3 @@ def test_gram_psd(seed, rows, cols):
     g = gram(z)
     bound = -1e-10 * max(spectral_norm(g, tol=1e-8), 1e-300)
     assert min_eig_sym(g) >= bound
-
-
-@settings(deadline=None, max_examples=25)
-@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 20), k=st.integers(1, 8))
-def test_gram_schmidt_orthonormal_property(seed, m, k):
-    rng = np.random.default_rng(seed)
-    k = min(k, m)
-    vecs = [rng.standard_normal(m) for _ in range(k)]
-    v = gram_schmidt(vecs)
-    assert np.linalg.norm(v.T @ v - np.eye(k)) <= 1e-9 * np.sqrt(k)

@@ -256,6 +256,23 @@ class TestWellPosedness:
         with pytest.raises(WellPosednessError):
             solve_equilibrium(p, x, SolverConfig(max_iter=5))
 
+    def test_margin_covers_a_clustered_spectrum(self):
+        # The same cluster with its top at 1 + 1e-9 and at 1 - 2e-6. Lanczos
+        # reads 7.7e-7 low in both, so its stop rule cannot tell them
+        # apart; CERT_MARGIN sends both decisions to LAPACK, which can.
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((1000, 1000)))
+        rest = rng.uniform(0.5, 0.9, 980)
+        for top in (1 + 1e-9, 1 - 2e-6):
+            lam = np.concatenate([top - 1.9e-6 * np.linspace(0, 1, 20), rest])
+            w = (q * lam) @ q.T
+            w = (w + w.T) / 2
+            assert spectral_norm(w) < top - 5e-7
+            p = DeqParams(w=w, u=np.ones((1000, 4)), a=np.ones(1000),
+                          sigma_w2=0.08)
+            s, ok = well_posedness(p)
+            assert abs(s - top) <= 1e-14 and ok == (top < 1.0)
+
     def test_decided_once_per_parameter_set(self, monkeypatch):
         calls = []
 

@@ -799,6 +799,49 @@ class TestAutoEta:
             0.5 * auto_eta(p, sol.z, ds.x, 0.5), rel=1e-12)
 
 
+class TestStepSizePhases:
+    """Where existence ends: eta = c * 2 / lambda_max(H(0)) at m=400,
+    n=d=16. Below the stability edge the loss never rises; past it the
+    loss first rises (a catapult), then converges; far past it ||W||_2
+    crosses 1, so the equilibrium is lost before the loss diverges."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        solver = SolverConfig(tol=1e-10)
+        ds = gen_sphere_data(16, 16, seed=7)
+        p0 = init_params(400, 16, 0.08, seed=11)
+        sol = solve_equilibrium(p0, ds.x, solver)
+        lam = ntk_max_eig(p0, sol.z, ds.x, solver, pre=sol.pre)
+        return p0, ds, solver, lam
+
+    def test_below_the_edge_the_loss_never_rises(self, problem):
+        p0, ds, solver, lam = problem
+        cfg = TrainConfig(eta=0.9 * 2.0 / lam, steps=300, solver=solver)
+        losses = train(p0, ds, cfg)[1].column("loss")
+        assert np.all(losses[1:] <= losses[0])
+
+    def test_past_the_edge_the_loss_rises_then_converges(self, problem):
+        p0, ds, solver, lam = problem
+        eta = 1.3 * 2.0 / lam
+        q, trace = train(p0, ds, TrainConfig(eta=eta, steps=300, solver=solver))
+        losses = trace.column("loss")
+        assert losses.max() > losses[0]  # measured 8.6 Phi(0), at step 5
+        # measured 2.3e-20, on the tol^2 floor, which jitters over decades
+        assert losses[-1] < 1e-16
+        # the curvature settled below the step's stability edge (0.745)
+        sol = solve_equilibrium(q, ds.x, solver)
+        assert eta * ntk_max_eig(q, sol.z, ds.x, solver, pre=sol.pre) / 2.0 < 1.0
+
+    def test_far_past_the_edge_existence_is_lost(self, problem):
+        p0, ds, solver, lam = problem
+        cfg = TrainConfig(eta=2.0 * 2.0 / lam, steps=300, solver=solver)
+        steps = 0
+        with pytest.raises(WellPosednessError):
+            for _ in train_steps(p0, ds, cfg):
+                steps += 1
+        assert steps < 10  # lost at step 4, at ||W||_2 = 1.545
+
+
 class TestMetricsCsv:
     def test_exact_header_and_parse(self, tmp_path):
         p, ds = setup(seed=19)
