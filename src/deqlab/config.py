@@ -3,8 +3,8 @@
 The config file is the interface for experiments; command-line
 `--set section.key=value` overrides individual entries. The solver and
 train sections are the library's own SolverConfig and TrainConfig; every
-section validates itself on construction, so a config that loads is one
-the commands can run.
+section checks its own field types and ranges on construction, so a config
+that loads is one the commands can run.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigError, InputError
-from .model import SolverConfig, check_sigma_w2
+from .model import SolverConfig, check_field_types, check_sigma_w2
 from .train import TrainConfig
 
 __all__ = [
@@ -42,41 +42,15 @@ _Loader.add_implicit_resolver(
     re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
     list("-+0123456789"))
 
-# The YAML values a field annotation admits: an int is a float, a bool is
-# neither, and `list[int]` is a list of ints.
-_ADMITS = {"int": (int,), "float": (int, float), "str": (str,),
-           "list": (list,), "None": (type(None),)}
-
-
-def _admits(annotation: str, value) -> bool:
-    """Whether `value` fits one alternative of a field annotation."""
-    for kind in annotation.split(" | "):
-        if kind.startswith("list["):
-            if isinstance(value, list) and all(_admits(kind[5:-1], v)
-                                               for v in value):
-                return True
-        elif isinstance(value, _ADMITS[kind]) and not isinstance(value, bool):
-            return True
-    return False
-
-
 def _build(section_cls, payload: dict, section: str, **fixed):
-    """Construct (and so validate) one section from its mapping, after
-    checking each value against its field's annotation; `fixed` fields
-    are supplied by other sections, not by the mapping."""
-    if payload is None:
-        payload = {}
+    """Construct (and so validate) one section from its mapping; `fixed`
+    fields are supplied by other sections, not by the mapping."""
+    payload = {} if payload is None else payload
     if not isinstance(payload, dict):
         raise ConfigError(f"section {section!r} must be a mapping")
-    annotations = {f.name: f.type for f in fields(section_cls)
-                   if f.name not in fixed}
-    unknown = set(payload) - set(annotations)
+    unknown = set(payload) - {f.name for f in fields(section_cls) if f.name not in fixed}
     if unknown:
         raise ConfigError(f"unknown keys in section {section!r}: {sorted(unknown)}")
-    for key, value in payload.items():
-        if not _admits(annotations[key], value):
-            raise ConfigError(f"section {section!r}: {key} must be "
-                              f"{annotations[key]}, got {value!r}")
     try:
         return section_cls(**payload, **fixed)
     except (InputError, TypeError) as exc:
@@ -94,6 +68,7 @@ class DataConfig:
     labels_csv: str | None = None  # file: labels CSV
 
     def __post_init__(self):
+        check_field_types(self)
         if self.kind not in ("synthetic", "file"):
             raise ConfigError(f"data.kind {self.kind!r} is not one of "
                               f"synthetic|file")
@@ -119,6 +94,7 @@ class ModelConfig:
     seed: int = 1
 
     def __post_init__(self):
+        check_field_types(self)
         widths = self.widths()
         if not widths or any(w < 1 for w in widths):
             raise ConfigError(f"model.m must be a positive int or list, got {self.m}")
@@ -159,6 +135,7 @@ class ConcentrationSection:
     KNOWN = ("tied_vs_population", "lambda0_vs_width", "reconstruct")
 
     def __post_init__(self):
+        check_field_types(self)
         if not self.experiments:
             raise ConfigError("concentration.experiments is empty")
         for i, name in enumerate(self.experiments):
@@ -180,6 +157,9 @@ class ConcentrationSection:
 class OutputSection:
     directory: str = "out"
 
+    def __post_init__(self):
+        check_field_types(self)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -198,8 +178,6 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if doc is None:
-            doc = {}
         if not isinstance(doc, dict):
             raise ConfigError("config root must be a mapping")
         sections = {

@@ -8,7 +8,7 @@ map a contraction with high probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -20,6 +20,7 @@ __all__ = [
     "SolverConfig",
     "EquilibriumSolution",
     "SIGMA_W2_MAX",
+    "check_field_types",
     "check_sigma_w2",
     "init_params",
     "forward_layer",
@@ -50,6 +51,28 @@ def check_sigma_w2(sigma_w2: float) -> None:
     """Raise InputError unless 0 < sigma_w2 < SIGMA_W2_MAX."""
     if not (0.0 < sigma_w2 < SIGMA_W2_MAX):
         raise InputError(f"sigma_w2 must lie in (0, 1/8), got {sigma_w2}")
+
+
+# The values a field's string annotation admits: an int is a float, a
+# bool is neither, `list[int]` is a list of ints, and any other name is a
+# class, such as TrainConfig.solver's, that checks its own fields.
+_ADMITS = {"int": (int,), "float": (int, float), "str": (str,),
+           "list": (list,), "None": (type(None),)}
+
+
+def _admits(annotation: str, v) -> bool:
+    """Whether `v` fits one alternative of a field annotation."""
+    return any(isinstance(v, list) and all(_admits(kind[5:-1], x) for x in v)
+               if kind.startswith("list[") else
+               isinstance(v, _ADMITS.get(kind, object)) and not isinstance(v, bool)
+               for kind in annotation.split(" | "))
+
+
+def check_field_types(obj) -> None:
+    """Raise InputError unless each field of dataclass `obj` fits its annotation."""
+    for f in fields(obj):
+        if not _admits(f.type, value := getattr(obj, f.name)):
+            raise InputError(f"{f.name} must be {f.type}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +128,7 @@ class SolverConfig:
     max_iter: int = 10000
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.tol < np.inf:  # also refuses nan
             raise InputError(f"solver tol must be positive and finite, "
                              f"got {self.tol}")

@@ -11,7 +11,6 @@ holds at desk scale.
 
 from __future__ import annotations
 
-import json
 import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -35,6 +34,7 @@ from .model import (
     DeqParams,
     EquilibriumSolution,
     SolverConfig,
+    check_field_types,
     loss,
     predict,
     solve_equilibrium,
@@ -75,7 +75,7 @@ METRICS_HEADER = ("step,loss,w_spec_norm,lambda_tau,grad_norm_sq,"
 SOLVER_TRACE_HEADER = ("step,forward_iters,adjoint_iters,forward_residual,"
                        "adjoint_residual")
 
-CHECKPOINT_VERSION = 2  # format 1 kept the state in a JSON sidecar
+CHECKPOINT_VERSION = 2  # the one format load_checkpoint reads
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,7 @@ class TrainConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self):
+        check_field_types(self)
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise InputError(f"eta must be a float or 'auto', got {self.eta!r}")
@@ -129,12 +130,12 @@ class TrainState:
     phi_0: float | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         anchors = (self.eta, self.lambda_0, self.phi_0)
         unset = (*anchors, self.eta_mode).count(None)
-        if not (type(self.step) is int and self.step >= 0 and (unset == 4 or not unset
-                and self.eta > 0 and min(anchors) >= 0 and np.isfinite(anchors).all()
-                and not any(isinstance(a, (bool, np.bool_)) for a in anchors))):
-            raise InputError(f"TrainState needs an int step >= 0 and all four anchors or "
+        if not (self.step >= 0 and (unset == 4 or not unset and self.eta > 0
+                and min(anchors) >= 0 and np.isfinite(anchors).all())):
+            raise InputError(f"TrainState needs a step >= 0 and all four anchors or "
                              f"none, eta > 0 and lambda_0, phi_0 >= 0 finite; got {self}")
 
 
@@ -378,16 +379,13 @@ def save_checkpoint(path, p: DeqParams, state: TrainState, config_hash: str) -> 
 
 
 def load_checkpoint(path) -> tuple[DeqParams, TrainState]:
-    """(params, TrainState(..., "resumed")) of a format-2 checkpoint, or of a
-    format-1 one and its JSON sidecar; InputError for anything else, a
-    state TrainState refuses or a non-integer step included."""
+    """(params, TrainState(..., "resumed")) of a format-2 checkpoint; InputError
+    for anything else, a state TrainState refuses or a non-integer step included."""
     try:
         with np.load(path) as npz:
             ckpt = {key: npz[key] for key in npz.files}
         version = operator.index(ckpt["format_version"])
-        if version == 1:
-            ckpt.update(json.loads(Path(path).with_suffix(".json").read_text()))
-        elif version != CHECKPOINT_VERSION:
+        if version != CHECKPOINT_VERSION:
             raise InputError(f"unsupported checkpoint version {version}")
         p = DeqParams(ckpt["w"], ckpt["u"], ckpt["a"], float(ckpt["sigma_w2"]))
         state = TrainState(operator.index(ckpt["step"]), float(ckpt["eta"]), "resumed",

@@ -71,19 +71,6 @@ def checkpoint_at_2(tmp_path_factory):
     return out / "ckpt_m20_000002.npz"
 
 
-def write_v1_pair(ckpt, path, **edits):
-    """The format-1 form of checkpoint `ckpt` at `path`: its parameters,
-    and beside them the JSON sidecar of its state with `edits` applied
-    (an edit to None drops the key)."""
-    with np.load(ckpt) as npz:
-        params = {key: npz[key] for key in ("m", "d", "sigma_w2", "w", "u", "a")}
-        state = {key: npz[key].item() for key in npz.files if key not in params}
-    np.savez(path, **params, format_version=np.int64(1))
-    state = {key: value for key, value in {**state, **edits}.items()
-             if key != "format_version" and value is not None}
-    path.with_suffix(".json").write_text(json.dumps(state, sort_keys=True) + "\n")
-
-
 class TestGenData:
     def test_writes_dataset_and_manifest(self, runner, tmp_path):
         out = tmp_path / "o"
@@ -516,17 +503,18 @@ class TestTrainCommand:
         np.savez(unversioned, w=np.zeros((20, 20)))
         text = tmp_path / "text.npz"
         text.write_text("not an archive\n")
-        empty_sidecar = tmp_path / "v1.npz"
-        write_v1_pair(checkpoint_at_2, empty_sidecar)
-        empty_sidecar.with_suffix(".json").write_text("{}\n")
-        for ckpt in (unversioned, text, empty_sidecar):
+        # a whole checkpoint under format 1, whose state lived in a JSON sidecar
+        version_1 = tmp_path / "v1.npz"
+        with np.load(checkpoint_at_2) as npz:
+            np.savez(version_1, **{**npz, "format_version": 1})
+        for ckpt in (unversioned, text, version_1):
             result = runner.invoke(main, tiny_train_args(
                 tmp_path / "resumed", ["--set", f"train.resume={ckpt}"]))
             assert result.exit_code == 2, result.output
             assert "not a deqlab checkpoint" in result.output
             assert not (tmp_path / "resumed").exists()
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [2])  # the one format load_checkpoint reads
     @pytest.mark.parametrize("edit", [
         {"eta": -0.2}, {"eta": float("nan")}, {"step": -3}, {"step": 2.7},
         {"lambda_0": -1.0}, {"phi_0": None},
@@ -537,29 +525,15 @@ class TestTrainCommand:
         # each would resume on a state a run cannot have: exit 2 before
         # any row or output directory is written
         ckpt = tmp_path / "edited.npz"
-        if version == 1:
-            write_v1_pair(checkpoint_at_2, ckpt, **edit)
-        else:
-            with np.load(checkpoint_at_2) as npz:
-                state = {**npz, **edit}
-            np.savez(ckpt, **{k: v for k, v in state.items() if v is not None})
+        with np.load(checkpoint_at_2) as npz:
+            state = {**npz, "format_version": version, **edit}
+        np.savez(ckpt, **{k: v for k, v in state.items() if v is not None})
         resumed = tmp_path / "resumed"
         result = runner.invoke(main, tiny_train_args(resumed, [
             "--set", f"train.resume={ckpt}"]))
         assert result.exit_code == 2, result.output
         assert "not a deqlab checkpoint" in result.output
         assert not resumed.exists()
-
-    def test_a_version_1_pair_resumes_as_its_version_2_file(self, runner, tmp_path,
-                                                            checkpoint_at_2):
-        v1 = tmp_path / "v1.npz"
-        write_v1_pair(checkpoint_at_2, v1)
-        for name, ckpt in (("v1", v1), ("v2", checkpoint_at_2)):
-            run_ok(runner, tiny_train_args(tmp_path / name, [
-                "--set", "train.steps=3", "--set", f"train.resume={ckpt}"]))
-        for name in ("metrics_m20.csv", "trace_m20.csv", "loss.svg"):
-            assert (tmp_path / "v1" / name).read_bytes() == \
-                (tmp_path / "v2" / name).read_bytes()
 
     def test_resume_at_another_width_is_2(self, runner, tmp_path):
         out = tmp_path / "o"

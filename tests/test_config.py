@@ -5,6 +5,7 @@ loads; a bad value exits 2 with a ConfigError naming its section before
 any computation starts.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -12,8 +13,15 @@ import pytest
 from click.testing import CliRunner
 
 from deqlab.cli import main
-from deqlab.config import load_config
-from deqlab.errors import ConfigError
+from deqlab.config import (
+    ConcentrationSection,
+    DataConfig,
+    ModelConfig,
+    OutputSection,
+    TrainSection,
+    load_config,
+)
+from deqlab.errors import ConfigError, InputError
 from deqlab.model import SolverConfig, init_params
 from deqlab.reporting import config_hash
 from deqlab.train import TrainConfig
@@ -164,6 +172,29 @@ class TestSections:
         assert not out.exists()
 
 
+MISTYPED = [
+    ("data.n=abc", lambda: DataConfig(n="abc")),
+    ("model.m=[10.5]", lambda: ModelConfig(m=[10.5])),
+    ("model.seed=true", lambda: ModelConfig(seed=True)),
+    ("concentration.m_list=[100, x]", lambda: ConcentrationSection(m_list=[100, "x"])),
+    ("output.directory=5", lambda: OutputSection(directory=5)),
+    ("train.checkpoint_every=1.5", lambda: TrainSection(checkpoint_every=1.5)),
+]
+
+
+class TestLibraryTypes:
+    """A section built in Python refuses a mistyped value as the config
+    file does, with the file's message less its section prefix."""
+
+    @pytest.mark.parametrize("item, build", MISTYPED, ids=[item for item, _ in MISTYPED])
+    def test_same_refusal_as_the_file(self, item, build):
+        with pytest.raises(InputError) as built:
+            build()
+        section = item.split(".")[0]
+        with pytest.raises(ConfigError, match=re.escape(f"section {section!r}: {built.value}")):
+            load_config(None, [item])
+
+
 class TestModelSection:
     @pytest.mark.parametrize("item", [
         "model.m=[40, 20]",
@@ -206,7 +237,8 @@ class TestResumeChecks:
         assert "shared eta" not in result.output
 
     def test_missing_sidecar_fails_at_load(self, runner, tmp_path):
-        # a format-1 checkpoint kept its state in a JSON sidecar
+        # a format-1 checkpoint kept its state in a JSON sidecar; with or
+        # without one, its version is refused before any output exists
         p = init_params(8, 5, 0.08, seed=0)
         ckpt = tmp_path / "ckpt.npz"
         np.savez(ckpt, format_version=np.int64(1), m=np.int64(8), d=np.int64(5),
@@ -217,7 +249,7 @@ class TestResumeChecks:
             "--set", "model.m=8", "--set", f"train.resume={ckpt}",
             "--set", f"output.directory={out}"])
         assert result.exit_code == 2, result.output
-        assert "ckpt.json" in result.output
+        assert "unsupported checkpoint version 1" in result.output
         assert not out.exists()
 
     def test_missing_checkpoint_fails_at_load(self, tmp_path):

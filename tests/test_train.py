@@ -1,5 +1,4 @@
 import dataclasses
-import json
 import os
 import tracemalloc
 
@@ -63,6 +62,18 @@ class TestTrainConfig:
             TrainConfig(eta="fast")
         with pytest.raises(InputError):
             TrainConfig(steps=0)
+
+    @pytest.mark.parametrize("cls, field", [
+        (SolverConfig, dict(tol=True)), (SolverConfig, dict(max_iter=True)),
+        (TrainConfig, dict(eta=True)), (TrainConfig, dict(steps=2.5)),
+        (TrainConfig, dict(monitor_every=2.5)), (TrainConfig, dict(steps=np.int64(3))),
+    ], ids=["tol-true", "max_iter-true", "eta-true", "steps-2.5", "monitor_every-2.5",
+            "steps-int64"])
+    def test_refuses_a_mistyped_field(self, cls, field):
+        # as a config file does: tol=True would solve to tol 1.0, eta=True
+        # train at eta = 1, and steps=2.5 fail only inside train_steps
+        with pytest.raises(InputError, match=f"{next(iter(field))} must be "):
+            cls(**field)
 
 
 class TestTrain:
@@ -467,7 +478,7 @@ class TestTrainState:
         dict(eta=-1e-3), dict(eta=0.0), dict(eta=np.nan), dict(eta=np.inf),
         dict(lambda_0=-1.0), dict(lambda_0=np.inf), dict(phi_0=np.nan),
         dict(step=True), dict(step=False), dict(eta=True), dict(lambda_0=True),
-        dict(phi_0=np.False_),
+        dict(phi_0=np.False_), dict(eta_mode=5),
     ])
     def test_refuses_out_of_range_values(self, edit):
         with pytest.raises(InputError):
@@ -482,15 +493,6 @@ class TestTrainState:
     def test_accepts_a_start_without_anchors_and_zero_anchors(self):
         assert TrainState(step=5).eta is None
         assert dataclasses.replace(ANCHORED, lambda_0=0.0, phi_0=0.0).phi_0 == 0.0
-
-
-def write_v1(path, p, sidecar):
-    """A format-1 checkpoint of p at `path`, with `sidecar`, if given, as
-    the JSON beside it."""
-    np.savez(path, format_version=np.int64(1), m=np.int64(p.m), d=np.int64(p.d),
-             sigma_w2=np.float64(p.sigma_w2), w=p.w, u=p.u, a=p.a)
-    if sidecar is not None:
-        path.with_suffix(".json").write_text(json.dumps(sidecar))
 
 
 class TestCheckpoint:
@@ -512,18 +514,6 @@ class TestCheckpoint:
             assert int(npz["format_version"]) == 2
             assert str(npz["config_hash"]) == "cafe"
         assert os.listdir(tmp_path) == ["ckpt.npz"]
-
-    def test_version_1_takes_its_state_from_the_sidecar(self, tmp_path):
-        p = init_params(12, 5, 0.08, seed=21)
-        path = tmp_path / "ckpt.npz"
-        write_v1(path, p, {"step": 3, "eta": 1e-3, "lambda_0": 0.25, "phi_0": 7.5,
-                           "config_hash": "cafe", "artifact_version": "0.1.0"})
-        q, state = load_checkpoint(path)
-        self.assert_same_params(p, q)
-        assert state == dataclasses.replace(ANCHORED, eta_mode="resumed")
-        path.with_suffix(".json").unlink()
-        with pytest.raises(InputError, match="ckpt.json"):
-            load_checkpoint(path)
 
     def test_not_a_checkpoint_is_input_error(self, tmp_path):
         p = init_params(12, 5, 0.08, seed=0)
@@ -805,14 +795,18 @@ class TestStepSizePhases:
     loss first rises (a catapult), then converges; far past it ||W||_2
     crosses 1, so the equilibrium is lost before the loss diverges."""
 
-    @pytest.fixture(scope="class")
-    def problem(self):
+    @staticmethod
+    def build(seed):
         solver = SolverConfig(tol=1e-10)
         ds = gen_sphere_data(16, 16, seed=7)
-        p0 = init_params(400, 16, 0.08, seed=11)
+        p0 = init_params(400, 16, 0.08, seed=seed)
         sol = solve_equilibrium(p0, ds.x, solver)
         lam = ntk_max_eig(p0, sol.z, ds.x, solver, pre=sol.pre)
         return p0, ds, solver, lam
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return self.build(11)
 
     def test_below_the_edge_the_loss_never_rises(self, problem):
         p0, ds, solver, lam = problem
@@ -840,6 +834,69 @@ class TestStepSizePhases:
             for _ in train_steps(p0, ds, cfg):
                 steps += 1
         assert steps < 10  # lost at step 4, at ||W||_2 = 1.545
+
+    @pytest.mark.parametrize("seed", [11, 12, 13])
+    def test_the_existence_edge_lies_near_c_1_65(self, seed):
+        # bisect the smallest c whose run loses ||W||_2 < 1 within 100
+        # steps: 7 halvings of [1.3, 2.0], whose ends converge and lose it
+        p0, ds, solver, lam = self.build(seed)
+
+        def lost(c):
+            cfg = TrainConfig(eta=c * 2.0 / lam, steps=100, solver=solver)
+            try:
+                for _ in train_steps(p0, ds, cfg):
+                    pass
+            except WellPosednessError:
+                return True
+            return False
+
+        lo, hi = 1.3, 2.0
+        for _ in range(7):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if lost(mid) else (mid, hi)
+        # measured [1.612, 1.617], [1.650, 1.655] and [1.688, 1.694] for
+        # seeds 11-13; the theorem's eta_max is c ~ 2e-5
+        assert 1.55 < lo < hi < 1.75
+
+
+class TestGlobalOptimum:
+    """Training reaches the global optimum Phi = 0 down to the solver's
+    floor (n=d=16, m=400, auto eta, 1000 steps). Phi falls linearly in
+    log from 12.27 and first reaches 1e-8 at step 232 at both tols. It
+    then stops at a floor that scales like tol^2, since the computed loss
+    cannot be resolved below about (||a|| e)^2, with e the forward error
+    bound. At 500 steps the tol-1e-10 run is not yet on its floor."""
+
+    @pytest.fixture(scope="class")
+    def losses(self):
+        ds = gen_sphere_data(16, 16, seed=7)
+        p0 = init_params(400, 16, 0.08, seed=11)
+        return {tol: train(p0, ds, TrainConfig(eta="auto", steps=1000,
+                                                solver=SolverConfig(tol=tol)))[1]
+                .column("loss") for tol in (1e-8, 1e-10)}
+
+    def test_the_floor_scales_like_tol_squared(self, losses):
+        # medians of the last 100 steps: 1.52e-16 and 1.43e-20, a ratio of
+        # 1.06e4 (tol 1e-6 reads 1.44e-12); the floor jitters over decades
+        ratio = np.median(losses[1e-8][-100:]) / np.median(losses[1e-10][-100:])
+        assert 3e3 < ratio < 3e4
+
+    def test_the_loss_falls_to_its_floor(self, losses):
+        phi = losses[1e-10]
+        assert phi[-1] / phi[0] < 1e-19  # measured 2.4e-21
+
+    @pytest.mark.parametrize("window", [(50, 100), (100, 200)])
+    def test_log_loss_is_linear_before_the_floor(self, losses, window):
+        # measured slopes -0.0832 and -0.0810 per step, residuals <= 0.017;
+        # the first 50 steps are a transient (one line over steps 0-200
+        # misses log Phi by up to 1.76)
+        a, b = window
+        steps = np.arange(a, b + 1)
+        for phi in losses.values():
+            log_phi = np.log(phi[a:b + 1])
+            slope, intercept = np.polyfit(steps, log_phi, 1)
+            assert -0.09 < slope < -0.075
+            assert np.abs(log_phi - (slope * steps + intercept)).max() < 0.05
 
 
 class TestMetricsCsv:
