@@ -29,6 +29,7 @@ from .reporting import write_csv
 __all__ = [
     "CellResult",
     "ConcentrationReport",
+    "check_grid",
     "derive_seed",
     "layer_iterates",
     "kernel_depth_decay",
@@ -54,8 +55,6 @@ class CellResult:
 class ConcentrationReport:
     experiment: str
     cells: list
-    trials: int
-    base_seed: int
     extra: dict = field(default_factory=dict)
 
     def errors_for(self, m: int | None = None, l: int | None = None) -> np.ndarray:
@@ -103,34 +102,41 @@ def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
             for k in kernel_layer_sequence(x, pk.sigma_w2, l_max)]
 
 
-def _check_grid(m_list, trials: int) -> None:
-    """The Monte Carlo grid: widths non-empty and strictly ascending (a
-    repeated width would redraw the same seeds), at least one trial."""
+def check_grid(m_list, trials: int) -> None:
+    """Raise InputError unless the Monte Carlo grid is runnable: widths
+    non-empty, >= 1 and strictly ascending (a repeated width would redraw
+    the same seeds), and at least one trial."""
     if not m_list:
         raise InputError("m_list is empty")
-    if any(b <= a for a, b in zip(m_list, m_list[1:])):
-        raise InputError(f"m_list must be strictly ascending, got {list(m_list)}")
+    if any(b <= a for a, b in zip([0, *m_list], m_list)):
+        raise InputError(f"m_list must be strictly ascending from 1, got {list(m_list)}")
     if trials < 1:
         raise InputError("trials must be >= 1")
+
+
+def _grid(experiment: str, m_list, l: int, trials: int, base_seed: int,
+          error) -> ConcentrationReport:
+    """One cell per (m, trial), m-major, each with error(m, seed) at seed
+    derive_seed(base_seed, m, trial)."""
+    return ConcentrationReport(experiment, [
+        CellResult(experiment, m, l, trial, seed, float(error(m, seed)))
+        for m in m_list for trial in range(trials)
+        for seed in [derive_seed(base_seed, m, trial)]])
 
 
 def tied_vs_population(x, sigma_w2: float, m_list, l: int, trials: int,
                        base_seed: int) -> ConcentrationReport:
     """Per (m, trial): fresh init, l layer steps, ||G^(l)/m - K^(l)||_F."""
     x = as_matrix(x, "X")
-    _check_grid(m_list, trials)
+    check_grid(m_list, trials)
     for k_l in kernel_layer_sequence(x, sigma_w2, l):
         pass  # keep the last level, K^(l)
     d = x.shape[0]
-    cells = []
-    for m in m_list:
-        for trial in range(trials):
-            seed = derive_seed(base_seed, m, trial)
-            p = init_params(m, d, sigma_w2, seed)
-            z = layer_iterates(p, x, l)[-1]
-            err = float(np.linalg.norm(gram(z) / m - k_l))
-            cells.append(CellResult("tied_vs_population", m, l, trial, seed, err))
-    return ConcentrationReport("tied_vs_population", cells, trials, base_seed)
+
+    def error(m, seed):
+        z = layer_iterates(init_params(m, d, sigma_w2, seed), x, l)[-1]
+        return np.linalg.norm(gram(z) / m - k_l)
+    return _grid("tied_vs_population", m_list, l, trials, base_seed, error)
 
 
 def lambda0_vs_width(x, sigma_w2: float, m_list, trials: int, base_seed: int,
@@ -143,33 +149,25 @@ def lambda0_vs_width(x, sigma_w2: float, m_list, trials: int, base_seed: int,
     of trials with ratio >= 1/2.
     """
     x = as_matrix(x, "X")
-    _check_grid(m_list, trials)
+    check_grid(m_list, trials)
     pk = kernel_fixed_point(x, sigma_w2)
     if pk.lambda_star <= 0:
         raise AssumptionError(
             f"population kernel is not positive definite "
             f"(lambda_star = {pk.lambda_star:.3e}); the data violates the "
             f"no-parallel-pairs assumption or is degenerate")
-    d = x.shape[0]
-    cells = []
-    fractions = {}
-    for m in m_list:
-        ratios = []
-        for trial in range(trials):
-            seed = derive_seed(base_seed, m, trial)
-            p = init_params(m, d, sigma_w2, seed)
-            z = solve_equilibrium(p, x, solver).z
-            # rank Z <= m, so lambda_0 is exactly 0 below n; otherwise the
-            # eigensolve's value with negative roundoff projected to 0.
-            lam0 = 0.0 if m < x.shape[1] else max(0.0, min_eig_sym(gram(z)))
-            ratio = lam0 / (m * pk.lambda_star)
-            ratios.append(ratio)
-            cells.append(CellResult("lambda0_vs_width", m, 0, trial, seed,
-                                    float(ratio)))
-        fractions[m] = float(np.mean([r >= 0.5 for r in ratios]))
-    return ConcentrationReport("lambda0_vs_width", cells, trials, base_seed,
-                               extra={"fraction_ge_half": fractions,
-                                      "lambda_star": pk.lambda_star})
+    d, n = x.shape
+
+    def error(m, seed):
+        z = solve_equilibrium(init_params(m, d, sigma_w2, seed), x, solver).z
+        # rank Z <= m, so lambda_0 is exactly 0 below n; otherwise the
+        # eigensolve's value with negative roundoff projected to 0.
+        lam0 = 0.0 if m < n else max(0.0, min_eig_sym(gram(z)))
+        return lam0 / (m * pk.lambda_star)
+    report = _grid("lambda0_vs_width", m_list, 0, trials, base_seed, error)
+    fractions = {m: float(np.mean(report.errors_for(m=m) >= 0.5)) for m in m_list}
+    report.extra = {"fraction_ge_half": fractions, "lambda_star": pk.lambda_star}
+    return report
 
 
 def fresh_randomness_reconstruct(p: DeqParams, x, i: int, j: int, l: int):

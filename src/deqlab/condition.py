@@ -69,8 +69,8 @@ def init_bounds(p: DeqParams, delta: float | None = None) -> InitBounds:
         raise InputError(f"||W(0)||_2 = {w_norm:.6f} >= 1; no valid delta exists")
     if delta is None:
         delta = 0.5 * (1.0 - w_norm)
-    if delta <= 0:
-        raise InputError(f"delta must be positive, got {delta}")
+    if not 0.0 < delta < math.inf:  # also refuses nan
+        raise InputError(f"delta must be positive and finite, got {delta}")
     rho_w = w_norm + delta
     if rho_w >= 1.0:
         raise InputError(
@@ -94,10 +94,9 @@ def check_condition(b: InitBounds, lambda_0: float, x,
         lambda_0^(3/2) >= 4 (2 + sqrt 2) rho_a^{-1} (c_w^2 + c_u^2) ||X||_F^2 r0,
         lambda_0       >= 4 (c_w^2 + c_u^2) ||X||_F^2.
     """
-    if lambda_0 < 0:
-        raise InputError(f"lambda_0 must be >= 0, got {lambda_0}")
-    if residual_norm_0 < 0:
-        raise InputError("residual_norm_0 must be >= 0")
+    for name, value in (("lambda_0", lambda_0), ("residual_norm_0", residual_norm_0)):
+        if not 0.0 <= value < math.inf:  # also refuses nan
+            raise InputError(f"{name} must be >= 0 and finite, got {value}")
     x = as_matrix(x, "X")
     xf = float(np.linalg.norm(x))
     c_sq = b.c_w**2 + b.c_u**2

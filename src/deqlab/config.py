@@ -16,6 +16,7 @@ from pathlib import Path
 
 import yaml
 
+from .concentration import check_grid
 from .errors import ConfigError, InputError
 from .model import SolverConfig, check_field_types, check_sigma_w2
 from .train import TrainConfig
@@ -145,12 +146,9 @@ class ConcentrationSection:
                                   f"{list(self.KNOWN)}")
             if name in self.experiments[:i]:
                 raise ConfigError(f"concentration.experiments repeats {name!r}")
-        ms = self.m_list
-        if not ms or ms[0] < 1 or any(b <= a for a, b in zip(ms, ms[1:])):
-            raise ConfigError("concentration.m_list must be non-empty, "
-                              "positive and strictly ascending")
-        if min(self.trials, self.l) < 1:
-            raise ConfigError("concentration.trials and .l must be >= 1")
+        check_grid(self.m_list, self.trials)
+        if self.l < 1:
+            raise ConfigError("concentration.l must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import NORM_RTOL
 from .errors import ConvergenceError, InputError
 from .linalg import as_matrix, min_eig_sym
 from .model import check_sigma_w2
@@ -79,7 +80,7 @@ def _check_inputs(x: np.ndarray, sigma_w2: float) -> np.ndarray:
     x = as_matrix(x, "X")
     d = x.shape[0]
     norms = np.linalg.norm(x, axis=0)
-    if np.any(np.abs(norms - np.sqrt(d)) > 1e-8 * np.sqrt(d)):
+    if np.any(np.abs(norms - np.sqrt(d)) > NORM_RTOL * np.sqrt(d)):
         raise InputError("X columns must be normalized to norm sqrt(d)")
     check_sigma_w2(sigma_w2)
     c1 = (x.T @ x) / d

@@ -8,6 +8,7 @@ map a contraction with high probability.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -55,23 +56,25 @@ def check_sigma_w2(sigma_w2: float) -> None:
 
 # The values a field's string annotation admits: an int is a float, a
 # bool is neither, `list[int]` is a list of ints, and any other name is a
-# class, such as TrainConfig.solver's, that checks its own fields.
+# class named in the checked type's module, such as TrainConfig.solver's.
 _ADMITS = {"int": (int,), "float": (int, float), "str": (str,),
            "list": (list,), "None": (type(None),)}
 
 
-def _admits(annotation: str, v) -> bool:
+def _admits(annotation: str, v, scope) -> bool:
     """Whether `v` fits one alternative of a field annotation."""
-    return any(isinstance(v, list) and all(_admits(kind[5:-1], x) for x in v)
+    return any(isinstance(v, list) and all(_admits(kind[5:-1], x, scope) for x in v)
                if kind.startswith("list[") else
-               isinstance(v, _ADMITS.get(kind, object)) and not isinstance(v, bool)
+               isinstance(v, _ADMITS.get(kind) or getattr(scope, kind))
+               and not isinstance(v, bool)
                for kind in annotation.split(" | "))
 
 
 def check_field_types(obj) -> None:
     """Raise InputError unless each field of dataclass `obj` fits its annotation."""
+    scope = sys.modules[type(obj).__module__]
     for f in fields(obj):
-        if not _admits(f.type, value := getattr(obj, f.name)):
+        if not _admits(f.type, value := getattr(obj, f.name), scope):
             raise InputError(f"{f.name} must be {f.type}, got {value!r}")
 
 

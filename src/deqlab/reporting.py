@@ -1,8 +1,8 @@
 """Result tables, minimal SVG polyline plots and reproducibility metadata.
 
-CSVs are the contract for every experiment, and `write_csv` writes every
-one of them; the SVG emitter is a convenience renderer over the same
-series so results can be eyeballed without a plotting stack.
+CSVs are the contract for every experiment; `write_csv` writes every result
+table (not the matrix and labels CSVs of `deqlab.data`), and the SVG emitter
+renders the same series so results can be eyeballed without a plotting stack.
 """
 
 from __future__ import annotations

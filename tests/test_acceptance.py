@@ -2,9 +2,9 @@
 
 Each test prints a single `[criterion N] PASS/FAIL` line (visible under
 `pytest -s` or in the captured output of a failure). Criteria 5-7 run
-Monte Carlo / training workloads sized for a desktop; the full module
-took 200 s on 2 cores (Intel Xeon, OpenBLAS with 2 threads), nearly all of
-it in criterion 7's width sweep (192 s).
+Monte Carlo / training workloads sized for a desktop; on 2 cores (Intel
+Xeon, OpenBLAS with 2 threads) nearly all of the module's time is
+criterion 7's width sweep, which took 217 s.
 """
 
 import json

@@ -1,8 +1,10 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from deqlab import concentration
 from deqlab.concentration import (
     derive_seed,
     fresh_randomness_reconstruct,
@@ -13,8 +15,9 @@ from deqlab.concentration import (
     write_report_csv,
     write_summary_csv,
 )
+from deqlab.config import ConcentrationSection, load_config
 from deqlab.data import gen_sphere_data
-from deqlab.errors import AssumptionError, DegenerateInputError, InputError
+from deqlab.errors import AssumptionError, ConfigError, DegenerateInputError, InputError
 from deqlab.kernel import kernel_fixed_point, kernel_layer_sequence, rho
 from deqlab.linalg import gram
 from deqlab.model import SolverConfig, init_params, solve_equilibrium
@@ -84,6 +87,51 @@ class TestKernelDepthDecay:
         finally:
             tracemalloc.stop()
         assert peak < 16 * pk.k.nbytes
+
+
+BAD_GRIDS = [([], 3), ([0], 3), ([0, 10], 3), ([40, 20], 3), ([20, 20], 3),
+             ([20], 0)]
+EXPERIMENTS = [
+    lambda x, m_list, trials, base_seed: tied_vs_population(
+        x, 0.08, m_list, l=3, trials=trials, base_seed=base_seed),
+    lambda x, m_list, trials, base_seed: lambda0_vs_width(
+        x, 0.08, m_list, trials=trials, base_seed=base_seed),
+]
+
+
+class TestGrid:
+    """One grid rule and one (m, trial) loop behind every experiment."""
+
+    @pytest.mark.parametrize("m_list, trials", BAD_GRIDS,
+                             ids=[f"{m}-trials{t}" for m, t in BAD_GRIDS])
+    def test_config_and_experiments_refuse_alike(self, monkeypatch, m_list,
+                                                 trials):
+        def never(*args, **kwargs):
+            raise AssertionError("population kernel solved for a bad grid")
+        monkeypatch.setattr(concentration, "kernel_fixed_point", never)
+        monkeypatch.setattr(concentration, "kernel_layer_sequence", never)
+        with pytest.raises(InputError) as built:
+            ConcentrationSection(m_list=m_list, trials=trials)
+        message = str(built.value)
+        x = gen_sphere_data(4, 6, seed=12).x
+        for run in EXPERIMENTS:
+            with pytest.raises(InputError) as refused:
+                run(x, m_list, trials, base_seed=0)
+            assert str(refused.value) == message
+        with pytest.raises(ConfigError, match=re.escape(
+                f"section 'concentration': {message}")):
+            load_config(None, [f"concentration.m_list={m_list}",
+                               f"concentration.trials={trials}"])
+
+    @pytest.mark.parametrize("run", EXPERIMENTS, ids=["tied", "lambda0"])
+    def test_cells_are_m_major_with_derived_seeds(self, run):
+        # later grid experiments (a width threshold, tied against untied
+        # arms) rely on this cell order and seed policy
+        x = gen_sphere_data(4, 6, seed=12).x
+        report = run(x, [8, 12, 30], trials=3, base_seed=5)
+        assert [(c.m, c.trial, c.seed) for c in report.cells] == [
+            (m, trial, derive_seed(5, m, trial))
+            for m in (8, 12, 30) for trial in range(3)]
 
 
 class TestTiedVsPopulation:

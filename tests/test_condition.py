@@ -66,6 +66,26 @@ class TestInitBounds:
             init_bounds(p)
 
 
+class TestNonFiniteInputs:
+    """delta, lambda_0 and r0 must be finite (and the last two >= 0): a nan
+    or inf would otherwise give nan bounds or margins, read as silently
+    unsatisfied."""
+
+    def test_nan_delta_refused(self):
+        p = init_params(40, 8, 0.08, seed=0)
+        with pytest.raises(InputError, match="delta must be positive and finite"):
+            init_bounds(p, delta=math.nan)
+
+    @pytest.mark.parametrize("key", ["lambda_0", "residual_norm_0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_check_input_out_of_range_refused(self, key, value):
+        b = bounds_from(c_w=1.0, c_u=1.0, c_a=1.0)
+        x = gen_sphere_data(3, 5, seed=1).x
+        inputs = {"lambda_0": 1.0, "residual_norm_0": 1.0, key: value}
+        with pytest.raises(InputError, match=f"{key} must be >= 0 and finite"):
+            check_condition(b, x=x, **inputs)
+
+
 class TestCheckCondition:
     def test_zero_residual_trivially_satisfies_first_two(self):
         b = bounds_from(c_w=5.0, c_u=2.0, c_a=3.0)

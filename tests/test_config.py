@@ -195,6 +195,25 @@ class TestLibraryTypes:
             load_config(None, [item])
 
 
+CLASS_TYPED = [
+    ("TrainConfig-1", lambda: TrainConfig(solver=1), 1),
+    ("TrainConfig-str", lambda: TrainConfig(solver="x"), "x"),
+    ("TrainSection-str", lambda: TrainSection(solver="x"), "x"),
+]
+
+
+class TestClassTypedFields:
+    """A field typed by a class takes only its instances: `train_steps`
+    would otherwise fail on `solver.max_iter` long after construction."""
+
+    @pytest.mark.parametrize("build, value", [c[1:] for c in CLASS_TYPED],
+                             ids=[c[0] for c in CLASS_TYPED])
+    def test_refuses_a_non_instance(self, build, value):
+        with pytest.raises(InputError) as built:
+            build()
+        assert str(built.value) == f"solver must be SolverConfig, got {value!r}"
+
+
 class TestModelSection:
     @pytest.mark.parametrize("item", [
         "model.m=[40, 20]",
