@@ -21,9 +21,11 @@ from dataclasses import astuple, dataclass, field
 import numpy as np
 
 from .errors import AssumptionError, DegenerateInputError, InputError
-from .kernel import PopulationKernel, kernel_fixed_point, kernel_layer_sequence
+from .kernel import (PopulationKernel, check_depth, kernel_fixed_point,
+                     kernel_layer_sequence)
 from .linalg import as_matrix, gram, min_eig_sym
-from .model import DeqParams, SolverConfig, forward_layer, init_params, solve_equilibrium
+from .model import (DeqParams, SolverConfig, check_seed, forward_layer, init_params,
+                    solve_equilibrium)
 from .reporting import write_csv
 
 __all__ = [
@@ -78,14 +80,14 @@ def derive_seed(base_seed: int, m: int, trial: int) -> int:
     Uses numpy's SeedSequence over the triple, so grid cells are
     independent streams reproducible from the three components alone.
     """
+    check_seed(base_seed, "base_seed")
     ss = np.random.SeedSequence([int(base_seed), int(m), int(trial)])
     return int(ss.generate_state(1, np.uint64)[0])
 
 
 def layer_iterates(p: DeqParams, x, depth: int) -> list:
     """Z^(1), ..., Z^(depth) of the layer iteration started at Z^(0) = 0."""
-    if depth < 1:
-        raise InputError("depth must be >= 1")
+    check_depth(depth, "depth")
     x = as_matrix(x, "X")
     zs = []
     z = np.zeros((p.m, x.shape[1]))
@@ -102,14 +104,14 @@ def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
             for k in kernel_layer_sequence(x, pk.sigma_w2, l_max)]
 
 
-def check_grid(m_list, trials: int) -> None:
+def check_grid(m_list, trials: int = 1, *, name: str = "m_list") -> None:
     """Raise InputError unless the Monte Carlo grid is runnable: widths
     non-empty, >= 1 and strictly ascending (a repeated width would redraw
-    the same seeds), and at least one trial."""
+    the same seeds), and at least one trial; the widths are called `name`."""
     if not m_list:
-        raise InputError("m_list is empty")
+        raise InputError(f"{name} is empty")
     if any(b <= a for a, b in zip([0, *m_list], m_list)):
-        raise InputError(f"m_list must be strictly ascending from 1, got {list(m_list)}")
+        raise InputError(f"{name} must be strictly ascending from 1, got {list(m_list)}")
     if trials < 1:
         raise InputError("trials must be >= 1")
 
@@ -192,8 +194,7 @@ def fresh_randomness_reconstruct(p: DeqParams, x, i: int, j: int, l: int):
     n = x.shape[1]
     if not (0 <= i < n and 0 <= j < n):
         raise InputError(f"column indices ({i}, {j}) out of range for n={n}")
-    if l < 1:
-        raise InputError("l must be >= 1")
+    check_depth(l, "l")
     zs = layer_iterates(p, x, l + 1)
     cols = [i] if j == i else [i, j]  # for i == j the histories coincide
     c = np.column_stack([zs[level][:, k] for k in cols for level in range(l - 1)]

@@ -3,13 +3,12 @@
 The config file is the interface for experiments; command-line
 `--set section.key=value` overrides individual entries. The solver and
 train sections are the library's own SolverConfig and TrainConfig; every
-section checks its own field types and ranges on construction, so a config
-that loads is one the commands can run.
+section checks its field types, and calls the library's owner of each range
+rule, on construction, so a config that loads is one the commands can run.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -17,8 +16,10 @@ from pathlib import Path
 import yaml
 
 from .concentration import check_grid
+from .data import check_sphere_shape, check_y_cap
 from .errors import ConfigError, InputError
-from .model import SolverConfig, check_field_types, check_sigma_w2
+from .kernel import check_depth
+from .model import SolverConfig, check_field_types, check_seed, check_sigma_w2
 from .train import TrainConfig
 
 __all__ = [
@@ -73,12 +74,10 @@ class DataConfig:
         if self.kind not in ("synthetic", "file"):
             raise ConfigError(f"data.kind {self.kind!r} is not one of "
                               f"synthetic|file")
-        if not 0.0 < self.y_cap < math.inf:  # also refuses nan
-            raise ConfigError(f"data.y_cap must be positive and finite, "
-                              f"got {self.y_cap}")
-        if self.kind == "synthetic" and (self.n < 1 or self.d < 2):
-            raise ConfigError(f"synthetic data needs n >= 1, d >= 2; "
-                              f"got n={self.n}, d={self.d}")
+        check_y_cap(self.y_cap)
+        if self.kind == "synthetic":
+            check_sphere_shape(self.n, self.d)
+        check_seed(self.seed)
         if self.kind == "file":
             for key in ("matrix", "labels_csv"):
                 value = getattr(self, key)
@@ -96,13 +95,9 @@ class ModelConfig:
 
     def __post_init__(self):
         check_field_types(self)
-        widths = self.widths()
-        if not widths or any(w < 1 for w in widths):
-            raise ConfigError(f"model.m must be a positive int or list, got {self.m}")
-        if any(b <= a for a, b in zip(widths, widths[1:])):
-            raise ConfigError(f"model.m list must be strictly ascending, "
-                              f"got {self.m}")
+        check_grid(self.widths(), name="m")
         check_sigma_w2(self.sigma_w2)
+        check_seed(self.seed)
 
     def widths(self) -> list:
         return [self.m] if isinstance(self.m, int) else list(self.m)
@@ -147,8 +142,8 @@ class ConcentrationSection:
             if name in self.experiments[:i]:
                 raise ConfigError(f"concentration.experiments repeats {name!r}")
         check_grid(self.m_list, self.trials)
-        if self.l < 1:
-            raise ConfigError("concentration.l must be >= 1")
+        check_depth(self.l, "l")
+        check_seed(self.base_seed, "base_seed")
 
 
 @dataclass(frozen=True)
@@ -157,6 +152,12 @@ class OutputSection:
 
     def __post_init__(self):
         check_field_types(self)
+        # the run's mkdir(parents=True) needs the nearest existing path to be a directory
+        path = Path(self.directory)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ConfigError(f"output.directory {self.directory}: {existing} "
+                              f"is not a directory")
 
 
 @dataclass(frozen=True)

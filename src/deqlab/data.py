@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AssumptionError, InputError
+from .model import check_seed
 
 __all__ = [
     "Dataset",
@@ -32,6 +34,16 @@ PARALLEL_COS_TOL = 1.0 - 1e-9
 
 # Column norms must equal sqrt(d) to this relative accuracy.
 NORM_RTOL = 1e-8
+
+
+def check_y_cap(y_cap: float) -> None:
+    if not 0.0 < y_cap < np.inf:  # also refuses nan
+        raise InputError(f"y_cap must be positive and finite, got {y_cap}")
+
+
+def check_sphere_shape(n: int, d: int) -> None:
+    if n < 1 or d < 2:
+        raise InputError(f"synthetic data needs n >= 1 and d >= 2, got n={n}, d={d}")
 
 
 @dataclass(frozen=True)
@@ -53,8 +65,7 @@ class Dataset:
         if y.shape != (x.shape[1],):
             raise AssumptionError(
                 f"y has shape {y.shape}, expected ({x.shape[1]},)")
-        if not 0.0 < self.y_cap < np.inf:  # also refuses nan
-            raise InputError(f"y_cap must be positive and finite, got {self.y_cap}")
+        check_y_cap(self.y_cap)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise AssumptionError("dataset contains non-finite values")
         d = x.shape[0]
@@ -132,12 +143,10 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     and a fresh draw from the same stream appended after the others, at
     most n times.
     """
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_sphere_shape(n, d)
+    check_seed(seed)
     if n == 1:
         warnings.warn("n=1 dataset: the no-parallel-pairs requirement is vacuous")
-    if d < 2:
-        raise InputError(f"d must be >= 2, got {d}")
     rng = np.random.default_rng(seed)
     draws = normalize_to_sphere(rng.standard_normal((d, n))).T
     redraws = (normalize_to_sphere(rng.standard_normal((d, 1)))[:, 0]
@@ -162,6 +171,23 @@ def _values_text(values) -> str:
     """One '%.17g' line per value of a 1-D float64 array, as one string
     from one %-format. Python floats format exactly as numpy scalars do."""
     return ("%.17g\n" * values.size) % tuple(values.tolist())
+
+
+@contextmanager
+def _open_csv(path, header: str):
+    """The file `path` open for reading past its first line, which must be
+    `header`; InputError naming `path` on a directory, on bytes that are
+    not UTF-8, or on another first line."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            first = f.readline().strip()
+            if first != header:
+                raise InputError(f"{path}: expected header {header!r}, got {first!r}")
+            yield f
+    except IsADirectoryError as exc:
+        raise InputError(f"{path} is a directory") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _read_values(f, path) -> np.ndarray:
@@ -189,10 +215,7 @@ def save_matrix_csv(path, a) -> None:
 
 
 def load_matrix_csv(path) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "d,n":
-            raise InputError(f"{path}: expected header 'd,n', got {header!r}")
+    with _open_csv(path, "d,n") as f:
         line = f.readline().strip()
         dims = line.split(",")
         if len(dims) != 2 or not all(v.isdecimal() and int(v) > 0 for v in dims):
@@ -213,8 +236,5 @@ def save_labels_csv(path, y) -> None:
 
 
 def load_labels_csv(path) -> np.ndarray:
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != "y":
-            raise InputError(f"{path}: expected header 'y', got {header!r}")
+    with _open_csv(path, "y") as f:
         return _read_values(f, path)

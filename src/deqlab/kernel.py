@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import NORM_RTOL
 from .errors import ConvergenceError, InputError
-from .linalg import as_matrix, min_eig_sym
+from .linalg import as_matrix, check_budget, min_eig_sym
 from .model import check_sigma_w2
 
 __all__ = [
@@ -88,6 +88,11 @@ def _check_inputs(x: np.ndarray, sigma_w2: float) -> np.ndarray:
     return np.clip(c1, -1.0, 1.0)
 
 
+def check_depth(depth: int, name: str) -> None:
+    if depth < 1:
+        raise InputError(f"{name} must be >= 1, got {depth}")
+
+
 def rho(sigma_w2: float, depth: int) -> float:
     """Diagonal kernel value (1 - sigma_w^(2 l)) / (1 - sigma_w^2)."""
     return (1.0 - sigma_w2**depth) / (1.0 - sigma_w2)
@@ -96,8 +101,7 @@ def rho(sigma_w2: float, depth: int) -> float:
 def kernel_layer_sequence(x, sigma_w2: float, depth: int):
     """Yield K^(1), ..., K^(depth), checking the inputs at the first: a
     caller that keeps only the level at hand holds a few n x n arrays."""
-    if depth < 1:
-        raise InputError(f"depth must be >= 1, got {depth}")
+    check_depth(depth, "depth")
     cos = _check_inputs(x, sigma_w2)
     xtx_over_d = cos.copy()
     # l = 1: rho = 1 and the cosine is the raw normalized inner product.
@@ -123,10 +127,7 @@ def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
     Picard iteration c <- sigma_w^2 Q(c) + (1 - sigma_w^2) x^T x'/d from
     c = x^T x'/d; a contraction with factor at most sigma_w^2 < 1/8.
     """
-    if not 0.0 < tol < math.inf:  # also refuses nan
-        raise InputError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise InputError("max_iter must be >= 1")
+    check_budget(tol, max_iter)
     target = _check_inputs(x, sigma_w2)
     c = target.copy()
     for _ in range(max_iter):

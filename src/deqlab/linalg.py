@@ -30,6 +30,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_budget(tol: float, max_iter: int) -> None:
+    if not 0.0 < tol < np.inf:  # also refuses nan
+        raise InputError(f"tol must be positive and finite, got {tol}")
+    if max_iter < 1:
+        raise InputError(f"max_iter must be >= 1, got {max_iter}")
+
+
 # Lanczos basis size before a restart from the current Ritz vector. Cold
 # calls on Gaussian W up to m = 2000 converge in about 60 products.
 _LANCZOS_BASIS = 128
@@ -60,10 +67,7 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
     alongside, suitable as the next call's `v0`.
     """
     a = as_matrix(a, "A")
-    if not 0.0 < tol < np.inf:  # also refuses nan
-        raise InputError(f"tol must be positive and finite, got {tol}")
-    if max_iter < 1:
-        raise InputError("max_iter must be >= 1")
+    check_budget(tol, max_iter)
     n = a.shape[1]
     # Exact answer; the loop below never stops on a zero estimate.
     if not a.any():

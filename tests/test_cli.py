@@ -193,6 +193,27 @@ class TestExitCodes:
         assert "error (InputError)" in result.output
         assert f"{tmp_path / culprit}: " in result.output
 
+    @pytest.mark.parametrize("culprit", ["x.csv", "y.csv"])
+    @pytest.mark.parametrize("case, message", [("directory", "is a directory"),
+                                               ("not utf-8", "is not UTF-8 text")])
+    def test_unreadable_data_file_is_2(self, runner, tmp_path, culprit, case,
+                                       message):
+        (tmp_path / "x.csv").write_text("d,n\n2,1\n1\n1\n")
+        (tmp_path / "y.csv").write_text("y\n1\n")
+        bad = tmp_path / culprit
+        if case == "directory":
+            bad.unlink()
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"\xff" + bad.read_bytes())
+        result = runner.invoke(main, ["gen-data", "--set", "data.kind=file",
+                                      "--set", f"data.matrix={tmp_path / 'x.csv'}",
+                                      "--set", f"data.labels_csv={tmp_path / 'y.csv'}",
+                                      "--set", f"output.directory={tmp_path / 'o'}"])
+        assert result.exit_code == 2, result.output
+        assert f"error (InputError): {bad} {message}" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_label_count_mismatch_is_2(self, runner, tmp_path):
         (tmp_path / "x.csv").write_text("d,n\n2,1\n1\n1\n")
         (tmp_path / "y.csv").write_text("y\n1\n1\n")

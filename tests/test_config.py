@@ -13,6 +13,14 @@ import pytest
 from click.testing import CliRunner
 
 from deqlab.cli import main
+from deqlab.concentration import (
+    check_grid,
+    derive_seed,
+    fresh_randomness_reconstruct,
+    lambda0_vs_width,
+    layer_iterates,
+    tied_vs_population,
+)
 from deqlab.config import (
     ConcentrationSection,
     DataConfig,
@@ -21,7 +29,10 @@ from deqlab.config import (
     TrainSection,
     load_config,
 )
+from deqlab.data import Dataset, gen_sphere_data
 from deqlab.errors import ConfigError, InputError
+from deqlab.kernel import kernel_fixed_point, kernel_layer_sequence
+from deqlab.linalg import spectral_norm
 from deqlab.model import SolverConfig, init_params
 from deqlab.reporting import config_hash
 from deqlab.train import TrainConfig
@@ -195,6 +206,106 @@ class TestLibraryTypes:
             load_config(None, [item])
 
 
+def _x():
+    return gen_sphere_data(4, 3, seed=0).x
+
+
+def _p():
+    return init_params(10, 3, 0.08, seed=0)
+
+
+# Each range rule has one owner in the library. Per rule: an out-of-range
+# config entry, the section built in Python with that value, and every
+# library entry point that holds the rule, called with the value.
+RANGE = [
+    ("solver.tol=0", lambda: SolverConfig(tol=0), [
+        lambda: spectral_norm(np.eye(2), tol=0),
+        lambda: kernel_fixed_point(_x(), 0.08, tol=0)]),
+    ("solver.max_iter=0", lambda: SolverConfig(max_iter=0), [
+        lambda: spectral_norm(np.eye(2), max_iter=0),
+        lambda: kernel_fixed_point(_x(), 0.08, max_iter=0)]),
+    ("concentration.l=0", lambda: ConcentrationSection(l=0), [
+        lambda: next(kernel_layer_sequence(_x(), 0.08, 0)),
+        lambda: layer_iterates(_p(), _x(), 0),
+        lambda: tied_vs_population(_x(), 0.08, [4], 0, 1, 0),
+        lambda: fresh_randomness_reconstruct(_p(), _x(), 0, 1, 0)]),
+    ("model.m=[]", lambda: ModelConfig(m=[]), [
+        lambda: check_grid([])]),
+    ("model.m=[20, 20]", lambda: ModelConfig(m=[20, 20]), [
+        lambda: check_grid([20, 20]),
+        lambda: tied_vs_population(_x(), 0.08, [20, 20], 1, 1, 0),
+        lambda: lambda0_vs_width(_x(), 0.08, [20, 20], 1, 0)]),
+    ("data.y_cap=0", lambda: DataConfig(y_cap=0), [
+        lambda: Dataset(x=_x(), y=np.zeros(4), y_cap=0),
+        lambda: gen_sphere_data(4, 3, 0, y_cap=0)]),
+    ("data.n=0", lambda: DataConfig(n=0), [
+        lambda: gen_sphere_data(0, 1000, 0)]),
+    ("data.d=1", lambda: DataConfig(d=1), [
+        lambda: gen_sphere_data(1000, 1, 0)]),
+    ("data.seed=-1", lambda: DataConfig(seed=-1), [
+        lambda: gen_sphere_data(4, 3, -1)]),
+    ("model.seed=-1", lambda: ModelConfig(seed=-1), [
+        lambda: init_params(10, 4, 0.08, -1)]),
+    ("concentration.base_seed=-1", lambda: ConcentrationSection(base_seed=-1), [
+        lambda: derive_seed(-1, 10, 0)]),
+]
+
+
+class TestRangeOwners:
+    """An out-of-range value is refused by the library function that owns
+    its rule, with one message wherever it comes from: the config file
+    prefixes the section, and a library entry point names the value by its
+    own parameter (`depth` for `l`, `m_list` for `m`)."""
+
+    @pytest.mark.parametrize("item, build, calls", RANGE,
+                             ids=[item for item, *_ in RANGE])
+    def test_one_refusal_per_rule(self, item, build, calls):
+        with pytest.raises(InputError) as built:
+            build()
+        assert not isinstance(built.value, ConfigError)
+        message = str(built.value)
+        section = item.split(".")[0]
+        with pytest.raises(ConfigError) as loaded:
+            load_config(None, [item])
+        assert str(loaded.value) == f"section {section!r}: {message}"
+        for call in calls:
+            with pytest.raises(InputError) as refused:
+                call()
+            assert str(refused.value).partition(" ")[2] == message.partition(" ")[2]
+
+
+class TestLoadRefusals:
+    """Values no command can run exit 2 at load, before any output exists."""
+
+    @pytest.mark.parametrize("command, key", [
+        ("check", "data.seed"), ("train", "model.seed"),
+        ("concentration", "concentration.base_seed")])
+    def test_negative_seed(self, runner, tmp_path, command, key):
+        out = tmp_path / "o"
+        result = runner.invoke(main, [
+            command, "--set", "data.n=6", "--set", "data.d=5",
+            "--set", "model.m=12", "--set", f"{key}=-1",
+            "--set", f"output.directory={out}"])
+        assert result.exit_code == 2, result.output
+        section, name = key.split(".")
+        assert (f"error (ConfigError): section {section!r}: {name} must be "
+                f"an int >= 0, got -1") in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_directory_under_a_file(self, runner, tmp_path, below):
+        blocker = tmp_path / "f"
+        blocker.write_text("kept\n")
+        out = blocker / below  # "" leaves the file's own path
+        result = runner.invoke(main, [
+            "kernel", "--set", "data.n=6", "--set", "data.d=5",
+            "--set", f"output.directory={out}"])
+        assert result.exit_code == 2, result.output
+        assert (f"error (ConfigError): output.directory {out}: {blocker} "
+                f"is not a directory") in result.output
+        assert blocker.read_text() == "kept\n"
+
+
 CLASS_TYPED = [
     ("TrainConfig-1", lambda: TrainConfig(solver=1), 1),
     ("TrainConfig-str", lambda: TrainConfig(solver="x"), "x"),
@@ -221,7 +332,8 @@ class TestModelSection:
         "model.m=[0]",
     ])
     def test_rejected_at_load(self, item):
-        with pytest.raises(ConfigError, match=item.split("=")[0]):
+        with pytest.raises(ConfigError,
+                           match="section 'model': m must be strictly ascending"):
             load_config(None, [item])
 
 
