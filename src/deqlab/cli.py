@@ -41,6 +41,7 @@ from .data import (
 )
 from .errors import ConfigError, DeqlabError, InputError, TrainingAssertionError
 from .grad import (
+    FD_STEP,
     dense_gradients_reference,
     finite_difference_gradients,
     gradients,
@@ -321,9 +322,8 @@ def cmd_grad_check(cfg, doc, started):
     p = init_params(30, d, cfg.model.sigma_w2, cfg.model.seed)
     sol = solve_equilibrium(p, ds.x, solver)
     g, _ = gradients(p, sol, ds.x, ds.y, solver)
-    step = 1e-5
     floor = (FD_ROUNDING_MULTIPLE * np.finfo(np.float64).eps
-             * loss(predict(p, sol.z), ds.y) / step)
+             * loss(predict(p, sol.z), ds.y) / FD_STEP)
 
     failures = []
 
@@ -336,8 +336,7 @@ def cmd_grad_check(cfg, doc, started):
             failures.append(f"dense:{name}")
         click.echo(f"dense-construction {name}: rel error {rel:.3e} [{status}]")
 
-    fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=step,
-                                            cfg=solver)
+    fd, valid = finite_difference_gradients(p, ds.x, ds.y, cfg=solver)
     click.echo(f"finite-difference rounding floor: {floor:.3e} "
                f"({FD_ROUNDING_MULTIPLE} eps Phi / step); smaller differences "
                f"match")

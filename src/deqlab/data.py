@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InputError
+from .linalg import as_matrix
 from .model import check_seed
 
 __all__ = [
@@ -46,6 +47,18 @@ def check_sphere_shape(n: int, d: int) -> None:
         raise InputError(f"synthetic data needs n >= 1 and d >= 2, got n={n}, d={d}")
 
 
+def check_on_sphere(x: np.ndarray) -> np.ndarray:
+    """x's column norms; AssumptionError unless each is sqrt(d) to NORM_RTOL."""
+    norms = np.linalg.norm(x, axis=0)
+    target = np.sqrt(x.shape[0])
+    bad = np.nonzero(np.abs(norms - target) > NORM_RTOL * target)[0]
+    if bad.size:
+        raise AssumptionError(
+            f"columns {bad[:8].tolist()} have norm != sqrt(d): "
+            f"{norms[bad[:8]].tolist()}")
+    return norms
+
+
 @dataclass(frozen=True)
 class Dataset:
     """Inputs X (d x n, columns are samples), labels y, and provenance."""
@@ -68,14 +81,7 @@ class Dataset:
         check_y_cap(self.y_cap)
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise AssumptionError("dataset contains non-finite values")
-        d = x.shape[0]
-        norms = np.linalg.norm(x, axis=0)
-        target = np.sqrt(d)
-        bad = np.nonzero(np.abs(norms - target) > NORM_RTOL * target)[0]
-        if bad.size:
-            raise AssumptionError(
-                f"columns {bad[:8].tolist()} have norm != sqrt(d): "
-                f"{norms[bad[:8]].tolist()}")
+        norms = check_on_sphere(x)
         if x.shape[1] > 1:
             c = (x.T @ x) / np.outer(norms, norms)
             np.fill_diagonal(c, 0.0)
@@ -99,11 +105,7 @@ class Dataset:
 
 def normalize_to_sphere(x_raw) -> np.ndarray:
     """Scale every column to norm sqrt(d), d the row count."""
-    x = np.asarray(x_raw, dtype=np.float64)
-    if x.ndim != 2 or x.size == 0:
-        raise InputError("X must be a non-empty d x n matrix")
-    if not np.all(np.isfinite(x)):
-        raise InputError("X contains non-finite values")
+    x = as_matrix(x_raw, "X")
     norms = np.linalg.norm(x, axis=0)
     zero = np.nonzero(norms == 0.0)[0]
     if zero.size:
@@ -145,6 +147,7 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     """
     check_sphere_shape(n, d)
     check_seed(seed)
+    check_y_cap(y_cap)
     if n == 1:
         warnings.warn("n=1 dataset: the no-parallel-pairs requirement is vacuous")
     rng = np.random.default_rng(seed)

@@ -27,6 +27,7 @@ from .model import (
     EquilibriumSolution,
     SolverConfig,
     _iterate,
+    check_shapes,
     loss,
     predict,
     solve_equilibrium,
@@ -44,6 +45,9 @@ __all__ = [
     "dense_gradients_reference",
     "finite_difference_gradients",
 ]
+
+FD_STEP = 1e-5  # finite_difference_gradients' central-difference step
+KINK_TOL = 1e-7  # a perturbed pre-activation this near 0 voids its probe
 
 
 @dataclass(frozen=True)
@@ -67,11 +71,6 @@ class AdjointSolution:
     residual: float
     iterations: int
     residuals: tuple = ()
-
-
-def _check_shapes(p: DeqParams, z, x) -> None:
-    if z.shape[0] != p.m or x.shape[0] != p.d or z.shape[1] != x.shape[1]:
-        raise InputError(f"shape mismatch: Z {z.shape}, X {x.shape}")
 
 
 def activation_mask(pre) -> np.ndarray:
@@ -151,7 +150,7 @@ def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
     """
     z = sol.z
     x = as_matrix(x, "X")
-    _check_shapes(p, z, x)
+    check_shapes(p, z, x)
     y = np.asarray(y, dtype=np.float64).ravel()
     e = predict(p, z) - y
     adj = solve_adjoint(p, activation_mask(sol.pre), e, cfg, m0=m0, seed=seed)
@@ -189,7 +188,7 @@ def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:
     z = as_matrix(z, "Z")
     x = as_matrix(x, "X")
     y = np.asarray(y, dtype=np.float64).ravel()
-    _check_shapes(p, z, x)
+    check_shapes(p, z, x)
     m, n = z.shape
     if m * n > 2500:
         raise InputError(f"dense reference limited to small instances, mn={m * n}")
@@ -210,10 +209,9 @@ def _loss_at(p: DeqParams, x, y, cfg: SolverConfig):
     return loss(predict(p, sol.z), y), sol.pre
 
 
-def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
-                                cfg: SolverConfig = SolverConfig(tol=1e-12),
-                                kink_tol: float = 1e-7):
-    """Central finite differences of the loss, probe by probe.
+def finite_difference_gradients(p: DeqParams, x, y,
+                                cfg: SolverConfig = SolverConfig(tol=1e-12)):
+    """Central finite differences of the loss, step FD_STEP, probe by probe.
 
     Re-solves the equilibrium for every W and U probe (the equilibrium
     does not depend on a, so a-probes reuse it). A probe's well-posedness
@@ -221,7 +219,7 @@ def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
     ||W||_2 + |delta|, so no probe runs a norm estimate of its own. Returns
     (GradientTriple, valid) where valid is a matching triple of boolean
     arrays; a probe is invalid when either perturbed point has a
-    pre-activation within `kink_tol` of zero or the activation pattern
+    pre-activation within KINK_TOL of zero or the activation pattern
     differs between the two sides (the ReLU kink cases).
     """
     x = as_matrix(x, "X")
@@ -239,12 +237,12 @@ def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
                            w_norm + abs(delta) if param == "w" else w_norm)
             return shifted_p
 
-        lo, pre_lo = _loss_at(shifted(-step), x, y, cfg)
-        hi, pre_hi = _loss_at(shifted(+step), x, y, cfg)
-        valid = (np.abs(pre_lo).min() > kink_tol
-                 and np.abs(pre_hi).min() > kink_tol
+        lo, pre_lo = _loss_at(shifted(-FD_STEP), x, y, cfg)
+        hi, pre_hi = _loss_at(shifted(+FD_STEP), x, y, cfg)
+        valid = (np.abs(pre_lo).min() > KINK_TOL
+                 and np.abs(pre_hi).min() > KINK_TOL
                  and np.array_equal(pre_lo >= 0, pre_hi >= 0))
-        return (hi - lo) / (2 * step), valid
+        return (hi - lo) / (2 * FD_STEP), valid
 
     gw = np.empty((m, m))
     gw_valid = np.empty((m, m), dtype=bool)
@@ -262,11 +260,11 @@ def finite_difference_gradients(p: DeqParams, x, y, step: float = 1e-5,
     ga = np.empty(m)
     for i in range(m):
         a_hi, a_lo = p.a.copy(), p.a.copy()
-        a_hi[i] += step
-        a_lo[i] -= step
+        a_hi[i] += FD_STEP
+        a_lo[i] -= FD_STEP
         hi = loss(a_hi @ sol.z, y)
         lo = loss(a_lo @ sol.z, y)
-        ga[i] = (hi - lo) / (2 * step)
+        ga[i] = (hi - lo) / (2 * FD_STEP)
     ga_valid = np.ones(m, dtype=bool)
 
     return (GradientTriple(gw=gw, gu=gu, ga=ga),

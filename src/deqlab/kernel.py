@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NORM_RTOL
+from .data import check_on_sphere
 from .errors import ConvergenceError, InputError
 from .linalg import as_matrix, check_budget, min_eig_sym
 from .model import check_sigma_w2
@@ -78,12 +78,9 @@ def q_func(x):
 
 def _check_inputs(x: np.ndarray, sigma_w2: float) -> np.ndarray:
     x = as_matrix(x, "X")
-    d = x.shape[0]
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(np.abs(norms - np.sqrt(d)) > NORM_RTOL * np.sqrt(d)):
-        raise InputError("X columns must be normalized to norm sqrt(d)")
+    check_on_sphere(x)
     check_sigma_w2(sigma_w2)
-    c1 = (x.T @ x) / d
+    c1 = (x.T @ x) / x.shape[0]
     np.fill_diagonal(c1, 1.0)  # exact on the diagonal
     return np.clip(c1, -1.0, 1.0)
 
@@ -146,19 +143,22 @@ def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
                             sigma_w2=sigma_w2)
 
 
-def suggested_width(n: int, lambda_star: float, t: float) -> int:
-    """ceil((n^2 / lambda_star^2) * log(n / (lambda_star t))).
+def _check_report(n: int, lambda_star: float) -> None:
+    if lambda_star <= 0:
+        raise InputError(f"lambda_star must be positive, got {lambda_star}")
+    if n < 1:
+        raise InputError(f"n must be >= 1, got {n}")
+
+
+def suggested_width(n: int, lambda_star: float) -> int:
+    """ceil((n^2 / lambda_star^2) * log(n / (lambda_star t))) at failure
+    probability t = 0.01.
 
     A report, never an enforced gate: the paper leaves the constant in
     front unknown, and it is taken as 1.
     """
-    if lambda_star <= 0:
-        raise InputError(f"lambda_star must be positive, got {lambda_star}")
-    if not (0.0 < t < 1.0):
-        raise InputError(f"failure probability t must lie in (0, 1), got {t}")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
-    return math.ceil((n**2 / lambda_star**2) * math.log(n / (lambda_star * t)))
+    _check_report(n, lambda_star)
+    return math.ceil((n**2 / lambda_star**2) * math.log(n / (lambda_star * 0.01)))
 
 
 def suggested_depth(n: int, lambda_star: float, sigma_w2: float) -> int:
@@ -169,19 +169,14 @@ def suggested_depth(n: int, lambda_star: float, sigma_w2: float) -> int:
     The denominator is positive exactly when sigma_w^2 < 1/8; it tends to
     zero (and the suggestion diverges) as sigma_w^2 approaches 1/8.
     """
-    if lambda_star <= 0:
-        raise InputError(f"lambda_star must be positive, got {lambda_star}")
+    _check_report(n, lambda_star)
     check_sigma_w2(sigma_w2)
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
     denom = math.log(math.sqrt(2.0) / (4.0 * math.sqrt(sigma_w2)))
     return max(1, math.ceil(math.log(n / lambda_star) / denom))
 
 
 def export_kernel(pk: PopulationKernel, out_dir) -> dict:
-    """Write K and cos_theta CSVs plus a summary record; returns the
-    summary. The suggested width is taken at failure probability
-    t = 0.01."""
+    """Write K and cos_theta CSVs plus a summary record; returns the summary."""
     # kept local: a module-level import is a traced binding the tracer lacks
     from .data import save_matrix_csv
 
@@ -196,7 +191,7 @@ def export_kernel(pk: PopulationKernel, out_dir) -> dict:
         "lambda_star": pk.lambda_star,
     }
     if pk.lambda_star > 0:
-        summary["suggested_width"] = suggested_width(pk.n, pk.lambda_star, 0.01)
+        summary["suggested_width"] = suggested_width(pk.n, pk.lambda_star)
         summary["suggested_depth"] = suggested_depth(pk.n, pk.lambda_star,
                                                      pk.sigma_w2)
     else:

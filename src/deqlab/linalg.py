@@ -44,6 +44,8 @@ _LANCZOS_BASIS = 128
 # means the Krylov space is invariant: dropping beta moves the Ritz
 # values by at most beta, far below any tolerance in use.
 _BREAKDOWN = 1e-12
+# min_eig_sym refuses a matrix with max|S - S^T| above this times ||S||_F.
+SYM_TOL = 1e-8
 
 
 def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
@@ -138,18 +140,18 @@ def _top_ritz_vector(t, basis) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def min_eig_sym(s, tol: float = 1e-8) -> float:
+def min_eig_sym(s) -> float:
     """Least eigenvalue of a symmetric matrix (LAPACK eigvalsh) after
-    symmetrizing; raises InputError if max|S - S^T| exceeds tol * ||S||_F."""
+    symmetrizing; InputError if max|S - S^T| exceeds SYM_TOL * ||S||_F."""
     s = as_matrix(s, "S")
     if s.shape[0] != s.shape[1]:
         raise InputError(f"S must be square, got {s.shape}")
     asym = np.abs(s - s.T).max()
     scale = float(np.linalg.norm(s))
-    if asym > tol * max(scale, 1e-300):
+    if asym > SYM_TOL * max(scale, 1e-300):
         raise InputError(
             f"matrix is not symmetric: max|S - S^T| = {asym:.3e} "
-            f"exceeds {tol:.1e} * ||S||")
+            f"exceeds {SYM_TOL:.1e} * ||S||")
     return float(np.linalg.eigvalsh(0.5 * (s + s.T))[0])
 
 

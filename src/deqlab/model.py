@@ -23,6 +23,7 @@ __all__ = [
     "SIGMA_W2_MAX",
     "check_field_types",
     "check_seed",
+    "check_shapes",
     "check_sigma_w2",
     "init_params",
     "forward_layer",
@@ -104,13 +105,10 @@ class DeqParams:
                                        compare=False)
 
     def __post_init__(self):
-        w, u, a = (np.asarray(arr, dtype=np.float64)
-                   for arr in (self.w, self.u, self.a))
-        w, u, a = (arr if arr.base is None else arr.copy()
-                   for arr in (w, u, a))
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "a", a)
+        for name in ("w", "u", "a"):
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, arr if arr.base is None else arr.copy())
+        w, u, a = self.w, self.u, self.a
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InputError(f"W must be square, got {w.shape}")
         m = w.shape[0]
@@ -179,14 +177,19 @@ def init_params(m: int, d: int, sigma_w2: float, seed: int) -> DeqParams:
     return DeqParams(w=w, u=u, a=a, sigma_w2=sigma_w2)
 
 
-def forward_layer(p: DeqParams, z, x) -> np.ndarray:
-    """One layer application: relu(W z + U x)."""
-    z = np.asarray(z, dtype=np.float64)
-    x = as_matrix(x, "X")
+def check_shapes(p: DeqParams, z: np.ndarray, x: np.ndarray) -> None:
+    """Raise InputError unless Z is m x n and X is d x n for p's m and d."""
     if z.shape[0] != p.m or x.shape[0] != p.d or z.shape[1] != x.shape[1]:
         raise InputError(
             f"shape mismatch: W {p.w.shape}, U {p.u.shape}, "
             f"Z {z.shape}, X {x.shape}")
+
+
+def forward_layer(p: DeqParams, z, x) -> np.ndarray:
+    """One layer application: relu(W z + U x)."""
+    z = np.asarray(z, dtype=np.float64)
+    x = as_matrix(x, "X")
+    check_shapes(p, z, x)
     return np.maximum(p.w @ z + p.u @ x, 0.0)
 
 

@@ -304,9 +304,8 @@ def train_steps(p0: DeqParams, data: Dataset, cfg: TrainConfig = TrainConfig(),
                 w_norm, ok = well_posedness(p, w_norm)
             v0, v_prev = _certificate_start(v, v_prev), v
             if not ok:
-                raise WellPosednessError(
-                    f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
-                    f"equilibrium existence lost")
+                raise WellPosednessError(f"step {step}: ||W||_2 = {w_norm:.6f} >= 1, "
+                                         f"contraction certificate lost")
             sol = solve_equilibrium(p, data.x, cfg.solver, z0=z0)
             phi = loss(predict(p, sol.z), data.y)
             lambda_tau = None

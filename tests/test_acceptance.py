@@ -50,7 +50,7 @@ def test_criterion_1_gradient_finite_differences():
     solver = SolverConfig(tol=1e-12)
     sol = solve_equilibrium(p, ds.x, solver)
     g, _ = gradients(p, sol, ds.x, ds.y, solver)
-    fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=1e-5, cfg=solver)
+    fd, valid = finite_difference_gradients(p, ds.x, ds.y, cfg=solver)
     worst = 0.0
     excluded = 0
     for a, b, v in ((g.gw, fd.gw, valid.gw), (g.gu, fd.gu, valid.gu),

@@ -179,7 +179,7 @@ class TestGradients:
     def test_finite_difference_agreement(self):
         p, ds, sol = instance(30, 5, 8, seed=0)
         g, _ = gradients(p, sol, ds.x, ds.y, SolverConfig(tol=1e-12))
-        fd, valid = finite_difference_gradients(p, ds.x, ds.y, step=1e-5)
+        fd, valid = finite_difference_gradients(p, ds.x, ds.y)
         for a, b, v in ((g.gw, fd.gw, valid.gw), (g.gu, fd.gu, valid.gu),
                         (g.ga, fd.ga, valid.ga)):
             denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-300)

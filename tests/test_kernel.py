@@ -5,7 +5,7 @@ import pytest
 
 from deqlab import kernel
 from deqlab.data import gen_sphere_data
-from deqlab.errors import InputError
+from deqlab.errors import AssumptionError, InputError
 from deqlab.kernel import (
     export_kernel,
     kernel_fixed_point,
@@ -106,7 +106,7 @@ class TestKernelRecursion:
         assert np.all(np.abs(k - k_mc) <= tol)
 
     def test_unnormalized_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(AssumptionError):
             next(kernel_layer_sequence(np.eye(3), 0.08, depth=2))
 
     def test_bad_depth(self):
@@ -218,17 +218,15 @@ class TestSuggestions:
     def test_width_frozen_example(self):
         # ceil((100^2/0.36^2) * ln(100/(0.36*0.01))) computed at 40-digit
         # precision equals 789506.
-        assert suggested_width(100, 0.36, 0.01) == 789506
+        assert suggested_width(100, 0.36) == 789506
 
     def test_width_errors(self):
         with pytest.raises(InputError):
-            suggested_width(100, 0.0, 0.01)
-        with pytest.raises(InputError):
-            suggested_width(100, 0.36, 1.5)
+            suggested_width(100, 0.0)
 
     def test_width_quadruples_with_doubled_n(self):
         expected = math.ceil(4 * (100**2 / 0.36**2) * math.log(200 / (0.36 * 0.01)))
-        assert suggested_width(200, 0.36, 0.01) == expected
+        assert suggested_width(200, 0.36) == expected
 
     def test_depth_frozen_example(self):
         assert suggested_depth(100, 0.36, 0.08) == 26

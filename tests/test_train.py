@@ -790,10 +790,13 @@ class TestAutoEta:
 
 
 class TestStepSizePhases:
-    """Where existence ends: eta = c * 2 / lambda_max(H(0)) at m=400,
-    n=d=16. Below the stability edge the loss never rises; past it the
-    loss first rises (a catapult), then converges; far past it ||W||_2
-    crosses 1, so the equilibrium is lost before the loss diverges."""
+    """Where the contraction certificate ends: eta = c * 2 / lambda_max(H(0))
+    at m=400, n=d=16. Below the stability edge the loss never rises; past
+    it the loss first rises (a catapult), then converges; far past it
+    ||W||_2 crosses 1, so the certificate ||W||_2 < 1 is lost (the run
+    exits) before the loss diverges. The equilibrium itself can outlive
+    the certificate: run on past it at c = 2, W reaches ||W||_2 = 1.77
+    with lambda_max(sym W) near 0.57 < 1, so the equilibrium stays unique."""
 
     @staticmethod
     def build(seed):
