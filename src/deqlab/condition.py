@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix, check_positive, spectral_norm
 from .model import DeqParams, well_posedness
 from .reporting import write_csv
 
@@ -69,8 +69,7 @@ def init_bounds(p: DeqParams, delta: float | None = None) -> InitBounds:
         raise InputError(f"||W(0)||_2 = {w_norm:.6f} >= 1; no valid delta exists")
     if delta is None:
         delta = 0.5 * (1.0 - w_norm)
-    if not 0.0 < delta < math.inf:  # also refuses nan
-        raise InputError(f"delta must be positive and finite, got {delta}")
+    check_positive(delta, "delta")
     rho_w = w_norm + delta
     if rho_w >= 1.0:
         raise InputError(

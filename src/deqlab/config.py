@@ -16,9 +16,10 @@ from pathlib import Path
 import yaml
 
 from .concentration import check_grid
-from .data import check_sphere_shape, check_y_cap
+from .data import check_sphere_shape
 from .errors import ConfigError, InputError
 from .kernel import check_depth
+from .linalg import check_positive
 from .model import SolverConfig, check_field_types, check_seed, check_sigma_w2
 from .train import TrainConfig
 
@@ -74,7 +75,7 @@ class DataConfig:
         if self.kind not in ("synthetic", "file"):
             raise ConfigError(f"data.kind {self.kind!r} is not one of "
                               f"synthetic|file")
-        check_y_cap(self.y_cap)
+        check_positive(self.y_cap, "y_cap")
         if self.kind == "synthetic":
             check_sphere_shape(self.n, self.d)
         check_seed(self.seed)

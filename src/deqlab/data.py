@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InputError
-from .linalg import as_matrix
+from .linalg import as_matrix, check_positive
 from .model import check_seed
 
 __all__ = [
@@ -35,11 +35,6 @@ PARALLEL_COS_TOL = 1.0 - 1e-9
 
 # Column norms must equal sqrt(d) to this relative accuracy.
 NORM_RTOL = 1e-8
-
-
-def check_y_cap(y_cap: float) -> None:
-    if not 0.0 < y_cap < np.inf:  # also refuses nan
-        raise InputError(f"y_cap must be positive and finite, got {y_cap}")
 
 
 def check_sphere_shape(n: int, d: int) -> None:
@@ -69,18 +64,15 @@ class Dataset:
     y_cap: float = 10.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
+        x = as_matrix(self.x, "X")
         y = np.asarray(self.y, dtype=np.float64)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if x.ndim != 2 or x.size == 0:
-            raise AssumptionError("X must be a non-empty d x n matrix")
         if y.shape != (x.shape[1],):
-            raise AssumptionError(
-                f"y has shape {y.shape}, expected ({x.shape[1]},)")
-        check_y_cap(self.y_cap)
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise AssumptionError("dataset contains non-finite values")
+            raise InputError(f"y has shape {y.shape}, expected ({x.shape[1]},)")
+        if not np.all(np.isfinite(y)):
+            raise InputError("y contains non-finite entries")
+        check_positive(self.y_cap, "y_cap")
         norms = check_on_sphere(x)
         if x.shape[1] > 1:
             c = (x.T @ x) / np.outer(norms, norms)
@@ -147,7 +139,7 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     """
     check_sphere_shape(n, d)
     check_seed(seed)
-    check_y_cap(y_cap)
+    check_positive(y_cap, "y_cap")
     if n == 1:
         warnings.warn("n=1 dataset: the no-parallel-pairs requirement is vacuous")
     rng = np.random.default_rng(seed)

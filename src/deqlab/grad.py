@@ -30,6 +30,7 @@ from .model import (
     check_shapes,
     loss,
     predict,
+    prediction_error,
     solve_equilibrium,
     well_posedness,
 )
@@ -151,8 +152,7 @@ def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
     z = sol.z
     x = as_matrix(x, "X")
     check_shapes(p, z, x)
-    y = np.asarray(y, dtype=np.float64).ravel()
-    e = predict(p, z) - y
+    e = prediction_error(predict(p, z), y)
     adj = solve_adjoint(p, activation_mask(sol.pre), e, cfg, m0=m0, seed=seed)
     return GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e), adj
 
@@ -187,12 +187,11 @@ def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:
     """
     z = as_matrix(z, "Z")
     x = as_matrix(x, "X")
-    y = np.asarray(y, dtype=np.float64).ravel()
     check_shapes(p, z, x)
     m, n = z.shape
     if m * n > 2500:
         raise InputError(f"dense reference limited to small instances, mn={m * n}")
-    e = predict(p, z) - y
+    e = prediction_error(predict(p, z), y)
     mask = activation_mask(p.w @ z + p.u @ x)
     d_diag = np.diag(mask.flatten(order="F"))
     j = np.eye(m * n) - d_diag @ np.kron(np.eye(n), p.w)

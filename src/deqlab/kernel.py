@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import check_on_sphere
 from .errors import ConvergenceError, InputError
-from .linalg import as_matrix, check_budget, min_eig_sym
+from .linalg import as_matrix, check_positive, min_eig_sym
 from .model import check_sigma_w2
 
 __all__ = [
@@ -37,6 +37,10 @@ __all__ = [
     "suggested_depth",
     "export_kernel",
 ]
+
+# kernel_fixed_point's stop rule (the largest change of a cosine) and budget.
+KERNEL_TOL = 1e-14
+KERNEL_MAX_ITER = 10000
 
 
 @dataclass(frozen=True)
@@ -117,25 +121,23 @@ def kernel_layer_sequence(x, sigma_w2: float, depth: int):
         yield k
 
 
-def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
-                       max_iter: int = 10000) -> PopulationKernel:
+def kernel_fixed_point(x, sigma_w2: float) -> PopulationKernel:
     """Infinite-depth kernel by solving each pair's scalar fixed point.
 
     Picard iteration c <- sigma_w^2 Q(c) + (1 - sigma_w^2) x^T x'/d from
     c = x^T x'/d; a contraction with factor at most sigma_w^2 < 1/8.
     """
-    check_budget(tol, max_iter)
     target = _check_inputs(x, sigma_w2)
     c = target.copy()
-    for _ in range(max_iter):
+    for _ in range(KERNEL_MAX_ITER):
         c_next = sigma_w2 * q_func(c) + (1.0 - sigma_w2) * target
         delta = np.abs(c_next - c).max()
         c = c_next
-        if delta <= tol:
+        if delta <= KERNEL_TOL:
             break
     else:
         raise ConvergenceError(
-            f"kernel fixed point did not reach tol={tol:.1e}", residual=delta)
+            f"kernel fixed point did not reach tol={KERNEL_TOL:.1e}", residual=delta)
     np.fill_diagonal(c, 1.0)
     k = q_func(c) / (1.0 - sigma_w2)
     np.fill_diagonal(k, 1.0 / (1.0 - sigma_w2))
@@ -144,8 +146,7 @@ def kernel_fixed_point(x, sigma_w2: float, tol: float = 1e-14,
 
 
 def _check_report(n: int, lambda_star: float) -> None:
-    if lambda_star <= 0:
-        raise InputError(f"lambda_star must be positive, got {lambda_star}")
+    check_positive(lambda_star, "lambda_star")
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
 

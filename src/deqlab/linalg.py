@@ -30,9 +30,13 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def check_positive(value: float, name: str) -> None:
+    if not 0.0 < value < np.inf:  # also refuses nan
+        raise InputError(f"{name} must be positive and finite, got {value}")
+
+
 def check_budget(tol: float, max_iter: int) -> None:
-    if not 0.0 < tol < np.inf:  # also refuses nan
-        raise InputError(f"tol must be positive and finite, got {tol}")
+    check_positive(tol, "tol")
     if max_iter < 1:
         raise InputError(f"max_iter must be >= 1, got {max_iter}")
 

@@ -29,6 +29,7 @@ __all__ = [
     "forward_layer",
     "solve_equilibrium",
     "predict",
+    "prediction_error",
     "loss",
     "well_posedness",
 ]
@@ -187,7 +188,7 @@ def check_shapes(p: DeqParams, z: np.ndarray, x: np.ndarray) -> None:
 
 def forward_layer(p: DeqParams, z, x) -> np.ndarray:
     """One layer application: relu(W z + U x)."""
-    z = np.asarray(z, dtype=np.float64)
+    z = as_matrix(z, "Z")
     x = as_matrix(x, "X")
     check_shapes(p, z, x)
     return np.maximum(p.w @ z + p.u @ x, 0.0)
@@ -375,13 +376,19 @@ def predict(p: DeqParams, z) -> np.ndarray:
     return p.a @ z
 
 
-def loss(yhat, y) -> float:
-    """Quadratic empirical risk 0.5 * ||yhat - y||_2^2."""
+def prediction_error(yhat, y) -> np.ndarray:
+    """e = yhat - y over the flattened arrays; InputError unless they hold
+    one label per prediction."""
     yhat = np.asarray(yhat, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
     if yhat.shape != y.shape:
         raise InputError(f"length mismatch: {yhat.shape} vs {y.shape}")
-    diff = yhat - y
+    return yhat - y
+
+
+def loss(yhat, y) -> float:
+    """Quadratic empirical risk 0.5 * ||yhat - y||_2^2."""
+    diff = prediction_error(yhat, y)
     return 0.5 * float(diff @ diff)
 
 

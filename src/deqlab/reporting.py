@@ -83,8 +83,6 @@ def kept_rows(path, start: int) -> tuple[int, int]:
 
 
 def _ticks(lo: float, hi: float, count: int = 6):
-    if hi <= lo:
-        hi = lo + 1.0
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
@@ -105,16 +103,15 @@ def line_plot_svg(path, series: dict, title: str, xlabel: str, ylabel: str,
     """Write a line plot; `series` maps label -> (xs, ys)."""
     if not series:
         raise InputError("no series to plot")
-    xs_all, ys_all = [], []
+    xs_all, points = [], {}
     for label, (xs, ys) in series.items():
         if len(xs) != len(ys) or not len(xs):
             raise InputError(f"series {label!r} is empty or mismatched")
         xs_all.extend(float(v) for v in xs)
-        for v in ys:
-            v = float(v)
-            if logy and v <= 0:
-                continue
-            ys_all.append(math.log10(v) if logy else v)
+        points[label] = [(float(x), math.log10(y) if logy else y)
+                         for x, y in zip(xs, map(float, ys))
+                         if not (logy and y <= 0)]
+    ys_all = [y for pts in points.values() for _, y in pts]
     if not ys_all:
         raise InputError("no positive values to plot on a log axis")
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -159,18 +156,11 @@ def line_plot_svg(path, series: dict, title: str, xlabel: str, ylabel: str,
                  f'text-anchor="middle" transform="rotate(-90 18 '
                  f'{(_MT + _H - _MB) / 2:.0f})">{ylabel}</text>')
 
-    for idx, (label, (xs, ys)) in enumerate(series.items()):
+    for idx, (label, pts) in enumerate(points.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        points = []
-        for x, y in zip(xs, ys):
-            y = float(y)
-            if logy:
-                if y <= 0:
-                    continue
-                y = math.log10(y)
-            points.append(f"{px(float(x)):.1f},{py(y):.1f}")
+        coords = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in pts)
         parts.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                     f'points="{" ".join(points)}"/>')
+                     f'points="{coords}"/>')
         ly = _MT + 16 * idx
         parts.append(f'<line x1="{_W - _MR - 130}" y1="{ly}" '
                      f'x2="{_W - _MR - 105}" y2="{ly}" stroke="{color}" '

@@ -29,12 +29,13 @@ from .grad import (
     solve_adjoint,
     solve_sensitivity,
 )
-from .linalg import gram, min_eig_sym, spectral_norm
+from .linalg import check_positive, gram, min_eig_sym, spectral_norm
 from .model import (
     DeqParams,
     EquilibriumSolution,
     SolverConfig,
     check_field_types,
+    check_shapes,
     loss,
     predict,
     solve_equilibrium,
@@ -93,9 +94,8 @@ class TrainConfig:
         if isinstance(self.eta, str):
             if self.eta != "auto":
                 raise InputError(f"eta must be a float or 'auto', got {self.eta!r}")
-        elif not 0.0 < self.eta < np.inf:  # also refuses nan
-            raise InputError(f"explicit eta must be positive and finite, "
-                             f"got {self.eta}")
+        else:
+            check_positive(self.eta, "explicit eta")
         if self.steps < 1:
             raise InputError("steps must be >= 1")
         if self.monitor_every < 1:
@@ -156,9 +156,10 @@ def gram_min_eig(z) -> float:
     eigensolve's value, with negative roundoff projected to 0 (Z^T Z is
     positive semidefinite).
     """
-    if z.shape[0] < z.shape[1]:
+    g = gram(z)
+    if np.shape(z)[0] < g.shape[0]:
         return 0.0
-    return max(0.0, min_eig_sym(gram(z)))
+    return max(0.0, min_eig_sym(g))
 
 
 def _top_eigenvector(h) -> np.ndarray:
@@ -186,8 +187,9 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     # kept local: a module-level import is a traced binding the tracer lacks
     from .grad import activation_mask
 
-    g = gram(z)
-    k = g + gram(x)
+    g, gx = gram(z), gram(x)
+    check_shapes(p, z, x)
+    k = g + gx
     mask = activation_mask(p.w @ z + p.u @ x if pre is None else pre)
     m_tilde = solve_adjoint(p, mask, np.ones(g.shape[0]), solver).m
     h = (m_tilde.T @ m_tilde) * k + g

@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,14 +67,15 @@ class TestKernelDepthDecay:
 
 
     def test_measured_against_the_given_kernel(self):
-        # a loose fixed point's own error is the series' floor
+        # a kernel 1e-4 off the fixed point: its own error is the series' floor
         x = gen_sphere_data(8, 8, seed=5).x
-        loose = kernel_fixed_point(x, 0.08, tol=1e-4)
+        pk = kernel_fixed_point(x, 0.08)
+        loose = replace(pk, k=pk.k + 1e-4)
         series = kernel_depth_decay(loose, x, 40)
         k_40 = list(kernel_layer_sequence(x, 0.08, 40))[-1]
         assert series[-1] == float(np.linalg.norm(loose.k - k_40))
         assert series[-1] > 1e-7
-        assert kernel_depth_decay(kernel_fixed_point(x, 0.08), x, 40)[-1] < 1e-12
+        assert kernel_depth_decay(pk, x, 40)[-1] < 1e-12
 
     def test_holds_a_few_levels_at_a_time(self):
         # the levels are measured as they come: the traced peak stays a

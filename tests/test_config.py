@@ -31,7 +31,7 @@ from deqlab.config import (
 )
 from deqlab.data import Dataset, gen_sphere_data
 from deqlab.errors import ConfigError, InputError
-from deqlab.kernel import kernel_fixed_point, kernel_layer_sequence
+from deqlab.kernel import kernel_layer_sequence
 from deqlab.linalg import spectral_norm
 from deqlab.model import SolverConfig, init_params
 from deqlab.reporting import config_hash
@@ -219,11 +219,9 @@ def _p():
 # library entry point that holds the rule, called with the value.
 RANGE = [
     ("solver.tol=0", lambda: SolverConfig(tol=0), [
-        lambda: spectral_norm(np.eye(2), tol=0),
-        lambda: kernel_fixed_point(_x(), 0.08, tol=0)]),
+        lambda: spectral_norm(np.eye(2), tol=0)]),
     ("solver.max_iter=0", lambda: SolverConfig(max_iter=0), [
-        lambda: spectral_norm(np.eye(2), max_iter=0),
-        lambda: kernel_fixed_point(_x(), 0.08, max_iter=0)]),
+        lambda: spectral_norm(np.eye(2), max_iter=0)]),
     ("concentration.l=0", lambda: ConcentrationSection(l=0), [
         lambda: next(kernel_layer_sequence(_x(), 0.08, 0)),
         lambda: layer_iterates(_p(), _x(), 0),

@@ -50,7 +50,7 @@ class TestDatasetInvariants:
         ds = gen_sphere_data(3, 4, seed=2)
         x = ds.x.copy()
         x[0, 0] = np.nan
-        with pytest.raises(AssumptionError):
+        with pytest.raises(InputError):
             Dataset(x=x, y=ds.y)
 
 

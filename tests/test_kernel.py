@@ -205,14 +205,6 @@ class TestKernelFixedPoint:
         pk = kernel_fixed_point(gen_sphere_data(7, 5, seed=7).x, 0.08)
         assert pk.lambda_star == pytest.approx(min_eig_sym(pk.k), abs=1e-12)
 
-    def test_bad_tol_rejected(self):
-        # a nan tol never stops the iteration, and an infinite one stops
-        # it after one step
-        x = orthogonal_inputs()
-        for tol in (0.0, np.nan, np.inf, -np.inf):
-            with pytest.raises(InputError, match="positive and finite"):
-                kernel_fixed_point(x, 0.08, tol=tol)
-
 
 class TestSuggestions:
     def test_width_frozen_example(self):
