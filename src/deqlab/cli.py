@@ -39,7 +39,13 @@ from .data import (
     save_labels_csv,
     save_matrix_csv,
 )
-from .errors import ConfigError, DeqlabError, InputError, TrainingAssertionError
+from .errors import (
+    AssumptionError,
+    ConfigError,
+    DeqlabError,
+    InputError,
+    TrainingAssertionError,
+)
 from .grad import (
     FD_STEP,
     dense_gradients_reference,
@@ -112,10 +118,10 @@ def build_dataset(cfg) -> Dataset:
         return gen_sphere_data(d.n, d.d, d.seed, y_cap=d.y_cap)
     x = load_matrix_csv(d.matrix)
     y = load_labels_csv(d.labels_csv)
-    if y.size != x.shape[1]:
-        raise InputError(f"{d.labels_csv} has {y.size} labels, but {d.matrix} "
-                         f"has n = {x.shape[1]} columns")
-    return Dataset(x=x, y=y, provenance="file", y_cap=d.y_cap)
+    try:
+        return Dataset(x=x, y=y, provenance="file", y_cap=d.y_cap)
+    except (InputError, AssumptionError) as exc:
+        raise type(exc)(f"{d.matrix}, {d.labels_csv}: {exc}") from exc
 
 
 @main.command("gen-data")

@@ -62,10 +62,10 @@ class GradientTriple:
 class AdjointSolution:
     """The fixed point M of a masked linear solve (adjoint, op = W^T, or
     sensitivity, op = W) with convergence diagnostics. `product` is op M
-    at the returned M, the solve's last float64 application, bitwise
-    equal to p.w.T @ m (adjoint) or p.w @ m (sensitivity). `iterations`
-    counts applications of the map; a cold solve's first makes no
-    product with op."""
+    at the returned M, the product of the solve's last float64
+    application, bitwise equal to p.w.T @ m (adjoint) or p.w @ m
+    (sensitivity). `iterations` counts applications of the map; a cold
+    solve's first makes no product with op."""
 
     m: np.ndarray  # (m, n) adjoint fixed point
     product: np.ndarray  # (m, n) op @ m
@@ -81,10 +81,10 @@ def activation_mask(pre) -> np.ndarray:
 
 
 class _MaskedLinearMap:
-    """The linear map x -> source + mask .* (op x) for model._iterate; its
-    increment at any point is d -> mask .* (op d). The product op x of the
-    last application, or the one given in its place, is `product`. A mask
-    entry outside {0, 1} is refused: it can void the contraction."""
+    """The linear map x -> source + mask .* (op x) for model._iterate,
+    which forms the product op x and passes it in; the last one is
+    `product`. Its increment at any point is mask .* (op d). A mask entry
+    outside {0, 1} is refused: it can void the contraction."""
 
     clip = False
 
@@ -93,23 +93,18 @@ class _MaskedLinearMap:
             raise InputError("mask entries must be 0 or 1 (a ReLU derivative)")
         self.op, self.mask, self.source = op, mask, source
         self.shape = mask.shape
-        self.apply32 = None
 
-    def __call__(self, x, product=None):
-        self.product = self.op @ x if product is None else product
-        return self.source + self.mask * self.product
+    def __call__(self, product):
+        self.product = product
+        return self.source + self.mask * product
 
     def increment(self):
-        """Float32 increment map, as (d, out) -> None."""
-        if self.apply32 is None:
-            op32 = self.op.astype(np.float32)
-            mask32 = self.mask.astype(np.float32)
+        """Float32 rule, as out -> None, applied in place to out = op d."""
+        mask32 = self.mask.astype(np.float32)
 
-            def apply32(d, out):
-                np.matmul(op32, d, out=out)
-                out *= mask32
-            self.apply32 = apply32
-        return self.apply32
+        def rule(out):
+            out *= mask32
+        return rule
 
 
 def _masked_solve(p: DeqParams, op, mask, source, cfg: SolverConfig, kind: str,

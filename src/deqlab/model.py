@@ -147,9 +147,9 @@ class EquilibriumSolution:
     """Equilibrium features Z (m x n) with convergence diagnostics.
 
     `pre` is the pre-activation W Z + U X at the returned Z, so the ReLU
-    mask of the equilibrium is pre >= 0. It is the solve's last float64
-    application, made at the returned Z itself, and bitwise equal to
-    p.w @ z + p.u @ x. `residual` is ||Z - relu(W Z + U X)||_F /
+    mask of the equilibrium is pre >= 0. It is formed from the solve's
+    last float64 product, made at the returned Z itself, and is bitwise
+    equal to p.w @ z + p.u @ x. `residual` is ||Z - relu(W Z + U X)||_F /
     max(1, ||Z||_F) for the returned Z. `iterations` counts layer-map
     applications. `residuals` is the per-iterate residual history (one
     entry per application).
@@ -195,77 +195,70 @@ def forward_layer(p: DeqParams, z, x) -> np.ndarray:
 
 
 class _ReluMap:
-    """The equilibrium map z -> relu(W z + b) for _iterate.
+    """The equilibrium map z -> relu(W z + b) for _iterate, which forms
+    the product W z and passes it in; `pre` = W z + b is the last one's.
 
     Its increment at a point z_b, L(d) = relu(W (z_b + d) + b) - relu(pre)
-    with pre = W z_b + b, is evaluated as max(W d, -pre) + min(pre, 0),
-    which has no cancellation: its float32 rounding is relative to ||d||,
-    not to ||z_b||. Images of the map are nonnegative, so a corrected
-    iterate is clipped at 0.
+    with pre = W z_b + b, is evaluated from out = W d as
+    max(out, -pre) + min(pre, 0), which has no cancellation: its float32
+    rounding is relative to ||d||, not to ||z_b||. Images of the map are
+    nonnegative, so a corrected iterate is clipped at 0.
     """
 
     clip = True
 
-    def __init__(self, w, b):
-        self.w, self.b, self.w32 = w, b, None
-        self.shape = b.shape
+    def __init__(self, op, b):
+        self.op, self.b, self.shape = op, b, b.shape
         self.pre = np.empty(b.shape)
 
-    def __call__(self, z, product=None):
-        if product is None:
-            np.matmul(self.w, z, out=self.pre)
-            self.pre += self.b
-        else:
-            np.add(product, self.b, out=self.pre)
+    def __call__(self, product):
+        np.add(product, self.b, out=self.pre)
         return np.maximum(self.pre, 0.0)
 
     def increment(self):
-        """Float32 L at the point of the last call, as (d, out) -> None."""
-        if self.w32 is None:
-            self.w32 = self.w.astype(np.float32)
-            self.neg = np.empty(self.pre.shape, np.float32)
-            self.pos = np.empty_like(self.neg)
-        w32, neg, pos = self.w32, self.neg, self.pos
-        np.negative(self.pre, out=neg, casting="same_kind")
-        np.maximum(neg, 0.0, out=pos)  # -min(pre, 0)
+        """Float32 rule at the last call's point, for out = W d in place."""
+        neg = np.negative(self.pre, dtype=np.float32)
+        pos = np.maximum(neg, 0.0)  # -min(pre, 0)
 
-        def apply(d, out):
-            np.matmul(w32, d, out=out)
+        def rule(out):
             np.maximum(out, neg, out=out)
             out -= pos
-        return apply
+        return rule
 
 
 def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
              seed=None):
-    """Picard iteration x <- step(x) from x = x0 until
+    """Picard iteration x <- step(op @ x), op = step.op, from x = x0 until
     ||x+ - x||_F / max(1, ||x||_F) <= cfg.tol; returns (x, residual,
     iterations, residuals) for the first x that meets the rule. The last
     application of `step` is the float64 one made at that x.
 
-    The one entry of the forward, adjoint and sensitivity solves. Before
-    any product with W it checks the certificate ||W||_2 < 1 of `p`
-    (WellPosednessError), a start of the map's shape with finite entries,
-    nonnegative for a map with `clip`, and a seed only with its start,
-    of the same shape and finite (InputError).
+    The one entry of the forward, adjoint and sensitivity solves, and the
+    one place that forms their operator products. Before any product with
+    W it checks the certificate ||W||_2 < 1 of `p` (WellPosednessError),
+    a start of the map's shape with finite entries, nonnegative for a map
+    with `clip`, and a seed only with its start, of the same shape and
+    finite (InputError).
 
-    `step(x, product)` takes the map's operator product at x in place of
-    computing it. A `seed` is that product at the start x0, known from
-    elsewhere: the first application is then step(x0, seed), which counts
-    in no `iterations`, adds no residual and never stops the loop. A
-    wrong seed costs iterations, never accuracy. x0 = None is the zero
-    start of shape `step.shape`, whose product is zero: its first
-    application is step(0, 0), which makes no product but otherwise is
-    an application like any other (it counts, adds its residual and can
-    stop the loop), so the solve is bitwise the one from an explicit
-    zero array.
+    `step` holds only a map's elementwise rule: step(product) returns the
+    image of the point whose product with op is `product`. A `seed` is
+    that product at the start x0, known from elsewhere: the first
+    application is then step(seed), which counts in no `iterations`, adds
+    no residual and never stops the loop. A wrong seed costs iterations,
+    never accuracy. x0 = None is the zero start of shape `step.shape`,
+    whose product is zero: its first application is step(0), which makes
+    no product but otherwise is an application like any other (it counts,
+    adds its residual and can stop the loop), so the solve is bitwise the
+    one from an explicit zero array.
 
-    `step` maps an (m, n) iterate through an m x m operator, so one
-    application costs m^2 n multiply-adds. From F32_MIN_MADDS on, the
-    solve runs in defect-correction rounds. A round applies `step` once in
-    float64 at its base x_b, which gives r = step(x_b) - x_b and the stop
-    test, and then iterates d <- r + L(d) from d = r in float32, where
-    L = step.increment() is the map's increment at x_b. Every float32
+    One application costs m^2 n multiply-adds for an m x m op and an
+    (m, n) iterate. From F32_MIN_MADDS on, the solve runs in
+    defect-correction rounds. A round applies `step` once in float64 at
+    its base x_b, which gives r = step(op @ x_b) - x_b and the stop test,
+    and then iterates d <- r + L(d) from d = r in float32: L forms
+    out = op32 @ d with the solve's one float32 copy op32 of op (made at
+    its first round, dropped when it returns) and applies the map's
+    float32 rule at x_b, step.increment(), to out in place. Every float32
     application is an exact Picard step on x_b + d, so its float32
     rounding is relative to ||r||, not ||x||. A round ends when the
     predicted next increment (inc^2 / previous inc) falls to
@@ -306,10 +299,11 @@ def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
     rounds = m * m * n >= F32_MIN_MADDS
     if rounds:  # float32 r, x_b, d and d+, reused by every round
         r32, x32, d, buf = (np.empty((m, n), np.float32) for _ in range(4))
+    op32 = None
     history = []
     k = 0
     while k < cfg.max_iter:
-        x_next = step(x) if seed is None else step(x, seed)
+        x_next = step(step.op @ x if seed is None else seed)
         seed = None
         r_norm = np.linalg.norm(x_next - x)
         res = float(r_norm / max(1.0, np.linalg.norm(x)))
@@ -322,7 +316,9 @@ def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
         if not rounds:
             x = x_next
             continue
-        increment = step.increment()
+        if op32 is None:
+            op32 = step.op.astype(np.float32)
+        rule = step.increment()
         np.subtract(x_next, x, out=r32, casting="same_kind")
         np.copyto(x32, x, casting="same_kind")
         np.copyto(d, r32)
@@ -330,7 +326,8 @@ def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
         prev = res
         while k < cfg.max_iter:
             scale = max(1.0, float(np.linalg.norm(np.add(x32, d, out=buf))))
-            increment(d, buf)
+            np.matmul(op32, d, out=buf)
+            rule(buf)
             buf += r32
             k += 1
             d -= buf

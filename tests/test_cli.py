@@ -226,6 +226,19 @@ class TestExitCodes:
         assert str(tmp_path / "x.csv") in result.output
         assert str(tmp_path / "y.csv") in result.output
 
+    def test_off_sphere_data_file_is_4_naming_both_files(self, runner,
+                                                         tmp_path):
+        (tmp_path / "x.csv").write_text("d,n\n2,2\n1\n0\n0\n1\n")
+        (tmp_path / "y.csv").write_text("y\n0\n0\n")
+        result = runner.invoke(main, ["kernel", "--set", "data.kind=file",
+                                      "--set", f"data.matrix={tmp_path / 'x.csv'}",
+                                      "--set", f"data.labels_csv={tmp_path / 'y.csv'}",
+                                      "--set", f"output.directory={tmp_path / 'o'}"])
+        assert result.exit_code == 4, result.output
+        assert (f"error (AssumptionError): {tmp_path / 'x.csv'}, "
+                f"{tmp_path / 'y.csv'}: ") in result.output
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.filterwarnings("error::UserWarning")
     def test_matrix_without_values_is_2_without_a_warning(self, runner,
                                                           tmp_path):

@@ -316,23 +316,24 @@ class Problem:
 
 
 class Recorded:
-    """A layer map for _iterate that records the dtype of the iterate or
-    correction each application acts on."""
+    """A layer map for _iterate that records the dtype of the product
+    each application acts on."""
 
     def __init__(self, step):
         self.step, self.clip, self.shape = step, step.clip, step.shape
+        self.op = step.op
         self.dtypes = []
 
-    def __call__(self, x):
-        self.dtypes.append(x.dtype)
-        return self.step(x)
+    def __call__(self, product):
+        self.dtypes.append(product.dtype)
+        return self.step(product)
 
     def increment(self):
-        apply = self.step.increment()
+        rule = self.step.increment()
 
-        def recorded(d, out):
-            self.dtypes.append(d.dtype)
-            apply(d, out)
+        def recorded(out):
+            self.dtypes.append(out.dtype)
+            rule(out)
         return recorded
 
 
@@ -576,23 +577,44 @@ class TestPicardEngineBelowCut:
 
 class CountingOperator:
     """A float64 operator that counts its products with iterates, made by
-    `@` or np.matmul. Its float32 copy is a plain array, so the float32
-    applications of a correction round do not count."""
+    `@`, and its copies made by `astype`. Its float32 copy is a plain
+    array, so the float32 applications of a correction round do not
+    count."""
 
     def __init__(self, a):
-        self.a, self.products = a, 0
+        self.a, self.products, self.copies = a, 0, 0
 
     def __matmul__(self, x):
         self.products += 1
         return self.a @ x
 
-    def __array_ufunc__(self, ufunc, method, op, *args, **kwargs):
-        assert ufunc is np.matmul and method == "__call__"
-        self.products += 1
-        return ufunc(self.a, *args, **kwargs)
-
     def astype(self, dtype):
+        self.copies += 1
         return self.a.astype(dtype)
+
+
+class TestFloat32Copy:
+    """A solve makes its float32 copy of the operator at its first
+    correction round: one for a cold solve at the cut, none for a solve
+    that stops at its first application or runs below the cut."""
+
+    @staticmethod
+    def copies(prob, kind, x0=None):
+        step = prob.layer_map(kind, CountingOperator)
+        _iterate(prob.p, step, x0, SolverConfig(), kind)
+        return step.op.copies
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cold_at_cut_makes_one(self, at_cut, kind):
+        assert self.copies(at_cut, kind) == 1
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_warm_from_its_solution_makes_none(self, at_cut, kind):
+        assert self.copies(at_cut, kind, at_cut.solve(kind)[0]) == 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_below_cut_makes_none(self, kind):
+        assert self.copies(Problem(60, 12, 10, seed=9), kind) == 0
 
 
 class TestZeroStart:
@@ -629,7 +651,7 @@ class TestZeroStart:
         runs, products = [], []
         for x0 in (None, np.zeros_like(prob.z)):
             step = prob.layer_map(kind, CountingOperator)
-            op = step.w if kind == "forward" else step.op
+            op = step.op
             x, res, k, history = _iterate(prob.p, step, x0, SolverConfig(),
                                           kind)
             product = step.pre if kind == "forward" else step.product
