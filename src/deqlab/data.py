@@ -65,13 +65,9 @@ class Dataset:
 
     def __post_init__(self):
         x = as_matrix(self.x, "X")
-        y = np.asarray(self.y, dtype=np.float64)
+        y = as_matrix(self.y, "y", (x.shape[1],))
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if y.shape != (x.shape[1],):
-            raise InputError(f"y has shape {y.shape}, expected ({x.shape[1]},)")
-        if not np.all(np.isfinite(y)):
-            raise InputError("y contains non-finite entries")
         check_positive(self.y_cap, "y_cap")
         norms = check_on_sphere(x)
         if x.shape[1] > 1:

@@ -110,10 +110,7 @@ class _MaskedLinearMap:
 def _masked_solve(p: DeqParams, op, mask, source, cfg: SolverConfig, kind: str,
                   x0=None, seed=None) -> AdjointSolution:
     """The fixed point of x = mask .* (source + op x) by model._iterate."""
-    mask = as_matrix(mask, "mask")
-    if mask.shape != source.shape or mask.shape[0] != p.m:
-        raise InputError(f"{kind}: mask {mask.shape} must match its source "
-                         f"{source.shape}, with m = {p.m} rows")
+    mask = as_matrix(mask, "mask", source.shape)
     step = _MaskedLinearMap(op, mask, mask * source)
     x, res, k, history = _iterate(p, step, x0, cfg, kind, seed)
     return AdjointSolution(m=x, product=step.product, residual=res,
@@ -129,9 +126,7 @@ def solve_adjoint(p: DeqParams, mask, e, cfg: SolverConfig = SolverConfig(),
     W^T m0 known from elsewhere: the solve then makes one product fewer.
     A non-finite `e` is refused (InputError).
     """
-    e = np.asarray(e, dtype=np.float64).ravel()
-    if not np.all(np.isfinite(e)):
-        raise InputError("e contains non-finite entries")
+    e = as_matrix(e, "e", (None,))
     return _masked_solve(p, p.w.T, mask, np.outer(p.a, e), cfg, "adjoint", m0, seed)
 
 
@@ -144,10 +139,8 @@ def gradients(p: DeqParams, sol: EquilibriumSolution, x, y,
     the next solve (`m0`, with `seed` = W^T m0; see solve_adjoint) for
     nearby parameters.
     """
-    z = sol.z
-    x = as_matrix(x, "X")
-    check_shapes(p, z, x)
-    e = prediction_error(predict(p, z), y)
+    z, x = check_shapes(p, sol.z, x)
+    e = prediction_error(p.a @ z, y)
     adj = solve_adjoint(p, activation_mask(sol.pre), e, cfg, m0=m0, seed=seed)
     return GradientTriple(gw=adj.m @ z.T, gu=adj.m @ x.T, ga=z @ e), adj
 
@@ -168,7 +161,8 @@ def solve_sensitivity(p: DeqParams, mask, rhs,
     for a 0/1 mask. Its one caller, ntk_max_eig, makes one cold solve to
     check the closed-form tangent kernel.
     """
-    return _masked_solve(p, p.w, mask, as_matrix(rhs, "rhs"), cfg, "sensitivity")
+    return _masked_solve(p, p.w, mask, as_matrix(rhs, "rhs", (p.m, None)), cfg,
+                         "sensitivity")
 
 
 def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:
@@ -180,13 +174,11 @@ def dense_gradients_reference(p: DeqParams, z, x, y) -> GradientTriple:
     then vec(grad_W) = (Z kron I_m) R^T e and likewise with X for grad_U.
     Memory is O(m^2 n^2); intended for verification at mn <= ~400.
     """
-    z = as_matrix(z, "Z")
-    x = as_matrix(x, "X")
-    check_shapes(p, z, x)
+    z, x = check_shapes(p, z, x)
     m, n = z.shape
     if m * n > 2500:
         raise InputError(f"dense reference limited to small instances, mn={m * n}")
-    e = prediction_error(predict(p, z), y)
+    e = prediction_error(p.a @ z, y)
     mask = activation_mask(p.w @ z + p.u @ x)
     d_diag = np.diag(mask.flatten(order="F"))
     j = np.eye(m * n) - d_diag @ np.kron(np.eye(n), p.w)
@@ -216,8 +208,6 @@ def finite_difference_gradients(p: DeqParams, x, y,
     pre-activation within KINK_TOL of zero or the activation pattern
     differs between the two sides (the ReLU kink cases).
     """
-    x = as_matrix(x, "X")
-    y = np.asarray(y, dtype=np.float64).ravel()
     m, d = p.m, p.d
     w_norm = well_posedness(p)[0]
 

@@ -18,13 +18,23 @@ __all__ = [
 ]
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Coerce to a finite, non-empty 2-D float64 array."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise InputError(f"{name} must be 2-D, got ndim={a.ndim}")
+def as_matrix(a, name: str = "matrix", shape=(None, None)) -> np.ndarray:
+    """`a` as a finite, non-empty float64 array of rank len(shape) whose
+    axis k has length shape[k] where that is not None; InputError naming
+    `name` otherwise, a shape refusal by the first axis that is off
+    ("X has 4 rows, expected 3"). The one owner of the array contract."""
+    try:
+        a = np.asarray(a, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} is not a numeric array: {exc}") from exc
+    if a.ndim != len(shape):
+        raise InputError(f"{name} must be {len(shape)}-D, got ndim={a.ndim}")
     if a.size == 0:
         raise InputError(f"{name} is empty")
+    axes = ("entries",) if a.ndim == 1 else ("rows", "columns")
+    for axis, got, want in zip(axes, a.shape, shape):
+        if want is not None and got != want:
+            raise InputError(f"{name} has {got} {axis}, expected {want}")
     if not np.all(np.isfinite(a)):
         raise InputError(f"{name} contains non-finite entries")
     return a
@@ -81,9 +91,7 @@ def spectral_norm(a, tol: float = 1e-10, max_iter: int = 10000,
     if v0 is None:
         q = np.full(n, 1.0 / np.sqrt(n))
     else:
-        q = np.asarray(v0, dtype=np.float64)
-        if q.shape != (n,) or not np.all(np.isfinite(q)):
-            raise InputError("v0 has wrong shape or non-finite entries")
+        q = as_matrix(v0, "v0", (n,))
         nq = np.linalg.norm(q)
         if nq == 0.0:
             raise InputError("v0 is the zero vector")

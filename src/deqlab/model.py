@@ -106,22 +106,17 @@ class DeqParams:
                                        compare=False)
 
     def __post_init__(self):
-        for name in ("w", "u", "a"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            object.__setattr__(self, name, arr if arr.base is None else arr.copy())
-        w, u, a = self.w, self.u, self.a
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InputError(f"W must be square, got {w.shape}")
+        w = as_matrix(self.w, "W")
         m = w.shape[0]
-        if u.ndim != 2 or u.shape[0] != m:
-            raise InputError(f"U must be ({m}, d), got {u.shape}")
-        if a.shape != (m,):
-            raise InputError(f"a must have shape ({m},), got {a.shape}")
+        if w.shape[1] != m:
+            raise InputError(f"W must be square, got {w.shape}")
+        arrays = {"w": w, "u": as_matrix(self.u, "U", (m, None)),
+                  "a": as_matrix(self.a, "a", (m,))}
         check_sigma_w2(self.sigma_w2)
-        for name, arr in (("W", w), ("U", u), ("a", a)):
-            if not np.all(np.isfinite(arr)):
-                raise InputError(f"{name} contains non-finite entries")
+        for name, arr in arrays.items():
+            arr = arr if arr.base is None else arr.copy()
             arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def m(self) -> int:
@@ -178,19 +173,16 @@ def init_params(m: int, d: int, sigma_w2: float, seed: int) -> DeqParams:
     return DeqParams(w=w, u=u, a=a, sigma_w2=sigma_w2)
 
 
-def check_shapes(p: DeqParams, z: np.ndarray, x: np.ndarray) -> None:
-    """Raise InputError unless Z is m x n and X is d x n for p's m and d."""
-    if z.shape[0] != p.m or x.shape[0] != p.d or z.shape[1] != x.shape[1]:
-        raise InputError(
-            f"shape mismatch: W {p.w.shape}, U {p.u.shape}, "
-            f"Z {z.shape}, X {x.shape}")
+def check_shapes(p: DeqParams, z, x) -> tuple[np.ndarray, np.ndarray]:
+    """(Z, X) by as_matrix, which refuses them unless Z is m x n and X is
+    d x n for p's m and d and one n."""
+    z = as_matrix(z, "Z", (p.m, None))
+    return z, as_matrix(x, "X", (p.d, z.shape[1]))
 
 
 def forward_layer(p: DeqParams, z, x) -> np.ndarray:
     """One layer application: relu(W z + U x)."""
-    z = as_matrix(z, "Z")
-    x = as_matrix(x, "X")
-    check_shapes(p, z, x)
+    z, x = check_shapes(p, z, x)
     return np.maximum(p.w @ z + p.u @ x, 0.0)
 
 
@@ -236,9 +228,9 @@ def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
     The one entry of the forward, adjoint and sensitivity solves, and the
     one place that forms their operator products. Before any product with
     W it checks the certificate ||W||_2 < 1 of `p` (WellPosednessError),
-    a start of the map's shape with finite entries, nonnegative for a map
-    with `clip`, and a seed only with its start, of the same shape and
-    finite (InputError).
+    a start of the map's shape with finite entries (as_matrix),
+    nonnegative for a map with `clip`, and a seed only with its start, of
+    the same shape and finite (InputError).
 
     `step` holds only a map's elementwise rule: step(product) returns the
     image of the point whose product with op is `product`. A `seed` is
@@ -283,13 +275,8 @@ def _iterate(p: DeqParams, step, x0, cfg: SolverConfig, what: str,
                                  f"map is not a contraction")
     if seed is not None and x0 is None:
         raise InputError(f"{what} seed given without its start")
-    x, seed = (None if a is None else np.asarray(a, dtype=np.float64)
-               for a in (x0, seed))
-    for name, a in (("start", x), ("seed", seed)):
-        if a is not None and (a.shape != step.shape
-                              or not np.all(np.isfinite(a))):
-            raise InputError(f"{what} {name} must be a finite {step.shape} "
-                             f"array, got shape {a.shape}")
+    x, seed = (None if a is None else as_matrix(a, f"{what} {name}", step.shape)
+               for a, name in ((x0, "start"), (seed, "seed")))
     if step.clip and x is not None and np.any(x < 0.0):
         raise InputError(f"{what} start must be nonnegative (a ReLU image)")
     counted = seed is None
@@ -356,9 +343,7 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
     first application is relu(U X), with no product with W. Geometric
     convergence at rate <= ||W||_2 under well-posedness.
     """
-    x = as_matrix(x, "X")
-    if x.shape[0] != p.d:
-        raise InputError(f"X has {x.shape[0]} rows, expected d={p.d}")
+    x = as_matrix(x, "X", (p.d, None))
     relu_map = _ReluMap(p.w, p.u @ x)
     z, res, k, history = _iterate(p, relu_map, z0, cfg, "equilibrium")
     return EquilibriumSolution(z=z, pre=relu_map.pre, residual=res,
@@ -367,20 +352,14 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
 
 def predict(p: DeqParams, z) -> np.ndarray:
     """Per-column readout a^T z_i."""
-    z = as_matrix(z, "Z")
-    if z.shape[0] != p.m:
-        raise InputError(f"Z has {z.shape[0]} rows, expected m={p.m}")
-    return p.a @ z
+    return p.a @ as_matrix(z, "Z", (p.m, None))
 
 
 def prediction_error(yhat, y) -> np.ndarray:
-    """e = yhat - y over the flattened arrays; InputError unless they hold
-    one label per prediction."""
-    yhat = np.asarray(yhat, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    if yhat.shape != y.shape:
-        raise InputError(f"length mismatch: {yhat.shape} vs {y.shape}")
-    return yhat - y
+    """e = yhat - y for finite vectors; InputError unless they hold one
+    label per prediction."""
+    yhat = as_matrix(yhat, "yhat", (None,))
+    return yhat - as_matrix(y, "y", yhat.shape)
 
 
 def loss(yhat, y) -> float:

@@ -187,8 +187,8 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     # kept local: a module-level import is a traced binding the tracer lacks
     from .grad import activation_mask
 
+    z, x = check_shapes(p, z, x)
     g, gx = gram(z), gram(x)
-    check_shapes(p, z, x)
     k = g + gx
     mask = activation_mask(p.w @ z + p.u @ x if pre is None else pre)
     m_tilde = solve_adjoint(p, mask, np.ones(g.shape[0]), solver).m

@@ -552,7 +552,9 @@ class TestSeededAdjoint:
         prob, m0 = warm
         with pytest.raises(InputError, match="adjoint seed given without"):
             self.solve(prob, None, m0)
-        with pytest.raises(InputError, match="adjoint seed must be"):
+        n = m0.shape[1]
+        with pytest.raises(InputError,
+                           match=f"adjoint seed has {n - 1} columns, expected {n}$"):
             self.solve(prob, m0, m0[:, 1:])
 
 

@@ -20,6 +20,7 @@ from deqlab.kernel import (
 )
 from deqlab.linalg import as_matrix, spectral_norm
 from deqlab.model import (
+    DeqParams,
     forward_layer,
     init_params,
     loss,
@@ -34,6 +35,7 @@ SOL = solve_equilibrium(P, X)
 X_N5 = gen_sphere_data(5, 3, seed=0).x  # one column more than SOL.z
 X_D4 = gen_sphere_data(4, 4, seed=0).x  # one row more than U has columns
 OFF = X * np.array([1.0, 2.0, 1.0, 0.5])  # columns 1 and 3 off the sphere
+Z_M1 = np.vstack([SOL.z, SOL.z[:1]])  # one row more than W has
 
 
 def _shape_calls(x):
@@ -53,7 +55,12 @@ def _matrix_calls(a):
 # called with a value it refuses.
 RULES = [
     ("shape-n", InputError, _shape_calls(X_N5)),
-    ("shape-d", InputError, _shape_calls(X_D4)),
+    ("shape-d", InputError,
+     _shape_calls(X_D4) + [lambda: solve_equilibrium(P, X_D4)]),
+    ("shape-m", InputError, [
+        lambda: predict(P, Z_M1),
+        lambda: forward_layer(P, Z_M1, X),
+        lambda: dense_gradients_reference(P, Z_M1, X, np.zeros(4))]),
     ("sphere", AssumptionError, [
         lambda: Dataset(x=OFF, y=np.zeros(4)),
         lambda: next(kernel_layer_sequence(OFF, 0.08, 2)),
@@ -73,7 +80,8 @@ RULES = [
     ("labels", InputError, [
         lambda: loss(predict(P, SOL.z), np.zeros(3)),
         lambda: gradients(P, SOL, X, np.zeros(3)),
-        lambda: dense_gradients_reference(P, SOL.z, X, np.zeros(3))]),
+        lambda: dense_gradients_reference(P, SOL.z, X, np.zeros(3)),
+        lambda: Dataset(x=X, y=np.zeros(3))]),
 ]
 
 # Per entry point holding the rule "positive and finite": the name its
@@ -112,6 +120,13 @@ MALFORMED = [
     ("dataset-1d-x", lambda: Dataset(x=X[0], y=np.zeros(4))),
     ("dataset-short-y", lambda: Dataset(x=X, y=np.zeros(3))),
     ("dataset-inf-label", lambda: Dataset(x=X, y=Y_INF)),
+    ("matrix-strings", lambda: as_matrix([["a", "b"]], "X")),
+    ("matrix-ragged", lambda: as_matrix([[1.0], [2.0, 3.0]], "X")),
+    ("params-string-w", lambda: DeqParams(w=[[0.1, "x"], [0, 0]], u=np.zeros((2, 3)),
+                                          a=np.zeros(2), sigma_w2=0.08)),
+    ("dataset-string-y", lambda: Dataset(x=X, y=["a", "b", "c"])),
+    ("params-empty", lambda: DeqParams(w=np.zeros((0, 0)), u=np.zeros((0, 3)),
+                                       a=np.zeros(0), sigma_w2=0.08)),
 ]
 
 
