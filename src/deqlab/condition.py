@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_matrix, check_positive, spectral_norm
+from .linalg import as_matrix, check_nonnegative, check_positive, spectral_norm
 from .model import DeqParams, well_posedness
 from .reporting import write_csv
 
@@ -93,9 +93,8 @@ def check_condition(b: InitBounds, lambda_0: float, x,
         lambda_0^(3/2) >= 4 (2 + sqrt 2) rho_a^{-1} (c_w^2 + c_u^2) ||X||_F^2 r0,
         lambda_0       >= 4 (c_w^2 + c_u^2) ||X||_F^2.
     """
-    for name, value in (("lambda_0", lambda_0), ("residual_norm_0", residual_norm_0)):
-        if not 0.0 <= value < math.inf:  # also refuses nan
-            raise InputError(f"{name} must be >= 0 and finite, got {value}")
+    check_nonnegative(lambda_0, "lambda_0")
+    check_nonnegative(residual_norm_0, "residual_norm_0")
     x = as_matrix(x, "X")
     xf = float(np.linalg.norm(x))
     c_sq = b.c_w**2 + b.c_u**2

@@ -16,11 +16,9 @@ from pathlib import Path
 import yaml
 
 from .concentration import check_grid
-from .data import check_sphere_shape
 from .errors import ConfigError, InputError
-from .kernel import check_depth
-from .linalg import check_positive
-from .model import SolverConfig, check_field_types, check_seed, check_sigma_w2
+from .linalg import check_int, check_positive
+from .model import SolverConfig, check_field_types, check_sigma_w2
 from .train import TrainConfig
 
 __all__ = [
@@ -77,8 +75,9 @@ class DataConfig:
                               f"synthetic|file")
         check_positive(self.y_cap, "y_cap")
         if self.kind == "synthetic":
-            check_sphere_shape(self.n, self.d)
-        check_seed(self.seed)
+            check_int(self.n, "n")
+            check_int(self.d, "d", 2)
+        check_int(self.seed, "seed", 0)
         if self.kind == "file":
             for key in ("matrix", "labels_csv"):
                 value = getattr(self, key)
@@ -98,7 +97,7 @@ class ModelConfig:
         check_field_types(self)
         check_grid(self.widths(), name="m")
         check_sigma_w2(self.sigma_w2)
-        check_seed(self.seed)
+        check_int(self.seed, "seed", 0)
 
     def widths(self) -> list:
         return [self.m] if isinstance(self.m, int) else list(self.m)
@@ -114,8 +113,7 @@ class TrainSection(TrainConfig):
 
     def __post_init__(self):
         super().__post_init__()
-        if self.checkpoint_every < 0:
-            raise ConfigError("train.checkpoint_every must be >= 0")
+        check_int(self.checkpoint_every, "checkpoint_every", 0)
         if self.resume is not None and not Path(self.resume).exists():
             raise ConfigError(f"train.resume: {self.resume} does not exist")
 
@@ -143,8 +141,8 @@ class ConcentrationSection:
             if name in self.experiments[:i]:
                 raise ConfigError(f"concentration.experiments repeats {name!r}")
         check_grid(self.m_list, self.trials)
-        check_depth(self.l, "l")
-        check_seed(self.base_seed, "base_seed")
+        check_int(self.l, "l")
+        check_int(self.base_seed, "base_seed", 0)
 
 
 @dataclass(frozen=True)

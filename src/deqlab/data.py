@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionError, InputError
-from .linalg import as_matrix, check_positive
-from .model import check_seed
+from .linalg import as_matrix, check_int, check_positive
 
 __all__ = [
     "Dataset",
@@ -35,11 +34,6 @@ PARALLEL_COS_TOL = 1.0 - 1e-9
 
 # Column norms must equal sqrt(d) to this relative accuracy.
 NORM_RTOL = 1e-8
-
-
-def check_sphere_shape(n: int, d: int) -> None:
-    if n < 1 or d < 2:
-        raise InputError(f"synthetic data needs n >= 1 and d >= 2, got n={n}, d={d}")
 
 
 def check_on_sphere(x: np.ndarray) -> np.ndarray:
@@ -133,8 +127,9 @@ def gen_sphere_data(n: int, d: int, seed: int, y_cap: float = 10.0) -> Dataset:
     and a fresh draw from the same stream appended after the others, at
     most n times.
     """
-    check_sphere_shape(n, d)
-    check_seed(seed)
+    check_int(n, "n")
+    check_int(d, "d", 2)
+    check_int(seed, "seed", 0)
     check_positive(y_cap, "y_cap")
     if n == 1:
         warnings.warn("n=1 dataset: the no-parallel-pairs requirement is vacuous")

@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import check_on_sphere
 from .errors import ConvergenceError, InputError
-from .linalg import as_matrix, check_positive, min_eig_sym
+from .linalg import as_matrix, check_int, check_positive, min_eig_sym
 from .model import check_sigma_w2
 
 __all__ = [
@@ -69,9 +69,7 @@ def q_func(x):
     Accepts scalars or arrays on [-1, 1]; inputs outside by at most 1e-12
     are clamped, anything further out is an error.
     """
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise InputError("q_func input contains non-finite values")
+    arr = as_matrix(x, "Q input", (None,) * np.ndim(x))
     over = np.abs(arr) - 1.0
     if np.any(over > 1e-12):
         raise InputError(f"q_func input out of [-1, 1]: max overshoot {over.max():.3e}")
@@ -89,11 +87,6 @@ def _check_inputs(x: np.ndarray, sigma_w2: float) -> np.ndarray:
     return np.clip(c1, -1.0, 1.0)
 
 
-def check_depth(depth: int, name: str) -> None:
-    if depth < 1:
-        raise InputError(f"{name} must be >= 1, got {depth}")
-
-
 def rho(sigma_w2: float, depth: int) -> float:
     """Diagonal kernel value (1 - sigma_w^(2 l)) / (1 - sigma_w^2)."""
     return (1.0 - sigma_w2**depth) / (1.0 - sigma_w2)
@@ -102,7 +95,7 @@ def rho(sigma_w2: float, depth: int) -> float:
 def kernel_layer_sequence(x, sigma_w2: float, depth: int):
     """Yield K^(1), ..., K^(depth), checking the inputs at the first: a
     caller that keeps only the level at hand holds a few n x n arrays."""
-    check_depth(depth, "depth")
+    check_int(depth, "depth")
     cos = _check_inputs(x, sigma_w2)
     xtx_over_d = cos.copy()
     # l = 1: rho = 1 and the cosine is the raw normalized inner product.
@@ -147,8 +140,7 @@ def kernel_fixed_point(x, sigma_w2: float) -> PopulationKernel:
 
 def _check_report(n: int, lambda_star: float) -> None:
     check_positive(lambda_star, "lambda_star")
-    if n < 1:
-        raise InputError(f"n must be >= 1, got {n}")
+    check_int(n, "n")
 
 
 def suggested_width(n: int, lambda_star: float) -> int:

@@ -40,15 +40,28 @@ def as_matrix(a, name: str = "matrix", shape=(None, None)) -> np.ndarray:
     return a
 
 
+def check_int(value, name: str, least: int = 1) -> None:
+    """InputError unless `value` is an int (a numpy integer counts, a bool
+    does not) of at least `least`: the one owner of every count, width,
+    depth, seed and step rule."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < least):
+        raise InputError(f"{name} must be an int >= {least}, got {value!r}")
+
+
 def check_positive(value: float, name: str) -> None:
     if not 0.0 < value < np.inf:  # also refuses nan
         raise InputError(f"{name} must be positive and finite, got {value}")
 
 
+def check_nonnegative(value: float, name: str) -> None:
+    if not 0.0 <= value < np.inf:  # also refuses nan
+        raise InputError(f"{name} must be >= 0 and finite, got {value}")
+
+
 def check_budget(tol: float, max_iter: int) -> None:
     check_positive(tol, "tol")
-    if max_iter < 1:
-        raise InputError(f"max_iter must be >= 1, got {max_iter}")
+    check_int(max_iter, "max_iter")
 
 
 # Lanczos basis size before a restart from the current Ritz vector. Cold

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .errors import ConvergenceError, InputError, WellPosednessError
-from .linalg import as_matrix, check_budget, spectral_norm
+from .linalg import as_matrix, check_budget, check_int, spectral_norm
 
 __all__ = [
     "DeqParams",
@@ -22,7 +22,6 @@ __all__ = [
     "EquilibriumSolution",
     "SIGMA_W2_MAX",
     "check_field_types",
-    "check_seed",
     "check_shapes",
     "check_sigma_w2",
     "init_params",
@@ -55,13 +54,6 @@ def check_sigma_w2(sigma_w2: float) -> None:
     """Raise InputError unless 0 < sigma_w2 < SIGMA_W2_MAX."""
     if not (0.0 < sigma_w2 < SIGMA_W2_MAX):
         raise InputError(f"sigma_w2 must lie in (0, 1/8), got {sigma_w2}")
-
-
-def check_seed(seed: int, name: str = "seed") -> None:
-    """Raise InputError unless `seed` is an int >= 0, as numpy's
-    generators need; `name` is its name in the message."""
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise InputError(f"{name} must be an int >= 0, got {seed}")
 
 
 # The values a field's string annotation admits: an int is a float, a
@@ -162,10 +154,10 @@ def init_params(m: int, d: int, sigma_w2: float, seed: int) -> DeqParams:
 
     Draw order is W, then U, then a, from one PCG64 stream.
     """
-    if m < 1 or d < 1:
-        raise InputError(f"m and d must be >= 1, got m={m}, d={d}")
+    check_int(m, "m")
+    check_int(d, "d")
     check_sigma_w2(sigma_w2)
-    check_seed(seed)
+    check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     w = rng.standard_normal((m, m)) * np.sqrt(2.0 * sigma_w2 / m)
     u = rng.standard_normal((m, d)) * np.sqrt(2.0 / d)

@@ -29,7 +29,8 @@ from .grad import (
     solve_adjoint,
     solve_sensitivity,
 )
-from .linalg import check_positive, gram, min_eig_sym, spectral_norm
+from .linalg import (check_int, check_nonnegative, check_positive, gram, min_eig_sym,
+                     spectral_norm)
 from .model import (
     DeqParams,
     EquilibriumSolution,
@@ -96,10 +97,8 @@ class TrainConfig:
                 raise InputError(f"eta must be a float or 'auto', got {self.eta!r}")
         else:
             check_positive(self.eta, "explicit eta")
-        if self.steps < 1:
-            raise InputError("steps must be >= 1")
-        if self.monitor_every < 1:
-            raise InputError("monitor_every must be >= 1")
+        check_int(self.steps, "steps")
+        check_int(self.monitor_every, "monitor_every")
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,10 @@ class TrainRecord:
 
 @dataclass(frozen=True)
 class TrainState:
-    """Where a run stands: the step of the parameters it comes with, and
-    the anchors eta (with its mode), lambda_0 and phi_0, all four set or
-    none; a run's first step fixes them unless it resumes with them."""
+    """Where a run stands: the step (an int >= 0) of the parameters it
+    comes with, and the anchors eta (positive), lambda_0 and phi_0 (>= 0),
+    all finite, with eta's mode: all four set or none. A run's first step
+    fixes them unless it resumes with them."""
 
     step: int = 0
     eta: float | None = None
@@ -131,12 +131,14 @@ class TrainState:
 
     def __post_init__(self):
         check_field_types(self)
-        anchors = (self.eta, self.lambda_0, self.phi_0)
-        unset = (*anchors, self.eta_mode).count(None)
-        if not (self.step >= 0 and (unset == 4 or not unset and self.eta > 0
-                and min(anchors) >= 0 and np.isfinite(anchors).all())):
-            raise InputError(f"TrainState needs a step >= 0 and all four anchors or "
-                             f"none, eta > 0 and lambda_0, phi_0 >= 0 finite; got {self}")
+        check_int(self.step, "step", 0)
+        unset = (self.eta, self.eta_mode, self.lambda_0, self.phi_0).count(None)
+        if unset not in (0, 4):
+            raise InputError(f"TrainState needs all four anchors or none, got {self}")
+        if not unset:
+            check_positive(self.eta, "eta")
+            check_nonnegative(self.lambda_0, "lambda_0")
+            check_nonnegative(self.phi_0, "phi_0")
 
 
 @dataclass(frozen=True)
@@ -381,20 +383,24 @@ def save_checkpoint(path, p: DeqParams, state: TrainState, config_hash: str) -> 
 
 def load_checkpoint(path) -> tuple[DeqParams, TrainState]:
     """(params, TrainState(..., "resumed")) of a format-2 checkpoint; InputError
-    for anything else, a state TrainState refuses or a non-integer step included."""
+    `<path> is not a deqlab checkpoint: ...` for any other file, a non-integer
+    step included, and `<path>: <refusal>` for entries DeqParams or TrainState refuse."""
     try:
         with np.load(path) as npz:
             ckpt = {key: npz[key] for key in npz.files}
         version = operator.index(ckpt["format_version"])
         if version != CHECKPOINT_VERSION:
             raise InputError(f"unsupported checkpoint version {version}")
-        p = DeqParams(ckpt["w"], ckpt["u"], ckpt["a"], float(ckpt["sigma_w2"]))
-        state = TrainState(operator.index(ckpt["step"]), float(ckpt["eta"]), "resumed",
-                           float(ckpt["lambda_0"]), float(ckpt["phi_0"]))
+        params = ckpt["w"], ckpt["u"], ckpt["a"], float(ckpt["sigma_w2"])
+        state = (operator.index(ckpt["step"]), float(ckpt["eta"]), "resumed",
+                 float(ckpt["lambda_0"]), float(ckpt["phi_0"]))
     except (OSError, EOFError, KeyError, TypeError, ValueError, BadZipFile) as exc:
         raise InputError(f"{path} is not a deqlab checkpoint: "
                          f"{type(exc).__name__}: {exc}") from exc
-    return p, state
+    try:
+        return DeqParams(*params), TrainState(*state)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def metrics_row(r: TrainRecord) -> list:

@@ -549,15 +549,22 @@ class TestTrainCommand:
             assert not (tmp_path / "resumed").exists()
 
     @pytest.mark.parametrize("version", [2])  # the one format load_checkpoint reads
-    @pytest.mark.parametrize("edit", [
-        {"eta": -0.2}, {"eta": float("nan")}, {"step": -3}, {"step": 2.7},
-        {"lambda_0": -1.0}, {"phi_0": None},
+    @pytest.mark.parametrize("edit, refusal", [
+        ({"eta": -0.2}, ": eta must be positive and finite, got -0.2"),
+        ({"eta": float("nan")}, ": eta must be positive and finite, got nan"),
+        ({"step": -3}, ": step must be an int >= 0, got -3"),
+        ({"step": 2.7}, " is not a deqlab checkpoint"),
+        ({"lambda_0": -1.0}, ": lambda_0 must be >= 0 and finite, got -1.0"),
+        ({"phi_0": None}, " is not a deqlab checkpoint"),
     ], ids=["negated-eta", "nan-eta", "step-3", "step-2.7", "lambda_0-1",
             "no-phi_0"])
     def test_resume_from_an_edited_state_is_2(self, runner, tmp_path,
-                                              checkpoint_at_2, edit, version):
+                                              checkpoint_at_2, edit, refusal,
+                                              version):
         # each would resume on a state a run cannot have: exit 2 before
-        # any row or output directory is written
+        # any row or output directory is written. A checkpoint whose
+        # entries TrainState refuses is named with the refusal; one that
+        # lacks an entry or holds a non-integer step is not a checkpoint
         ckpt = tmp_path / "edited.npz"
         with np.load(checkpoint_at_2) as npz:
             state = {**npz, "format_version": version, **edit}
@@ -566,7 +573,7 @@ class TestTrainCommand:
         result = runner.invoke(main, tiny_train_args(resumed, [
             "--set", f"train.resume={ckpt}"]))
         assert result.exit_code == 2, result.output
-        assert "not a deqlab checkpoint" in result.output
+        assert f"error (InputError): {ckpt}{refusal}" in result.output
         assert not resumed.exists()
 
     def test_resume_at_another_width_is_2(self, runner, tmp_path):

@@ -246,6 +246,15 @@ RANGE = [
         lambda: init_params(10, 4, 0.08, -1)]),
     ("concentration.base_seed=-1", lambda: ConcentrationSection(base_seed=-1), [
         lambda: derive_seed(-1, 10, 0)]),
+    ("concentration.trials=0", lambda: ConcentrationSection(trials=0), [
+        lambda: check_grid([4], 0),
+        lambda: tied_vs_population(_x(), 0.08, [4], 1, 0, 0),
+        lambda: lambda0_vs_width(_x(), 0.08, [4], 0, 0)]),
+    ("train.steps=0", lambda: TrainSection(steps=0), [
+        lambda: TrainConfig(steps=0)]),
+    ("train.monitor_every=0", lambda: TrainSection(monitor_every=0), [
+        lambda: TrainConfig(monitor_every=0)]),
+    ("train.checkpoint_every=-1", lambda: TrainSection(checkpoint_every=-1), []),
 ]
 
 
@@ -330,8 +339,10 @@ class TestModelSection:
         "model.m=[0]",
     ])
     def test_rejected_at_load(self, item):
-        with pytest.raises(ConfigError,
-                           match="section 'model': m must be strictly ascending"):
+        # a width below 1 is refused by the width rule, before the order
+        message = ("m must be an int >= 1, got 0" if item == "model.m=[0]"
+                   else "m must be strictly ascending")
+        with pytest.raises(ConfigError, match=re.escape(f"section 'model': {message}")):
             load_config(None, [item])
 
 

@@ -7,27 +7,37 @@ assumptions on the data."""
 import numpy as np
 import pytest
 
-from deqlab.condition import init_bounds
-from deqlab.config import DataConfig
+from deqlab.concentration import (
+    check_grid,
+    derive_seed,
+    fresh_randomness_reconstruct,
+    lambda0_vs_width,
+    layer_iterates,
+    tied_vs_population,
+)
+from deqlab.condition import check_condition, init_bounds
+from deqlab.config import ConcentrationSection, DataConfig, ModelConfig, TrainSection
 from deqlab.data import Dataset, gen_sphere_data, normalize_to_sphere
 from deqlab.errors import AssumptionError, DeqlabError, InputError
 from deqlab.grad import dense_gradients_reference, gradients
 from deqlab.kernel import (
     kernel_fixed_point,
     kernel_layer_sequence,
+    q_func,
     suggested_depth,
     suggested_width,
 )
 from deqlab.linalg import as_matrix, spectral_norm
 from deqlab.model import (
     DeqParams,
+    SolverConfig,
     forward_layer,
     init_params,
     loss,
     predict,
     solve_equilibrium,
 )
-from deqlab.train import TrainConfig, auto_eta, gram_min_eig
+from deqlab.train import TrainConfig, TrainState, auto_eta, gram_min_eig
 
 X = gen_sphere_data(4, 3, seed=0).x  # d = 3, n = 4
 P = init_params(10, 3, 0.08, seed=0)
@@ -36,6 +46,7 @@ X_N5 = gen_sphere_data(5, 3, seed=0).x  # one column more than SOL.z
 X_D4 = gen_sphere_data(4, 4, seed=0).x  # one row more than U has columns
 OFF = X * np.array([1.0, 2.0, 1.0, 0.5])  # columns 1 and 3 off the sphere
 Z_M1 = np.vstack([SOL.z, SOL.z[:1]])  # one row more than W has
+BOUNDS = init_bounds(P)
 
 
 def _shape_calls(x):
@@ -95,6 +106,59 @@ POSITIVE = [
     ("DataConfig", "y_cap", lambda v: DataConfig(y_cap=v)),
     ("suggested_width", "lambda_star", lambda v: suggested_width(4, v)),
     ("suggested_depth", "lambda_star", lambda v: suggested_depth(4, v, 0.08)),
+    ("TrainState", "eta", lambda v: TrainState(0, v, "explicit", 1.0, 1.0)),
+]
+
+# Per entry point holding the rule ">= 0 and finite": the name its
+# message gives the value, and a call with the value v.
+NONNEGATIVE = [
+    ("check_condition", "lambda_0", lambda v: check_condition(BOUNDS, v, X, 1.0)),
+    ("check_condition", "residual_norm_0",
+     lambda v: check_condition(BOUNDS, 1.0, X, v)),
+    ("TrainState", "lambda_0", lambda v: TrainState(0, 0.1, "explicit", v, 1.0)),
+    ("TrainState", "phi_0", lambda v: TrainState(0, 0.1, "explicit", 1.0, v)),
+]
+
+# Per holder of the rule "an int >= least": the name its message gives
+# the value, least, and a call with the value v. Every count, width,
+# depth, seed and step the library or the config takes is here.
+COUNTS = [
+    ("init_params", "m", 1, lambda v: init_params(v, 3, 0.08, 0)),
+    ("init_params", "d", 1, lambda v: init_params(10, v, 0.08, 0)),
+    ("init_params", "seed", 0, lambda v: init_params(10, 3, 0.08, v)),
+    ("gen_sphere_data", "n", 1, lambda v: gen_sphere_data(v, 3, 0)),
+    ("gen_sphere_data", "d", 2, lambda v: gen_sphere_data(4, v, 0)),
+    ("gen_sphere_data", "seed", 0, lambda v: gen_sphere_data(4, 3, v)),
+    ("DataConfig", "n", 1, lambda v: DataConfig(n=v)),
+    ("DataConfig", "d", 2, lambda v: DataConfig(d=v)),
+    ("DataConfig", "seed", 0, lambda v: DataConfig(seed=v)),
+    ("kernel_layer_sequence", "depth", 1,
+     lambda v: next(kernel_layer_sequence(X, 0.08, v))),
+    ("layer_iterates", "depth", 1, lambda v: layer_iterates(P, X, v)),
+    ("fresh_randomness_reconstruct", "l", 1,
+     lambda v: fresh_randomness_reconstruct(P, X, 0, 1, v)),
+    ("ConcentrationSection", "l", 1, lambda v: ConcentrationSection(l=v)),
+    ("suggested_width", "n", 1, lambda v: suggested_width(v, 0.36)),
+    ("suggested_depth", "n", 1, lambda v: suggested_depth(v, 0.36, 0.08)),
+    ("spectral_norm", "max_iter", 1, lambda v: spectral_norm(np.eye(2), max_iter=v)),
+    ("SolverConfig", "max_iter", 1, lambda v: SolverConfig(max_iter=v)),
+    ("TrainConfig", "steps", 1, lambda v: TrainConfig(steps=v)),
+    ("TrainConfig", "monitor_every", 1, lambda v: TrainConfig(monitor_every=v)),
+    ("check_grid", "trials", 1, lambda v: check_grid([4], v)),
+    ("lambda0_vs_width", "trials", 1, lambda v: lambda0_vs_width(X, 0.08, [4], v, 0)),
+    ("tied_vs_population", "trials", 1,
+     lambda v: tied_vs_population(X, 0.08, [4], 1, v, 0)),
+    ("ConcentrationSection", "trials", 1, lambda v: ConcentrationSection(trials=v)),
+    ("check_grid", "m", 1, lambda v: check_grid([v])),
+    ("tied_vs_population", "m", 1, lambda v: tied_vs_population(X, 0.08, [v], 1, 1, 0)),
+    ("ModelConfig", "m", 1, lambda v: ModelConfig(m=[v])),
+    ("ConcentrationSection", "m", 1, lambda v: ConcentrationSection(m_list=[v])),
+    ("derive_seed", "base_seed", 0, lambda v: derive_seed(v, 10, 0)),
+    ("ModelConfig", "seed", 0, lambda v: ModelConfig(seed=v)),
+    ("ConcentrationSection", "base_seed", 0,
+     lambda v: ConcentrationSection(base_seed=v)),
+    ("TrainSection", "checkpoint_every", 0, lambda v: TrainSection(checkpoint_every=v)),
+    ("TrainState", "step", 0, lambda v: TrainState(step=v)),
 ]
 
 Z_NAN = SOL.z.copy()
@@ -127,6 +191,11 @@ MALFORMED = [
     ("dataset-string-y", lambda: Dataset(x=X, y=["a", "b", "c"])),
     ("params-empty", lambda: DeqParams(w=np.zeros((0, 0)), u=np.zeros((0, 3)),
                                        a=np.zeros(0), sigma_w2=0.08)),
+    ("q-string", lambda: q_func("a")),
+    ("q-nan", lambda: q_func(np.nan)),
+    ("init-float-m", lambda: init_params(2.5, 3, 0.08, 0)),
+    ("spectral-float-max-iter", lambda: spectral_norm(np.eye(2), max_iter=2.5)),
+    ("depth-string-n", lambda: suggested_depth("4", 0.36, 0.08)),
 ]
 
 
@@ -155,6 +224,30 @@ class TestRuleOwners:
         with pytest.raises(InputError) as refused:
             call(value)
         assert str(refused.value) == f"{name} must be positive and finite, got {value}"
+
+    @pytest.mark.parametrize("value", [-1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("holder, name, call", NONNEGATIVE,
+                             ids=[f"{holder}-{name}" for holder, name, _ in NONNEGATIVE])
+    def test_nonnegative_and_finite(self, holder, name, call, value):
+        with pytest.raises(InputError) as refused:
+            call(value)
+        assert str(refused.value) == f"{name} must be >= 0 and finite, got {value}"
+
+    @pytest.mark.parametrize("holder, name, least, call", COUNTS,
+                             ids=[f"{holder}-{name}" for holder, name, *_ in COUNTS])
+    def test_int_below_least(self, monkeypatch, holder, name, least, call):
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
+        with pytest.raises(InputError) as refused:
+            call(least - 1)
+        assert str(refused.value) == f"{name} must be an int >= {least}, got {least - 1}"
+
+    @pytest.mark.parametrize("value", [2.5, True], ids=["float", "bool"])
+    @pytest.mark.parametrize("holder, name, least, call", COUNTS,
+                             ids=[f"{holder}-{name}" for holder, name, *_ in COUNTS])
+    def test_int_refuses_a_non_int(self, monkeypatch, holder, name, least, call, value):
+        monkeypatch.setattr(np.random, "default_rng", _no_draw)
+        with pytest.raises(InputError):
+            call(value)
 
     @pytest.mark.parametrize("case, call", MALFORMED, ids=[c for c, _ in MALFORMED])
     def test_malformed_input_is_an_input_error(self, case, call):
