@@ -5,7 +5,7 @@ Library layout:
 - linalg: dense matrix kernels (spectral norm, least symmetric eigenvalue,
   Gram products)
 - data: dataset generation, normalization, and the CSV schemas
-- model: DEQ parameters, initialization, fixed-point forward solver
+- model: DEQ parameters, initialization, the unrolled forward and its limit
 - grad: implicit-differentiation gradients via an adjoint fixed point
 - kernel: population Gram matrices, their infinite-depth limit, and the
   width/depth suggestions they imply

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import AssumptionError, DegenerateInputError, InputError
 from .kernel import PopulationKernel, kernel_fixed_point, kernel_layer_sequence
 from .linalg import as_matrix, check_int, gram, min_eig_sym
-from .model import DeqParams, SolverConfig, forward_layer, init_params, solve_equilibrium
+from .model import DeqParams, SolverConfig, init_params, layer_iterates, solve_equilibrium
 from .reporting import write_csv
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "ConcentrationReport",
     "check_grid",
     "derive_seed",
-    "layer_iterates",
     "kernel_depth_decay",
     "tied_vs_population",
     "lambda0_vs_width",
@@ -81,18 +80,6 @@ def derive_seed(base_seed: int, m: int, trial: int) -> int:
     check_int(base_seed, "base_seed", 0)
     ss = np.random.SeedSequence([int(base_seed), int(m), int(trial)])
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def layer_iterates(p: DeqParams, x, depth: int) -> list:
-    """Z^(1), ..., Z^(depth) of the layer iteration started at Z^(0) = 0."""
-    check_int(depth, "depth")
-    x = as_matrix(x, "X")
-    zs = []
-    z = np.zeros((p.m, x.shape[1]))
-    for _ in range(depth):
-        z = forward_layer(p, z, x)
-        zs.append(z)
-    return zs
 
 
 def kernel_depth_decay(pk: PopulationKernel, x, l_max: int) -> list:
@@ -192,7 +179,9 @@ def fresh_randomness_reconstruct(p: DeqParams, x, i: int, j: int, l: int):
     """
     x = as_matrix(x, "X")
     n = x.shape[1]
-    if not (0 <= i < n and 0 <= j < n):
+    check_int(i, "i", 0)
+    check_int(j, "j", 0)
+    if not (i < n and j < n):
         raise InputError(f"column indices ({i}, {j}) out of range for n={n}")
     check_int(l, "l")
     zs = layer_iterates(p, x, l + 1)

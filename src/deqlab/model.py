@@ -25,7 +25,7 @@ __all__ = [
     "check_shapes",
     "check_sigma_w2",
     "init_params",
-    "forward_layer",
+    "layer_iterates",
     "solve_equilibrium",
     "predict",
     "prediction_error",
@@ -170,12 +170,6 @@ def check_shapes(p: DeqParams, z, x) -> tuple[np.ndarray, np.ndarray]:
     d x n for p's m and d and one n."""
     z = as_matrix(z, "Z", (p.m, None))
     return z, as_matrix(x, "X", (p.d, z.shape[1]))
-
-
-def forward_layer(p: DeqParams, z, x) -> np.ndarray:
-    """One layer application: relu(W z + U x)."""
-    z, x = check_shapes(p, z, x)
-    return np.maximum(p.w @ z + p.u @ x, 0.0)
 
 
 class _ReluMap:
@@ -340,6 +334,18 @@ def solve_equilibrium(p: DeqParams, x, cfg: SolverConfig = SolverConfig(),
     z, res, k, history = _iterate(p, relu_map, z0, cfg, "equilibrium")
     return EquilibriumSolution(z=z, pre=relu_map.pre, residual=res,
                                iterations=k, residuals=history)
+
+
+def layer_iterates(p: DeqParams, x, depth: int) -> list:
+    """Z^(1), ..., Z^(depth) of the weight-tied network with input
+    injection, Z^(k) = relu(W Z^(k-1) + U X) from Z^(0) = 0: the unrolled
+    forward whose limit solve_equilibrium returns. U X is formed once."""
+    check_int(depth, "depth")
+    ux = p.u @ as_matrix(x, "X", (p.d, None))
+    zs = [np.zeros((p.m, ux.shape[1]))]
+    for _ in range(depth):
+        zs.append(np.maximum(p.w @ zs[-1] + ux, 0.0))
+    return zs[1:]
 
 
 def predict(p: DeqParams, z) -> np.ndarray:

@@ -178,9 +178,10 @@ def config_hash(config: dict) -> str:
 
 def environment() -> dict:
     """What produced a run: the numpy version, the BLAS numpy was built
-    against (name and version), the *_NUM_THREADS settings and the CPU
-    count. The BLAS fields are None on a numpy without show_config's
-    "dicts" mode (before 1.25)."""
+    against (name and version), the *_NUM_THREADS settings, the CPU count
+    and `affinity`, the CPUs this process may use (None without
+    os.sched_getaffinity). The BLAS fields are None on a numpy without
+    show_config's "dicts" mode (before 1.25)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
@@ -191,6 +192,8 @@ def environment() -> dict:
         "threads": {key: value for key, value in sorted(os.environ.items())
                     if key.endswith("_NUM_THREADS")},
         "cpu_count": os.cpu_count(),
+        "affinity": (len(os.sched_getaffinity(0))
+                     if hasattr(os, "sched_getaffinity") else None),
     }
 
 

@@ -18,7 +18,6 @@ from deqlab.cli import main as cli_main
 from deqlab.concentration import (
     fresh_randomness_reconstruct,
     lambda0_vs_width,
-    layer_iterates,
     tied_vs_population,
 )
 from deqlab.condition import check_condition, init_bounds

@@ -91,12 +91,13 @@ class TestGenData:
         run_ok(runner, ["gen-data", "--set", "data.n=6", "--set", "data.d=5",
                         "--set", f"output.directory={out}"])
         env = json.loads((out / "run.json").read_text())["environment"]
-        assert set(env) == {"numpy", "blas", "threads", "cpu_count"}
+        assert set(env) == {"numpy", "blas", "threads", "cpu_count", "affinity"}
         assert env["numpy"] == np.__version__
         assert set(env["blas"]) == {"name", "version"}
         assert env["threads"]["OPENBLAS_NUM_THREADS"] == "2"
         assert all(key.endswith("_NUM_THREADS") for key in env["threads"])
         assert env["cpu_count"] == os.cpu_count()
+        assert env["affinity"] == len(os.sched_getaffinity(0))
 
     def test_seed_repeat_identical_bytes(self, runner, tmp_path):
         outs = []

@@ -11,7 +11,6 @@ from deqlab.concentration import (
     fresh_randomness_reconstruct,
     kernel_depth_decay,
     lambda0_vs_width,
-    layer_iterates,
     tied_vs_population,
     write_report_csv,
     write_summary_csv,
@@ -21,7 +20,7 @@ from deqlab.data import gen_sphere_data
 from deqlab.errors import AssumptionError, ConfigError, DegenerateInputError, InputError
 from deqlab.kernel import kernel_fixed_point, kernel_layer_sequence, rho
 from deqlab.linalg import gram
-from deqlab.model import SolverConfig, init_params, solve_equilibrium
+from deqlab.model import SolverConfig, init_params, layer_iterates, solve_equilibrium
 
 
 class TestDeriveSeed:
@@ -290,6 +289,12 @@ class TestFreshRandomnessReconstruct:
             fresh_randomness_reconstruct(p, ds.x, 0, 5, l=2)
         with pytest.raises(InputError):
             fresh_randomness_reconstruct(p, ds.x, 0, 1, l=0)
+
+    def test_numpy_int_indices(self):
+        ds = gen_sphere_data(3, 8, seed=21)
+        p = init_params(20, 8, 0.08, seed=22)
+        assert (fresh_randomness_reconstruct(p, ds.x, np.int64(0), np.int64(1), l=2)
+                == fresh_randomness_reconstruct(p, ds.x, 0, 1, l=2))
 
 
 class TestReportCsv:

@@ -18,7 +18,6 @@ from deqlab.concentration import (
     derive_seed,
     fresh_randomness_reconstruct,
     lambda0_vs_width,
-    layer_iterates,
     tied_vs_population,
 )
 from deqlab.config import (
@@ -33,7 +32,7 @@ from deqlab.data import Dataset, gen_sphere_data
 from deqlab.errors import ConfigError, InputError
 from deqlab.kernel import kernel_layer_sequence
 from deqlab.linalg import spectral_norm
-from deqlab.model import SolverConfig, init_params
+from deqlab.model import SolverConfig, init_params, layer_iterates
 from deqlab.reporting import config_hash
 from deqlab.train import TrainConfig
 

@@ -10,8 +10,8 @@ from deqlab.model import (
     DeqParams,
     EquilibriumSolution,
     SolverConfig,
-    forward_layer,
     init_params,
+    layer_iterates,
     loss,
     predict,
     solve_equilibrium,
@@ -73,34 +73,46 @@ class TestInitParams:
         assert p.w[0, 0] == 0.0
 
 
+def layer(p, z, x):
+    """The tests' oracle for one layer of the tied network."""
+    return np.maximum(p.w @ z + p.u @ x, 0)
+
+
 class TestForwardLayer:
+    """The layer map relu(W z + U x) as layer_iterates applies it."""
+
     def test_zero_inputs(self):
         p = small_params()
         x = np.zeros((p.d, 3))
-        np.testing.assert_array_equal(forward_layer(p, np.zeros((p.m, 3)), x),
-                                      np.zeros((p.m, 3)))
+        np.testing.assert_array_equal(layer_iterates(p, x, 1)[0], np.zeros((p.m, 3)))
 
     def test_w_zero_decouples(self):
         p = small_params()
         p0 = DeqParams(w=np.zeros_like(p.w), u=p.u, a=p.a, sigma_w2=p.sigma_w2)
         x = np.random.default_rng(0).standard_normal((p.d, 4))
-        z = np.random.default_rng(1).standard_normal((p.m, 4))
-        expected = np.maximum(p.u @ x, 0)
-        np.testing.assert_array_equal(forward_layer(p0, z, x), expected)
+        z1, z2 = layer_iterates(p0, x, 2)
+        assert np.any(z1 > 0)  # so layer 2 sees a nonzero input from layer 1
+        np.testing.assert_array_equal(z2, np.maximum(p.u @ x, 0))
 
     def test_matches_elementwise_oracle(self):
         p = small_params()
-        rng = np.random.default_rng(2)
-        z = rng.standard_normal((p.m, 3))
-        x = rng.standard_normal((p.d, 3))
-        pre = p.w @ z + p.u @ x
-        oracle = np.where(pre > 0, pre, 0.0)
-        np.testing.assert_array_equal(forward_layer(p, z, x), oracle)
+        x = np.random.default_rng(2).standard_normal((p.d, 3))
+        z1, z2 = layer_iterates(p, x, 2)
+        pre = p.w @ z1 + p.u @ x
+        np.testing.assert_array_equal(z2, np.where(pre > 0, pre, 0.0))
 
     def test_shape_mismatch(self):
         p = small_params()
-        with pytest.raises(InputError):
-            forward_layer(p, np.zeros((p.m + 1, 3)), np.zeros((p.d, 3)))
+        with pytest.raises(InputError, match="X has 6 rows, expected 5"):
+            layer_iterates(p, np.zeros((p.d + 1, 3)), 1)
+
+    def test_unrolled_forward_is_the_layer_formula_bitwise(self):
+        p = small_params()
+        x = gen_sphere_data(4, p.d, seed=3).x
+        z = np.zeros((p.m, 4))
+        for z_k in layer_iterates(p, x, 6):
+            z = layer(p, z, x)
+            np.testing.assert_array_equal(z_k, z)
 
 
 class TestSolveEquilibrium:
@@ -123,7 +135,7 @@ class TestSolveEquilibrium:
         x = gen_sphere_data(6, 8, seed=1).x
         cfg = SolverConfig(tol=1e-10)
         sol = solve_equilibrium(p, x, cfg)
-        recomputed = (np.linalg.norm(sol.z - forward_layer(p, sol.z, x))
+        recomputed = (np.linalg.norm(sol.z - layer(p, sol.z, x))
                       / max(1.0, np.linalg.norm(sol.z)))
         assert recomputed <= cfg.tol
         assert sol.residual == pytest.approx(recomputed, abs=1e-15)

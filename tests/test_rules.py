@@ -12,7 +12,6 @@ from deqlab.concentration import (
     derive_seed,
     fresh_randomness_reconstruct,
     lambda0_vs_width,
-    layer_iterates,
     tied_vs_population,
 )
 from deqlab.condition import check_condition, init_bounds
@@ -31,8 +30,8 @@ from deqlab.linalg import as_matrix, spectral_norm
 from deqlab.model import (
     DeqParams,
     SolverConfig,
-    forward_layer,
     init_params,
+    layer_iterates,
     loss,
     predict,
     solve_equilibrium,
@@ -51,8 +50,7 @@ BOUNDS = init_bounds(P)
 
 def _shape_calls(x):
     y = np.zeros(x.shape[1])
-    return [lambda: forward_layer(P, SOL.z, x),
-            lambda: gradients(P, SOL, x, y),
+    return [lambda: gradients(P, SOL, x, y),
             lambda: dense_gradients_reference(P, SOL.z, x, y),
             lambda: auto_eta(P, SOL.z, x)]
 
@@ -67,10 +65,10 @@ def _matrix_calls(a):
 RULES = [
     ("shape-n", InputError, _shape_calls(X_N5)),
     ("shape-d", InputError,
-     _shape_calls(X_D4) + [lambda: solve_equilibrium(P, X_D4)]),
+     _shape_calls(X_D4) + [lambda: solve_equilibrium(P, X_D4),
+                           lambda: layer_iterates(P, X_D4, 1)]),
     ("shape-m", InputError, [
         lambda: predict(P, Z_M1),
-        lambda: forward_layer(P, Z_M1, X),
         lambda: dense_gradients_reference(P, Z_M1, X, np.zeros(4))]),
     ("sphere", AssumptionError, [
         lambda: Dataset(x=OFF, y=np.zeros(4)),
@@ -137,6 +135,10 @@ COUNTS = [
     ("layer_iterates", "depth", 1, lambda v: layer_iterates(P, X, v)),
     ("fresh_randomness_reconstruct", "l", 1,
      lambda v: fresh_randomness_reconstruct(P, X, 0, 1, v)),
+    ("fresh_randomness_reconstruct", "i", 0,
+     lambda v: fresh_randomness_reconstruct(P, X, v, 1, 1)),
+    ("fresh_randomness_reconstruct", "j", 0,
+     lambda v: fresh_randomness_reconstruct(P, X, 0, v, 1)),
     ("ConcentrationSection", "l", 1, lambda v: ConcentrationSection(l=v)),
     ("suggested_width", "n", 1, lambda v: suggested_width(v, 0.36)),
     ("suggested_depth", "n", 1, lambda v: suggested_depth(v, 0.36, 0.08)),
@@ -161,8 +163,6 @@ COUNTS = [
     ("TrainState", "step", 0, lambda v: TrainState(step=v)),
 ]
 
-Z_NAN = SOL.z.copy()
-Z_NAN[0, 0] = np.nan
 X_NAN = X.copy()
 X_NAN[0, 0] = np.nan
 Y_INF = np.array([0.0, np.inf, 0.0, 0.0])
@@ -174,8 +174,8 @@ MALFORMED = [
     ("dense-one-label",
      lambda: dense_gradients_reference(P, SOL.z, X, np.array([0.5]))),
     ("gradients-short-y", lambda: gradients(P, SOL, X, np.zeros(3))),
-    ("forward-1d-z", lambda: forward_layer(P, np.ones(P.m), X)),
-    ("forward-nan-z", lambda: forward_layer(P, Z_NAN, X)),
+    ("forward-1d-x", lambda: layer_iterates(P, np.ones(P.d), 1)),
+    ("forward-nan-x", lambda: layer_iterates(P, X_NAN, 1)),
     ("gram-1d-z", lambda: gram_min_eig(np.ones(3))),
     ("auto-eta-z-width", lambda: auto_eta(P, SOL.z[:, :3], X)),
     ("width-nan-lambda", lambda: suggested_width(4, np.nan)),
