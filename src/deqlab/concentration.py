@@ -94,7 +94,7 @@ def check_grid(m_list, trials: int = 1, *, name: str = "m_list") -> None:
     non-empty list `name` of widths, each checked as `m` by check_int,
     strictly ascending (a repeated width would redraw the same seeds),
     and `trials` an int >= 1."""
-    if not m_list:
+    if len(m_list) == 0:
         raise InputError(f"{name} is empty")
     for m in m_list:
         check_int(m, "m")

@@ -158,7 +158,7 @@ def solve_sensitivity(p: DeqParams, mask, rhs,
 
     `rhs` is dW Z + dU X for a parameter direction (dW, dU); the solution
     S is the first-order response of Z, a contraction at rate <= ||W||_2
-    for a 0/1 mask. Its one caller, ntk_max_eig, makes one cold solve to
+    for a 0/1 mask. Its one caller, tangent_kernel, makes one cold solve to
     check the closed-form tangent kernel.
     """
     return _masked_solve(p, p.w, mask, as_matrix(rhs, "rhs", (p.m, None)), cfg,
@@ -228,16 +228,11 @@ def finite_difference_gradients(p: DeqParams, x, y,
                  and np.array_equal(pre_lo >= 0, pre_hi >= 0))
         return (hi - lo) / (2 * FD_STEP), valid
 
-    gw = np.empty((m, m))
-    gw_valid = np.empty((m, m), dtype=bool)
-    for i in range(m):
-        for j in range(m):
-            gw[i, j], gw_valid[i, j] = probe("w", i, j)
-    gu = np.empty((m, d))
-    gu_valid = np.empty((m, d), dtype=bool)
-    for i in range(m):
-        for j in range(d):
-            gu[i, j], gu_valid[i, j] = probe("u", i, j)
+    grads, valid = {}, {}
+    for name, shape in (("w", (m, m)), ("u", (m, d))):
+        grads[name], valid[name] = np.empty(shape), np.empty(shape, dtype=bool)
+        for i, j in np.ndindex(shape):
+            grads[name][i, j], valid[name][i, j] = probe(name, i, j)
 
     # a enters the loss quadratically with Z fixed; differences are exact.
     sol = solve_equilibrium(p, x, cfg)
@@ -251,5 +246,5 @@ def finite_difference_gradients(p: DeqParams, x, y,
         ga[i] = (hi - lo) / (2 * FD_STEP)
     ga_valid = np.ones(m, dtype=bool)
 
-    return (GradientTriple(gw=gw, gu=gu, ga=ga),
-            GradientTriple(gw=gw_valid, gu=gu_valid, ga=ga_valid))
+    return (GradientTriple(gw=grads["w"], gu=grads["u"], ga=ga),
+            GradientTriple(gw=valid["w"], gu=valid["u"], ga=ga_valid))

@@ -59,6 +59,7 @@ __all__ = [
     "monitors",
     "save_checkpoint",
     "solver_trace_row",
+    "tangent_kernel",
     "train",
     "train_steps",
 ]
@@ -69,7 +70,7 @@ __all__ = [
 CERT_TOL = 1e-11
 
 # Largest relative gap between the tangent kernel's matrix-free and
-# closed-form Rayleigh quotients that ntk_max_eig accepts.
+# closed-form Rayleigh quotients that tangent_kernel accepts.
 CHECK_TOL = 1e-3
 
 METRICS_HEADER = ("step,loss,w_spec_norm,lambda_tau,grad_norm_sq,"
@@ -164,14 +165,10 @@ def gram_min_eig(z) -> float:
     return max(0.0, min_eig_sym(g))
 
 
-def _top_eigenvector(h) -> np.ndarray:
-    """Unit eigenvector of the symmetric matrix h's largest eigenvalue."""
-    return np.linalg.eigh(h)[1][:, -1]
-
-
-def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
-                *, pre=None) -> float:
-    """Top eigenvalue of the n x n tangent kernel H = (dyhat/dtheta)(..)^T.
+def tangent_kernel(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
+                   *, pre=None) -> tuple[np.ndarray, float]:
+    """The n x n tangent kernel H = (dyhat/dtheta)(..)^T and its top
+    eigenvalue, checked.
 
     For a direction v, H v = G v + S^T a, where G = Z^T Z and S is the
     equilibrium's first-order response to the parameter direction
@@ -179,10 +176,10 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     M(v) = D .* (a v^T + W^T M(v)) is linear in v_i alone, so
     M(v) = M~ diag(v) with M~ from one adjoint solve at v = 1, and H has
     the closed form (M~^T M~) .* (Z^T Z + X^T X) + Z^T Z. Its top
-    eigenvector v gives the returned value v^T (G v + S^T a), with S from
-    one cold sensitivity solve: the matrix-free Rayleigh quotient, which
-    checks the closed form's. Both use the same M~, so they differ only
-    by solver error; ConvergenceError is raised if that exceeds
+    eigenvector v gives the returned lambda_max v^T (G v + S^T a), with S
+    from one cold sensitivity solve: the matrix-free Rayleigh quotient,
+    which checks the closed form's. Both use the same M~, so they differ
+    only by solver error; ConvergenceError is raised if that exceeds
     CHECK_TOL relative. No mn x mn object is ever formed. `pre` = W Z +
     U X, if the caller holds it, saves one m^2 n product.
     """
@@ -195,7 +192,7 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
     mask = activation_mask(p.w @ z + p.u @ x if pre is None else pre)
     m_tilde = solve_adjoint(p, mask, np.ones(g.shape[0]), solver).m
     h = (m_tilde.T @ m_tilde) * k + g
-    v = _top_eigenvector(h)
+    v = np.linalg.eigh(h)[1][:, -1]
     lam_closed = float(v @ (h @ v))
     rhs = m_tilde @ (v[:, None] * k)  # M(v) Z^T Z + M(v) X^T X
     s = solve_sensitivity(p, mask, rhs, solver).m
@@ -204,7 +201,13 @@ def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
         raise ConvergenceError(
             f"tangent kernel: matrix-free v.Hv = {lam:.6e} and closed-form "
             f"{lam_closed:.6e} differ by more than {CHECK_TOL:.0e} relative")
-    return lam
+    return h, lam
+
+
+def ntk_max_eig(p: DeqParams, z, x, solver: SolverConfig = SolverConfig(),
+                *, pre=None) -> float:
+    """lambda_max(H), the checked top eigenvalue of tangent_kernel."""
+    return tangent_kernel(p, z, x, solver, pre=pre)[1]
 
 
 def auto_eta(p: DeqParams, z0, x, safety: float = 0.5,

@@ -222,6 +222,16 @@ class TestLambda0VsWidth:
             with pytest.raises(InputError):
                 lambda0_vs_width(x, 0.08, m_list, trials=trials, base_seed=0)
 
+    def test_array_grid_runs_as_its_list(self):
+        # an array has no truth value: the grid's emptiness is its length
+        x = gen_sphere_data(4, 6, seed=12).x
+        listed = lambda0_vs_width(x, 0.08, [8, 16], 2, 3)
+        arrayed = lambda0_vs_width(x, 0.08, np.array([8, 16]), 2, 3)
+        assert arrayed.cells == listed.cells
+        assert arrayed.extra == listed.extra
+        with pytest.raises(InputError, match="m_list is empty"):
+            lambda0_vs_width(x, 0.08, np.array([]), 2, 3)
+
     def test_degenerate_data_aborts(self):
         col = np.arange(1.0, 7.0)
         x = np.column_stack([col, col])  # parallel pair

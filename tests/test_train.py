@@ -16,6 +16,7 @@ from deqlab.model import (
     DeqParams,
     SolverConfig,
     init_params,
+    layer_iterates,
     loss,
     predict,
     solve_equilibrium,
@@ -35,6 +36,7 @@ from deqlab.train import (
     ntk_max_eig,
     save_checkpoint,
     solver_trace_row,
+    tangent_kernel,
     train,
     train_steps,
 )
@@ -686,18 +688,6 @@ class TestAutoEta:
                          r @ np.kron(x.T, np.eye(m)), z.T])
         return jac @ jac.T
 
-    @staticmethod
-    def record_kernel(monkeypatch):
-        """The closed-form H each ntk_max_eig call starts from."""
-        kernels = []
-        top = train_module._top_eigenvector
-
-        def recorded(h):
-            kernels.append(h.copy())
-            return top(h)
-        monkeypatch.setattr(train_module, "_top_eigenvector", recorded)
-        return kernels
-
     def test_matches_dense_tangent_kernel(self):
         m, n, d = 12, 6, 5
         p, ds = setup(m=m, n=n, d=d, seed=23)
@@ -706,34 +696,29 @@ class TestAutoEta:
         lam = ntk_max_eig(p, sol.z, ds.x, SolverConfig(tol=1e-13))
         assert lam == pytest.approx(oracle, rel=1e-9)
 
-    def test_closed_form_kernel_is_dense_j_jt(self, monkeypatch):
+    def test_closed_form_kernel_is_dense_j_jt(self):
         p, ds = setup(m=12, n=6, d=5, seed=23)
         solver = SolverConfig(tol=1e-13)
         sol = solve_equilibrium(p, ds.x, solver)
-        kernels = self.record_kernel(monkeypatch)
-        ntk_max_eig(p, sol.z, ds.x, solver)
+        h, _ = tangent_kernel(p, sol.z, ds.x, solver)
         oracle = self.dense_kernel(p, sol, ds.x)
-        np.testing.assert_allclose(kernels[0], oracle, rtol=1e-10, atol=0)
+        np.testing.assert_allclose(h, oracle, rtol=1e-10, atol=0)
 
-    def test_returns_the_closed_form_top_eigenvalue(self, monkeypatch):
+    def test_returns_the_closed_form_top_eigenvalue(self):
         p, ds = setup(seed=17)
         sol = solve_equilibrium(p, ds.x)
-        kernels = self.record_kernel(monkeypatch)
-        lam = ntk_max_eig(p, sol.z, ds.x)
-        assert lam == pytest.approx(np.linalg.eigvalsh(kernels[0])[-1],
-                                    rel=1e-9)
+        h, lam = tangent_kernel(p, sol.z, ds.x)
+        assert lam == ntk_max_eig(p, sol.z, ds.x)
+        assert lam == pytest.approx(np.linalg.eigvalsh(h)[-1], rel=1e-9)
 
-    def test_closed_form_top_eigenvalue_above_the_float32_cut(
-            self, monkeypatch):
+    def test_closed_form_top_eigenvalue_above_the_float32_cut(self):
         # the sensitivity solve runs float32 correction rounds here
         m, n, d = 300, 50, 20
         assert m * m * n >= F32_MIN_MADDS
         p, ds = setup(m=m, n=n, d=d, seed=29)
         sol = solve_equilibrium(p, ds.x)
-        kernels = self.record_kernel(monkeypatch)
-        lam = ntk_max_eig(p, sol.z, ds.x, pre=sol.pre)
-        assert lam == pytest.approx(np.linalg.eigvalsh(kernels[0])[-1],
-                                    rel=1e-9)
+        h, lam = tangent_kernel(p, sol.z, ds.x, pre=sol.pre)
+        assert lam == pytest.approx(np.linalg.eigvalsh(h)[-1], rel=1e-9)
 
     def test_pre_gives_the_same_bits(self, monkeypatch):
         p, ds = setup(seed=17)
@@ -787,6 +772,50 @@ class TestAutoEta:
         sol = solve_equilibrium(p, ds.x)
         assert auto_eta(p, sol.z, ds.x, 0.25) == pytest.approx(
             0.5 * auto_eta(p, sol.z, ds.x, 0.5), rel=1e-12)
+
+
+class TestTangentKernelBackprop:
+    """tangent_kernel's H against the tangent kernel of the weight-tied
+    network it is the limit of, at a width the dense Kronecker J J^T cannot
+    reach (mn = 6400): per-example gradients of a^T Z^(L) in (W, U, a) by
+    backprop through layer_iterates' L layers, then J J^T."""
+
+    @staticmethod
+    def unrolled_kernel(p, x, depth):
+        n = x.shape[1]
+        zs = [np.zeros((p.m, n))] + layer_iterates(p, x, depth)
+        ux = p.u @ x
+        back = np.repeat(p.a[:, None], n, axis=1)  # d yhat_i / d z_i^(L)
+        jw, ju = np.zeros((n, p.m, p.m)), np.zeros((n, p.m, p.d))
+        for k in range(depth, 0, -1):
+            delta = (p.w @ zs[k - 1] + ux >= 0.0) * back
+            jw += np.einsum("ai,bi->iab", delta, zs[k - 1])
+            ju += np.einsum("ai,bi->iab", delta, x)
+            back = p.w.T @ delta
+        jac = np.hstack([jw.reshape(n, -1), ju.reshape(n, -1), zs[-1].T])
+        return jac @ jac.T
+
+    @pytest.fixture(scope="class", params=[11, 12])
+    def problem(self, request):
+        solver = SolverConfig(tol=1e-13)
+        ds = gen_sphere_data(16, 16, seed=7)
+        p = init_params(400, 16, 0.08, seed=request.param)
+        sol = solve_equilibrium(p, ds.x, solver)
+        return p, ds.x, tangent_kernel(p, sol.z, ds.x, solver, pre=sol.pre)[0]
+
+    @staticmethod
+    def gap(h, oracle):
+        return np.linalg.norm(h - oracle) / np.linalg.norm(oracle)
+
+    def test_depth_40_network_matches(self, problem):
+        p, x, h = problem
+        # measured 5.2e-15 (seed 11) and 1.1e-14 (seed 12)
+        assert self.gap(h, self.unrolled_kernel(p, x, 40)) < 1e-12
+
+    def test_depth_5_network_does_not(self, problem):
+        p, x, h = problem
+        # measured 1.2e-3 and 2.1e-3: the oracle can tell the limit apart
+        assert self.gap(h, self.unrolled_kernel(p, x, 5)) > 1e-4
 
 
 class TestStepSizePhases:
